@@ -272,7 +272,12 @@ def _parse_region(text):
         parts = axis.split(":")
         if len(parts) != 3:
             raise ParseError(f"region axis {axis!r} is not lo:hi:step")
-        region.append(tuple(Fraction(p) for p in parts))
+        try:
+            region.append(tuple(Fraction(p) for p in parts))
+        except ZeroDivisionError:
+            raise ParseError(f"region axis {axis!r} has a zero denominator") from None
+        except ValueError:
+            raise ParseError(f"region axis {axis!r} is not lo:hi:step of rationals") from None
     return region
 
 

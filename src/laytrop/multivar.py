@@ -9,14 +9,20 @@ grids stand in for the full function space.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import sorts
-from .errors import ArityMismatch, PreconditionViolated
+from .errors import ArityMismatch, OutOfRange, PreconditionViolated
 from .scalars import BOTTOM, LayeredScalar, ls_add, ls_mul, ls_pow, ls_sum
 from .sorts import Sort, as_layer
+
+# The largest lattice a raster may scan; larger regions raise OutOfRange
+# before any point is built.
+MAX_GRID_POINTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -95,19 +101,79 @@ def theta_min(Fs, point, sort: Sort):
     return out
 
 
+class _Affine(NamedTuple):
+    """A polynomial whose coordinate layers are fixed, as on a grid.
+
+    Every monomial then has a constant layer, and its value
+    c + sum_j e_j * x_j is an affine form in the coordinate values.  The
+    raster and the pointwise queries read value, layer, corner support
+    and component off the one tie set that ``fold`` returns.
+    """
+
+    exps: list  # exponent vectors, in term order
+    forms: list  # (c, ((axis, e), ...)) with the nonzero exponents only
+    layers: list  # the monomial layers
+
+    def fold(self, values, sort: Sort):
+        """``ls_sum`` of the monomials at the coordinate values.
+
+        Returns (value, layer, ties): the maximum value, its layer and
+        the indices of the monomials tied at it, in term order; None
+        when there are no monomials.  Layers are added with
+        ``layer_add`` wherever a monomial ties the running maximum,
+        exactly as ``ls_sum`` does, so the same inputs raise.
+        """
+        best = layer = None
+        ties = []
+        for i, (c, slopes) in enumerate(self.forms):
+            v = c + sum(e * values[j] for j, e in slopes)
+            if best is None or v > best:
+                best, layer, ties = v, self.layers[i], [i]
+            elif v == best:
+                layer = sorts.layer_add(layer, self.layers[i], sort)
+                ties.append(i)
+        return None if best is None else (best, layer, ties)
+
+    def corner_set(self, ties):
+        """Exponent vectors of positive-layer monomials tied at the maximum."""
+        return {
+            self.exps[i]
+            for i in ties
+            if sorts.is_inf(self.layers[i]) or self.layers[i] > 0
+        }
+
+    def component(self, ties, layer):
+        """The one tied monomial whose layer is the layer of the sum, or None."""
+        hits = [self.exps[i] for i in ties if self.layers[i] == layer]
+        return hits[0] if len(hits) == 1 else None
+
+
+def _affine(F: MultiPoly, point, sort: Sort) -> _Affine:
+    """Fix the monomial layers of F at one point.
+
+    ``monomial_value`` runs the same checks, and the same stepwise
+    truncation caps, as a pointwise evaluation, so an invalid input
+    raises here as it would there.
+    """
+    exps, forms, layers = [], [], []
+    for e, c in F.terms():
+        exps.append(e)
+        forms.append((c.value, tuple((j, x) for j, x in enumerate(e) if x != 0)))
+        layers.append(monomial_value(e, c, point, sort).layer)
+    return _Affine(exps, forms, layers)
+
+
+def _at_point(F: MultiPoly, point, sort: Sort):
+    """(affine, fold) of F at one point; see ``_Affine``."""
+    _check_point(F, point)
+    affine = _affine(F, point, sort)
+    return affine, affine.fold([x.value for x in point], sort)
+
+
 def corner_support(F: MultiPoly, point, sort: Sort):
     """Exponent vectors of positive-layer monomials nu-tied with the value."""
-    _check_point(F, point)
-    total = mp_eval(F, point, sort)
-    if total is BOTTOM:
-        return set()
-    out = set()
-    for exps, coeff in F.terms():
-        value = monomial_value(exps, coeff, point, sort)
-        positive = sorts.is_inf(value.layer) or value.layer > 0
-        if positive and value.value == total.value:
-            out.add(exps)
-    return out
+    affine, fold = _at_point(F, point, sort)
+    return set() if fold is None else affine.corner_set(fold[2])
 
 
 def is_corner_root(F: MultiPoly, point, sort: Sort) -> bool:
@@ -127,16 +193,8 @@ def component_index(F: MultiPoly, point, sort: Sort):
     Equality is exact (value and layer); corner points where layers add
     have no component.
     """
-    _check_point(F, point)
-    total = mp_eval(F, point, sort)
-    if total is BOTTOM:
-        return None
-    hits = [
-        exps
-        for exps, coeff in F.terms()
-        if monomial_value(exps, coeff, point, sort) == total
-    ]
-    return hits[0] if len(hits) == 1 else None
+    affine, fold = _at_point(F, point, sort)
+    return None if fold is None else affine.component(fold[2], fold[1])
 
 
 class GridRow(NamedTuple):
@@ -147,24 +205,40 @@ class GridRow(NamedTuple):
     component: object  # exponent tuple or None
 
 
-def axis_points(lo, hi, step):
-    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+def _axis_size(lo, hi, step) -> int:
     if step <= 0:
         raise PreconditionViolated("grid steps must be positive")
-    out = []
-    x = lo
-    while x <= hi:
-        out.append(x)
-        x += step
-    return out
+    return max(0, math.floor((hi - lo) / step) + 1)
+
+
+def _check_size(size: int):
+    if size > MAX_GRID_POINTS:
+        raise OutOfRange(
+            f"a grid of {size} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
+
+
+def axis_points(lo, hi, step):
+    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    size = _axis_size(lo, hi, step)
+    _check_size(size)
+    return [lo + k * step for k in range(size)]
 
 
 def _grid(region):
-    axes = [axis_points(*axis) for axis in region]
-    points = [()]
-    for axis in axes:
-        points = [p + (x,) for p in points for x in axis]
-    return points
+    """The lattice points of a region in lexicographic order.
+
+    The point count is checked against ``MAX_GRID_POINTS`` from the axis
+    lengths before any point is built.
+    """
+    region = [tuple(Fraction(t) for t in axis) for axis in region]
+    _check_size(math.prod(_axis_size(*axis) for axis in region))
+    return itertools.product(*(axis_points(*axis) for axis in region))
+
+
+def _check_arity(F: MultiPoly, region, coord_layers):
+    if len(region) != F.arity or len(coord_layers) != F.arity:
+        raise ArityMismatch("region and layer vectors must match the polynomial arity")
 
 
 def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
@@ -172,24 +246,30 @@ def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
 
     ``region`` is one (lo, hi, step) triple per axis; ``coord_layers``
     fixes the layer of each coordinate.  Rows come back in lexicographic
-    order of the coordinate values.
+    order of the coordinate values.  Each monomial's layer is fixed once
+    and its value is an affine form in the point, so every row comes
+    from one exact evaluation; it equals ``mp_eval``, ``corner_support``
+    and ``component_index`` at that point.  Regions of more than
+    ``MAX_GRID_POINTS`` points raise ``OutOfRange``.
     """
-    if len(region) != F.arity or len(coord_layers) != F.arity:
-        raise ArityMismatch("region and layer vectors must match the polynomial arity")
+    _check_arity(F, region, coord_layers)
     layers = [as_layer(l) for l in coord_layers]
     rows = []
+    affine = None
     for values in _grid(region):
-        point = tuple(LayeredScalar(v, l) for v, l in zip(values, layers))
-        ev = mp_eval(F, point, sort)
-        if ev is BOTTOM:
+        if affine is None:
+            affine = _affine(F, tuple(map(LayeredScalar, values, layers)), sort)
+        fold = affine.fold(values, sort)
+        if fold is None:
             raise PreconditionViolated("cannot rasterize the empty polynomial")
+        value, layer, ties = fold
         rows.append(
             GridRow(
                 values,
-                ev.value,
-                ev.layer,
-                len(corner_support(F, point, sort)),
-                component_index(F, point, sort),
+                value,
+                layer,
+                len(affine.corner_set(ties)),
+                affine.component(ties, layer),
             )
         )
     return rows
@@ -199,12 +279,22 @@ def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
     """Lattice points where every generator has a corner root.
 
     An empty generator list returns the whole grid (empty intersection
-    convention).
+    convention).  A generator's monomial layers are fixed the first time
+    a point reaches it, as in ``grid_scan``.
     """
+    for F in Fs:
+        _check_arity(F, region, coord_layers)
     layers = [as_layer(l) for l in coord_layers]
+    affines = [None] * len(Fs)
     out = []
     for values in _grid(region):
-        point = tuple(LayeredScalar(v, l) for v, l in zip(values, layers))
-        if all(is_corner_root(F, point, sort) for F in Fs):
+        for i, F in enumerate(Fs):
+            if affines[i] is None:
+                affines[i] = _affine(F, tuple(map(LayeredScalar, values, layers)), sort)
+            affine = affines[i]
+            fold = affine.fold(values, sort)
+            if fold is None or len(affine.corner_set(fold[2])) < 2:
+                break
+        else:
             out.append(values)
     return out

@@ -66,12 +66,14 @@ class _Scanner:
             self.fail("expected a rational number")
         if self.pos < len(self.text) and self.text[self.pos] == "/":
             self.pos += 1
-            den = 0
+            den_start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-                den += 1
-            if den == 0:
+            if self.pos == den_start:
                 self.fail("expected a denominator")
+            if int(self.text[den_start:self.pos]) == 0:
+                self.pos = den_start
+                self.fail("zero denominator")
         return Fraction(self.text[start:self.pos])
 
     def layer(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,3 +150,32 @@ def test_conjecture_search(capsys):
     record = json.loads(out)
     assert record["checked"] == 80
     assert record["violations"] == []
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "1/0:1", "--at", "1:1"],
+        ["layermap", "x1 + x2", "--region=0:1/0:1,0:1:1", "--layers", "1,1"],
+        ["layermap", "x1 + x2", "--region=a:b:c,0:1:1", "--layers", "1,1"],
+    ],
+    ids=["zero-denominator", "region-zero-denominator", "region-not-numeric"],
+)
+def test_malformed_numbers_are_parse_errors(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "laytrop.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert "parse error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_layermap_refuses_huge_grid(capsys):
+    code, out, err = run_cli(
+        capsys, "layermap", "x1 + x2 + 0:1", "--region=0:999999:1,0:999999:1", "--layers", "1,1"
+    )
+    assert code == 3 and out == ""
+    assert "exceeds the limit" in err

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from conftest import ALL_SORTS, rand_layer
 
 import laytrop as lt
 
@@ -190,3 +192,176 @@ def test_laurent_and_rational_exponent_evaluation():
     mixed = lt.parse_poly("x1^3/2*x2^-1 + 0:1")
     value = lt.mp_eval(mixed, (sc(2, 4), sc(1, 1)), lt.POSQ)
     assert value == sc(2, 8)
+
+
+# -- the affine raster against the pointwise definition ---------------------------
+
+# Coordinate layers per sort: members of the sort, plus layer 0 and a
+# negative layer under q.  Some powers leave the sort and raise: layer 2
+# under unit, sqrt(2) under posq, inverses under nat and trunc:3, and
+# rational or negative powers of layer 0, a negative layer or INF.
+COORD_LAYERS = {
+    "unit": [1, 1, 2],
+    "super": [1, lt.INF],
+    "trunc:3": [1, 2, 3],
+    "nat": [1, 2, 4],
+    "posq": [1, 4, F(1, 4), 2],
+    "q": [1, 4, F(1, 4), 0, -1],
+}
+EXPONENTS = [0, 0, 1, 2, 3, -1, -2, F(1, 2), F(3, 2), F(-1, 2)]
+
+
+def _coeff_layer(rng, sort):
+    if str(sort) == "super" and rng.random() < 0.3:
+        return lt.INF
+    if str(sort) == "q" and rng.random() < 0.3:
+        return F(rng.choice((0, -1, -2)))
+    return rand_layer(rng, sort)
+
+
+def _rand_raster_poly(rng, sort, arity):
+    return lt.multipoly(
+        arity,
+        {
+            tuple(F(rng.choice(EXPONENTS)) for _ in range(arity)): lt.LayeredScalar(
+                F(rng.randint(-4, 4), rng.choice((1, 2))), _coeff_layer(rng, sort)
+            )
+            for _ in range(rng.randint(1, 5))
+        },
+    )
+
+
+def _outcome(call, *args):
+    """The result of call(*args), or the class of what it raises."""
+    try:
+        return call(*args)
+    except lt.LaytropError as err:
+        return type(err)
+
+
+def _pointwise_rows(F_, region, layers, sort):
+    """grid_scan by its definition: mp_eval, corner_support and
+    component_index at every lattice point, checked against the corner
+    support and component read off the monomial values."""
+    rows = []
+    for values in _lattice(region):
+        point = tuple(lt.LayeredScalar(v, lt.as_layer(l)) for v, l in zip(values, layers))
+        total = lt.mp_eval(F_, point, sort)
+        if total is lt.BOTTOM:
+            raise lt.PreconditionViolated("empty polynomial")
+        monos = [(e, lt.mp_eval(lt.multipoly(F_.arity, [(e, c)]), point, sort)) for e, c in F_.terms()]
+        csupp = lt.corner_support(F_, point, sort)
+        assert csupp == {e for e, m in monos if m.value == total.value and m.layer > 0}
+        component = lt.component_index(F_, point, sort)
+        hits = [e for e, m in monos if m == total]
+        assert component == (hits[0] if len(hits) == 1 else None)
+        rows.append((values, total.value, total.layer, len(csupp), component))
+    return rows
+
+
+def _pointwise_locus(Fs, region, layers, sort):
+    out = []
+    for values in _lattice(region):
+        point = tuple(lt.LayeredScalar(v, lt.as_layer(l)) for v, l in zip(values, layers))
+        if all(lt.is_corner_root(F_, point, sort) for F_ in Fs):
+            out.append(values)
+    return out
+
+
+def _lattice(region):
+    points = [()]
+    for lo, hi, step in region:
+        axis = []
+        x = F(lo)
+        while x <= hi:
+            axis.append(x)
+            x += F(step)
+        points = [p + (x,) for p in points for x in axis]
+    return points
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_raster_matches_pointwise_definition(sort):
+    rng = random.Random(f"raster-{sort}")
+    compared = raised = 0
+    for _ in range(60):
+        arity = rng.choice((1, 2, 2))
+        region = [(rng.randint(-2, 0), rng.randint(0, 2), F(1, rng.choice((1, 2)))) for _ in range(arity)]
+        layers = [rng.choice(COORD_LAYERS[str(sort)]) for _ in range(arity)]
+        Fs = [_rand_raster_poly(rng, sort, arity) for _ in range(rng.choice((1, 2)))]
+        expected = _outcome(_pointwise_rows, Fs[0], region, layers, sort)
+        got = _outcome(lt.grid_scan, Fs[0], region, layers, sort)
+        if isinstance(got, list):
+            got = [tuple(row) for row in got]
+        assert got == expected
+        assert _outcome(lt.corner_locus_on_grid, Fs, region, layers, sort) == _outcome(
+            _pointwise_locus, Fs, region, layers, sort
+        )
+        compared += 1
+        raised += not isinstance(expected, list)
+    assert 0 < raised < compared
+
+
+def test_raster_truncation_caps_stepwise():
+    # layer 2 cubed under trunc:3 caps at every step: 2, 3, 3
+    f = lt.multipoly(2, {(F(3), F(0)): lt.ONE, (F(0), F(1)): sc(1, 2)})
+    rows = lt.grid_scan(f, [(0, 1, 1), (0, 1, 1)], [2, 1], lt.truncated(3))
+    assert [(row.value, row.theta, row.csupp) for row in rows] == [
+        (1, 2, 1),
+        (2, 2, 1),
+        (3, 3, 1),
+        (3, 3, 1),
+    ]
+    assert rows == [
+        lt.GridRow(*row) for row in _pointwise_rows(f, [(0, 1, 1), (0, 1, 1)], [2, 1], lt.truncated(3))
+    ]
+
+
+def test_raster_super_and_q_layers():
+    f = lt.multipoly(1, {(F(1),): sc(0, lt.INF), (F(0),): lt.ONE})
+    rows = lt.grid_scan(f, [(-1, 1, 1)], [1], lt.SUPER)
+    assert [(row.theta, row.csupp, row.component) for row in rows] == [
+        (1, 1, (0,)),
+        (lt.INF, 2, (1,)),  # INF + 1 = INF is the layer of the x1 monomial
+        (lt.INF, 1, (1,)),
+    ]
+    # under q a layer-0 monomial adds nothing and a negative one is no corner
+    g = lt.multipoly(1, {(F(1),): sc(0, 0), (F(-1),): sc(0, -2), (F(0),): lt.ONE})
+    rows = lt.grid_scan(g, [(0, 0, 1)], [1], lt.RAT)
+    assert [(row.theta, row.csupp, row.component) for row in rows] == [(-1, 1, None)]
+    assert lt.corner_locus_on_grid([g], [(0, 0, 1)], [1], lt.RAT) == []
+
+
+def test_raster_empty_polynomial():
+    empty = lt.multipoly(2, {})
+    assert lt.grid_scan(empty, [(1, 0, 1), (0, 1, 1)], [1, 1], lt.NAT) == []
+    with pytest.raises(lt.PreconditionViolated):
+        lt.grid_scan(empty, [(0, 1, 1), (0, 1, 1)], [1, 1], lt.NAT)
+    assert lt.corner_locus_on_grid([empty], [(0, 1, 1), (0, 1, 1)], [1, 1], lt.NAT) == []
+
+
+def test_corner_locus_checks_arity():
+    with pytest.raises(lt.ArityMismatch):
+        lt.corner_locus_on_grid([LINE], [(0, 1, 1), (0, 1, 1)], [1, 1, 1], lt.NAT)
+    with pytest.raises(lt.ArityMismatch):
+        lt.corner_locus_on_grid([LINE, P("x1 + 0:1")], [(0, 1, 1), (0, 1, 1)], [1, 1], lt.NAT)
+
+
+def test_grid_point_limit(monkeypatch):
+    huge = [(0, 10**6 - 1, 1), (0, 10**6 - 1, 1)]  # 10^12 points
+    tracemalloc.start()
+    try:
+        with pytest.raises(lt.OutOfRange):
+            lt.grid_scan(LINE, huge, [1, 1], lt.NAT)
+        with pytest.raises(lt.OutOfRange):
+            lt.corner_locus_on_grid([LINE], huge, [1, 1], lt.NAT)
+        with pytest.raises(lt.OutOfRange):
+            lt.grid_scan(P("x1 + 0:1"), [(0, 10**12, 1)], [1], lt.NAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    monkeypatch.setattr(lt.multivar, "MAX_GRID_POINTS", 4)
+    assert len(lt.grid_scan(LINE, [(0, 1, 1), (0, 1, 1)], [1, 1], lt.NAT)) == 4
+    with pytest.raises(lt.OutOfRange):
+        lt.grid_scan(LINE, [(0, 1, 1), (0, 2, 1)], [1, 1], lt.NAT)

@@ -29,6 +29,12 @@ def test_parse_scalar_forms():
         lt.parse_scalar("5:2 junk")
 
 
+@pytest.mark.parametrize("text", ["1/0:1", "1:3/00", "-2/0:inf"])
+def test_zero_denominator_is_a_parse_error(text):
+    with pytest.raises(lt.ParseError, match="zero denominator"):
+        lt.parse_scalar(text)
+
+
 def test_format_scalar():
     assert lt.format_scalar(sc(16, 2)) == "16:2"
     assert lt.format_scalar(lt.LayeredScalar(F(3, 2), lt.INF)) == "3/2:inf"
