@@ -71,8 +71,8 @@ def separable_sort(m: int) -> Fraction:
     return out
 
 
-def is_separable(f: LayeredPoly, sort: Sort) -> bool:
-    """Discriminant-layer separability test.
+def separable_discriminant(f: LayeredPoly, sort: Sort):
+    """The discriminant of f, after checking the separability test's preconditions.
 
     Preconditions: monic, tangible hull-vertex coefficients, degree >= 2,
     positive rational sort.  Quasi-essential coefficients may carry
@@ -90,5 +90,9 @@ def is_separable(f: LayeredPoly, sort: Sort) -> bool:
             raise PreconditionViolated(
                 "separability test needs tangible essential coefficients"
             )
-    disc = discriminant(f, sort)
-    return disc.layer == separable_sort(f.degree)
+    return discriminant(f, sort)
+
+
+def is_separable(f: LayeredPoly, sort: Sort) -> bool:
+    """Discriminant-layer separability test (see ``separable_discriminant``)."""
+    return separable_discriminant(f, sort).layer == separable_sort(f.degree)

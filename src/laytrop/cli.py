@@ -247,15 +247,16 @@ def _cmd_discriminant(args, sort):
 
 def _cmd_separable(args, sort):
     f = _parse_univar(args.poly, sort)
-    flag = calculus.is_separable(f, sort)
+    disc = calculus.separable_discriminant(f, sort)
+    expected = calculus.separable_sort(f.degree)
+    flag = disc.layer == expected
     if args.json:
-        disc = calculus.discriminant(f, sort)
         print(
             json.dumps(
                 {
                     "separable": flag,
                     "discriminant_layer": format_layer(disc.layer),
-                    "expected_layer": format_value(calculus.separable_sort(f.degree)),
+                    "expected_layer": format_value(expected),
                     "sort": str(sort),
                 },
                 sort_keys=True,
@@ -344,6 +345,7 @@ def _cmd_conjecture_search(args, sort):
         for g in primaries(max_degree):
             if done:
                 break
+            res_fg = None  # computed at the first h, so --limit stops before it
             for h in primaries(max_degree):
                 if checked >= args.limit:
                     done = True
@@ -351,11 +353,9 @@ def _cmd_conjecture_search(args, sort):
                 checked += 1
                 gh = p_mul(g, h, sort)
                 lhs = resultants.resultant(f, gh, sort)
-                rhs = ls_mul(
-                    resultants.resultant(f, g, sort),
-                    resultants.resultant(f, h, sort),
-                    sort,
-                )
+                if res_fg is None:
+                    res_fg = resultants.resultant(f, g, sort)
+                rhs = ls_mul(res_fg, resultants.resultant(f, h, sort), sort)
                 if not surpasses_L(lhs, rhs, sort):
                     violations.append(
                         {

@@ -65,10 +65,6 @@ def is_primary(f: LayeredPoly):
     return a
 
 
-def _layer_quotient(k, l, sort: Sort):
-    return sorts.layer_div(k, l, sort)
-
-
 def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     """Split f into a unit, a power of the variable and primary factors.
 
@@ -84,7 +80,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     u = f.min_exp
     base = p_shift(f, -u) if u else f
     lead = base.coeffs[base.degree]
-    inv_lead = LayeredScalar(-lead.value, _layer_quotient(Fraction(1), lead.layer, work_sort))
+    inv_lead = LayeredScalar(-lead.value, sorts.layer_div(Fraction(1), lead.layer, work_sort))
     monic = full_form(poly({e: ls_mul(c, inv_lead, work_sort) for e, c in base.terms()}))
 
     factors = []
@@ -102,7 +98,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
         for e in exps[: j + 1]:
             c = rest.coeffs[e]
             factor_coeffs[e - lo] = LayeredScalar(
-                c.value - pivot.value, _layer_quotient(c.layer, pivot.layer, work_sort)
+                c.value - pivot.value, sorts.layer_div(c.layer, pivot.layer, work_sort)
             )
         fpoly = LayeredPoly(factor_coeffs, form="full")
         degree = exps[j] - lo
@@ -155,7 +151,7 @@ def separable_factor(f: LayeredPoly, sort: Sort):
     for i in range(len(exps) - 1, 0, -1):
         hi, lo = ess.coeffs[exps[i]], ess.coeffs[exps[i - 1]]
         beta = lo.value - hi.value
-        k = _layer_quotient(lo.layer, hi.layer, POSQ if sort == NAT else sort)
+        k = sorts.layer_div(lo.layer, hi.layer, POSQ if sort == NAT else sort)
         out.append(poly({1: ONE, 0: LayeredScalar(beta, k)}))
     return out
 

@@ -18,12 +18,12 @@ from .errors import ParseError
 from .multivar import MultiPoly, multipoly
 from .polys import LayeredPoly
 from .scalars import ONE, LayeredScalar, ls_add
-from .sorts import INF, NAT, Sort, format_layer
+from .sorts import INF, NAT, Sort, format_layer, format_value
 
-
-def format_value(v: Fraction) -> str:
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+# A number literal (numerator or denominator) may have at most this many
+# digits, below the interpreter's default limit of 4300 for converting
+# decimal text to an integer.
+MAX_LITERAL_DIGITS = 4000
 
 
 def format_scalar(x: LayeredScalar) -> str:
@@ -57,24 +57,29 @@ class _Scanner:
         start = self.pos
         if self.take("-"):
             pass
-        digits = 0
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-            digits += 1
-        if digits == 0:
+        num_start = self.pos
+        self.digits()
+        if self.pos == num_start:
             self.pos = start
             self.fail("expected a rational number")
         if self.pos < len(self.text) and self.text[self.pos] == "/":
             self.pos += 1
             den_start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
+            self.digits()
             if self.pos == den_start:
                 self.fail("expected a denominator")
             if int(self.text[den_start:self.pos]) == 0:
                 self.pos = den_start
                 self.fail("zero denominator")
         return Fraction(self.text[start:self.pos])
+
+    def digits(self):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            self.pos = start
+            self.fail(f"number literal longer than {MAX_LITERAL_DIGITS} digits")
 
     def layer(self):
         self.skip_ws()
@@ -119,11 +124,9 @@ def _term(sc: _Scanner):
     factors = []
     while sc.peek() == "x":
         sc.pos += 1
-        digits = ""
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            digits += sc.text[sc.pos]
-            sc.pos += 1
-        index = int(digits) if digits else None
+        start = sc.pos
+        sc.digits()
+        index = int(sc.text[start:sc.pos]) if sc.pos > start else None
         if index == 0:
             sc.fail("variable indices start at 1")
         exp = Fraction(1)

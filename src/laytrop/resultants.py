@@ -31,7 +31,7 @@ from .errors import (
 from .factor import is_primary
 from .polys import LayeredPoly, full_form
 from .scalars import BOTTOM, LayeredScalar, ls_add, ls_mul, ls_pow
-from .sorts import INF, Sort
+from .sorts import Sort
 
 
 @dataclass(frozen=True)
@@ -79,56 +79,6 @@ def layered_permanent_naive(matrix: LayeredMatrix, sort: Sort):
     return total
 
 
-def _layer_ops(sort: Sort):
-    """Raw add/mul closures for pre-validated layers (hot permanent loop)."""
-    if sort.kind == "trunc":
-        q = Fraction(sort.q)
-
-        def mul(a, b):
-            if a == 0 or b == 0:
-                return Fraction(0)
-            return min(a * b, q)
-
-        def add(a, b):
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            return min(a + b, q)
-
-        return add, mul
-    if sort.kind == "unit":
-        def mul(a, b):
-            return Fraction(0) if a == 0 or b == 0 else Fraction(1)
-
-        def add(a, b):
-            return b if a == 0 else (a if b == 0 else Fraction(1))
-
-        return add, mul
-    if sort.kind == "super":
-        def mul(a, b):
-            if a == 0 or b == 0:
-                return Fraction(0)
-            return Fraction(1) if a == b == 1 else INF
-
-        def add(a, b):
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            return INF
-
-        return add, mul
-
-    def mul(a, b):
-        return a * b
-
-    def add(a, b):
-        return a + b
-
-    return add, mul
-
-
 def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     """Permutation sum by a row-by-row dynamic programme over column masks.
 
@@ -155,7 +105,7 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
         if not cells:
             return BOTTOM
         rows.append(cells)
-    layer_add_raw, layer_mul_raw = _layer_ops(sort)
+    layer_add_raw, layer_mul_raw = sorts._raw_ops(sort)
 
     states = {0: (Fraction(0), Fraction(1))}  # used columns -> (value, layer)
     for cells in rows:
@@ -242,27 +192,23 @@ def layer_sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayerMatrix:
 
 
 def layer_permanent(matrix: LayerMatrix) -> Fraction:
-    """Classical permanent over Q by exhaustive permutation enumeration."""
+    """Classical permanent over Q, by the layered permanent under ``RAT``.
+
+    Every nonzero entry e becomes the scalar of value 0 and layer e, and
+    every 0 becomes BOTTOM.  All transversals then tie, so the layered
+    sum adds their layer products: the classical permanent.  BOTTOM (no
+    transversal) is 0.
+    """
     entries = matrix.entries
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise NotSquare("permanent needs a square matrix")
-    if n > 12:
-        raise OutOfRange("layer permanents are enumerated only up to size 12")
-
-    def descend(i, used):
-        if i == n:
-            return Fraction(1)
-        total = Fraction(0)
-        row = entries[i]
-        for j in range(n):
-            bit = 1 << j
-            if used & bit or row[j] == 0:
-                continue
-            total += row[j] * descend(i + 1, used | bit)
-        return total
-
-    return descend(0, 0)
+    tied = layered_matrix(
+        [BOTTOM if e == 0 else LayeredScalar(Fraction(0), Fraction(e)) for e in row]
+        for row in entries
+    )
+    per = layered_permanent(tied, sorts.RAT)
+    return Fraction(0) if per is BOTTOM else per.layer
 
 
 def reduction(f: LayeredPoly, u: int) -> LayeredPoly:

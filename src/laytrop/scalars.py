@@ -130,12 +130,15 @@ def _int_nth_root(n: int, k: int):
         return None
     if n in (0, 1) or k == 1:
         return n
-    root = max(1, round(n ** (1.0 / k)))
-    while root ** k > n:
-        root -= 1
-    while (root + 1) ** k <= n:
-        root += 1
-    return root if root ** k == n else None
+    if k >= n.bit_length():  # 2 ** k > n, and 1 ** k = 1 < n
+        return None
+    # integer Newton iteration, falling from a start above the root
+    root = 1 << -(-n.bit_length() // k)
+    while True:
+        step = ((k - 1) * root + n // root ** (k - 1)) // k
+        if step >= root:
+            return root if root ** k == n else None
+        root = step
 
 
 def _layer_pow(l, n: Fraction, sort: Sort):
@@ -146,12 +149,9 @@ def _layer_pow(l, n: Fraction, sort: Sort):
         raise InvalidLayer("negative powers of the infinite layer are undefined")
     l = Fraction(l)
     if n.denominator == 1:
-        e = n.numerator
-        if e >= 0:
-            return l ** e
-        if l == 0:
+        if l == 0 and n < 0:
             raise InvalidLayer("layer 0 has no negative powers")
-        return l ** e  # Fraction handles negative integer powers exactly
+        return sorts.bounded_pow(l, n.numerator)
     if l == 0:
         if n > 0:
             return Fraction(0)
@@ -164,9 +164,7 @@ def _layer_pow(l, n: Fraction, sort: Sort):
         raise InvalidLayer(
             f"layer {sorts.format_layer(l)} has no exact {n.denominator}-th root"
         )
-    root = Fraction(num, den)
-    e = n.numerator
-    return root ** e
+    return sorts.bounded_pow(Fraction(num, den), n.numerator)
 
 
 def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
@@ -175,7 +173,7 @@ def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
     if n == 0:
         return ONE
     if n.denominator == 1 and n > 0:
-        # repeated multiplication, so truncation caps apply stepwise
+        # the n-fold product inside the sort, so truncation caps apply
         layer = sorts.layer_pow_int(x.layer, n.numerator, sort)
     else:
         layer = _layer_pow(x.layer, n, sort)

@@ -10,6 +10,12 @@ element ``INF``; which encodings are legal depends on the active sort:
 * ``POSQ``          -- positive rationals with ordinary arithmetic.
 * ``RAT``           -- arbitrary rationals; 0 absorbs multiplicatively.
 
+Every sort's arithmetic is exact rational arithmetic followed by the
+sort's collapse map (``Sort.collapse``): every nonzero layer goes to 1
+under ``UNIT``, layers >= 2 go to ``INF`` under ``SUPER``, layers >= q go
+to q under ``truncated(q)``, and nothing moves under the other three.
+Sums, products, n-fold sums and powers are all derived from that map.
+
 Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:
 0 + l = l and 0 * l = 0.  It is not a member of the sort (except under
@@ -19,12 +25,19 @@ flag used internally by the arithmetic admits it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidLayer, LayerNotDivisible, NonInvertibleLayer
+from .errors import InvalidLayer, LayerNotDivisible, NonInvertibleLayer, OutOfRange
 
 INF = float("inf")
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# Exact powers under nat, posq and q are refused beyond this many bits of
+# numerator or denominator (2**14 bits, about 4900 decimal digits).
+MAX_LAYER_BITS = 1 << 14
 
 _UNIT = "unit"
 _SUPER = "super"
@@ -32,6 +45,7 @@ _TRUNC = "trunc"
 _NAT = "nat"
 _POSQ = "posq"
 _RAT = "q"
+_EXACT = (_NAT, _POSQ, _RAT)  # sorts whose collapse map is the identity
 
 
 @dataclass(frozen=True)
@@ -48,6 +62,16 @@ class Sort:
 
     def __repr__(self):
         return f"Sort({self})"
+
+    def collapse(self, x):
+        """Map an exact sum, product or power of layers onto this sort."""
+        if self.kind == _UNIT:
+            return _ONE if x else x
+        if self.kind == _SUPER:
+            return x if x <= 1 else INF
+        if self.kind == _TRUNC:
+            return x if x < self.q else Fraction(self.q)
+        return x
 
 
 UNIT = Sort(_UNIT)
@@ -134,34 +158,31 @@ def infinite_layer(layer, sort: Sort) -> bool:
     return False
 
 
+def _raw_ops(sort: Sort):
+    """The sort's (add, mul) on layers already validated, for hot loops."""
+    if sort.kind in _EXACT:
+        return operator.add, operator.mul
+    collapse = sort.collapse
+
+    def add(k, l):
+        return collapse(k + l)
+
+    def mul(k, l):
+        if k == 0 or l == 0:  # layer 0 absorbs, and 0 * INF is nan
+            return _ZERO
+        return collapse(k * l)
+
+    return add, mul
+
+
 def layer_add(k, l, sort: Sort) -> Layer:
-    k = require_layer(k, sort)
-    l = require_layer(l, sort)
-    if k == 0:
-        return l
-    if l == 0:
-        return k
-    if sort.kind == _UNIT:
-        return Fraction(1)
-    if sort.kind == _SUPER:
-        return INF
-    if sort.kind == _TRUNC:
-        return min(k + l, Fraction(sort.q))
-    return k + l
+    add, _ = _raw_ops(sort)
+    return add(require_layer(k, sort), require_layer(l, sort))
 
 
 def layer_mul(k, l, sort: Sort) -> Layer:
-    k = require_layer(k, sort)
-    l = require_layer(l, sort)
-    if k == 0 or l == 0:
-        return Fraction(0)
-    if sort.kind == _UNIT:
-        return Fraction(1)
-    if sort.kind == _SUPER:
-        return Fraction(1) if k == l == 1 else INF
-    if sort.kind == _TRUNC:
-        return min(k * l, Fraction(sort.q))
-    return k * l
+    _, mul = _raw_ops(sort)
+    return mul(require_layer(k, sort), require_layer(l, sort))
 
 
 def layer_cmp(k, l) -> int:
@@ -198,16 +219,7 @@ def layer_nmul(n: int, l, sort: Sort) -> Layer:
     """The n-fold sum l + ... + l inside the sort (n >= 1)."""
     if n < 1:
         raise InvalidLayer(f"n-fold sum needs n >= 1, got {n}")
-    l = require_layer(l, sort)
-    if n == 1 or l == 0:
-        return l
-    if sort.kind == _UNIT:
-        return Fraction(1)
-    if sort.kind == _SUPER:
-        return INF
-    if sort.kind == _TRUNC:
-        return min(n * l, Fraction(sort.q))
-    return n * l
+    return sort.collapse(n * require_layer(l, sort))
 
 
 def layer_ndiv(n: int, l, sort: Sort) -> Layer:
@@ -255,17 +267,56 @@ def layer_div(k, l, sort: Sort) -> Layer:
 
 
 def layer_pow_int(l, n: int, sort: Sort) -> Layer:
-    """l multiplied with itself n times (n >= 0); n = 0 gives layer 1."""
+    """l multiplied with itself n times (n >= 0); n = 0 gives layer 1.
+
+    The exact power followed by the collapse.  Under trunc:q the collapse
+    sends every power of a layer >= 2 to q from n = q.bit_length() on
+    (2**n > q), so the exponent is clamped there (n = 1 under unit and
+    super) and the work is O(1).  Under nat, posq and q ``bounded_pow``
+    refuses powers beyond ``MAX_LAYER_BITS``.
+    """
     if n < 0:
         raise InvalidLayer("integer layer power needs n >= 0")
-    out = Fraction(1)
-    for _ in range(n):
-        out = layer_mul(out, l, sort)
-    return out
+    if n == 0:
+        return _ONE
+    l = require_layer(l, sort)
+    if sort.kind in _EXACT:
+        return bounded_pow(l, n)
+    clamp = sort.q.bit_length() if sort.kind == _TRUNC else 1
+    return sort.collapse(l ** min(n, clamp))
+
+
+def _bits(x: Fraction) -> int:
+    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+
+
+def bounded_pow(l: Fraction, e: int) -> Fraction:
+    """The exact rational power l ** e (any integer e).
+
+    Raises OutOfRange when its numerator or denominator would need more
+    than MAX_LAYER_BITS bits.  A b-bit part has a power of at least
+    (b - 1) * |e| + 1 bits, so such powers are refused before any work;
+    the rest cost at most 2 * MAX_LAYER_BITS bits and are checked exactly.
+    """
+    if (_bits(l) - 1) * abs(e) < MAX_LAYER_BITS:
+        out = l ** e
+        if _bits(out) <= MAX_LAYER_BITS:
+            return out
+    raise OutOfRange(f"a layer power with exponent {e} exceeds {MAX_LAYER_BITS} bits")
+
+
+def format_value(v) -> str:
+    """Decimal text of a rational, ``p`` or ``p/q``.
+
+    Raises OutOfRange for a number too long for the interpreter's
+    integer-to-decimal conversion limit (4300 digits by default).
+    """
+    v = Fraction(v)
+    try:
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        raise OutOfRange(f"a {_bits(v)}-bit number is too long to print") from None
 
 
 def format_layer(l) -> str:
-    if is_inf(l):
-        return "inf"
-    l = Fraction(l)
-    return str(l.numerator) if l.denominator == 1 else f"{l.numerator}/{l.denominator}"
+    return "inf" if is_inf(l) else format_value(l)

@@ -179,3 +179,27 @@ def test_layermap_refuses_huge_grid(capsys):
     )
     assert code == 3 and out == ""
     assert "exceeds the limit" in err
+
+
+SEVENS = "7" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "x^99999999999", "--at", "1:2"],
+        ["eval", "x^99999999999", "--at", "1:1", "--sort", "unit"],
+        ["eval", "x^20000", "--at", "0:2"],
+        ["eval", "x", "--at", "0:" + "1" * 5000],
+        ["eval", f"0:{SEVENS}*x", "--at", f"0:{SEVENS}"],
+        ["eval", "x1^1/2", "--at", "0:" + "4" * 400, "--sort", "posq"],
+    ],
+    ids=["huge-power", "huge-power-unit", "long-power", "long-literal", "long-product", "root-of-long-layer"],
+)
+def test_big_numbers_end_in_bounded_time_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "laytrop.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode in (0, 2, 3)
+    assert "Traceback" not in proc.stderr

@@ -35,6 +35,19 @@ def test_zero_denominator_is_a_parse_error(text):
         lt.parse_scalar(text)
 
 
+def test_literal_length_is_bounded():
+    longest = "9" * lt.parsing.MAX_LITERAL_DIGITS
+    assert lt.parse_scalar(f"{longest}:1/{longest}") == sc(int(longest), F(1, int(longest)))
+    too_long = [
+        (lt.parse_scalar, f"{longest}9:1"),
+        (lt.parse_scalar, f"1:1/{longest}9"),
+        (lt.parse_poly, f"x{longest}9"),
+    ]
+    for parse, text in too_long:
+        with pytest.raises(lt.ParseError, match="longer than"):
+            parse(text)
+
+
 def test_format_scalar():
     assert lt.format_scalar(sc(16, 2)) == "16:2"
     assert lt.format_scalar(lt.LayeredScalar(F(3, 2), lt.INF)) == "3/2:inf"

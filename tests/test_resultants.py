@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -119,6 +121,41 @@ def test_layer_permanent_counterexample_matrix():
 def test_layer_permanent_all_ones():
     m = lt.LayerMatrix(2, ((F(1), F(1)), (F(1), F(1))))
     assert lt.layer_permanent(m) == 2
+
+
+def _classical_permanent(rows):
+    total = F(0)
+    for perm in itertools.permutations(range(len(rows))):
+        term = F(1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_layer_permanent_matches_permutation_sum():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        rows = tuple(
+            tuple(
+                F(0) if rng.random() < 0.3 else F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                for _ in range(n)
+            )
+            for _ in range(n)
+        )
+        assert lt.layer_permanent(lt.LayerMatrix(n, rows)) == _classical_permanent(rows)
+
+
+def test_layer_permanent_has_no_size_cap():
+    # 13 x 13 was refused with OutOfRange by the old enumeration
+    ones = lt.LayerMatrix(13, ((F(1),) * 13,) * 13)
+    assert lt.layer_permanent(ones) == math.factorial(13)
+    # a 0/1 band |i - j| <= 1 has Fibonacci-many transversals: F(14) = 377
+    band = lt.LayerMatrix(
+        13, tuple(tuple(F(1) if abs(i - j) <= 1 else F(0) for j in range(13)) for i in range(13))
+    )
+    assert lt.layer_permanent(band) == 377
 
 
 def test_reduction():

@@ -68,6 +68,17 @@ def test_ls_pow():
     assert lt.ls_pow(sc(1, 3), 2, lt.truncated(4)) == sc(2, 4)
 
 
+def test_ls_pow_roots_of_long_layers():
+    # layers far beyond float range: the k-th root is found in integers
+    big = F(3**700, 7**300)
+    assert lt.ls_pow(sc(0, big**5), F(2, 5), lt.POSQ).layer == big**2
+    with pytest.raises(lt.InvalidLayer):
+        lt.ls_pow(sc(0, big**5 + 1), F(1, 5), lt.POSQ)
+    with pytest.raises(lt.InvalidLayer):
+        lt.ls_pow(sc(0, 5), F(1, 10**30), lt.POSQ)
+    assert lt.ls_pow(sc(0, 1), F(1, 10**30), lt.POSQ).layer == 1
+
+
 def test_bottom_behaviour():
     assert lt.ls_sum([], lt.NAT) is lt.BOTTOM
     x = sc(1, 1)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +47,7 @@ def test_zero_layer_is_formally_tolerated():
     assert lt.layer_mul(0, 3, lt.NAT) == 0
     assert lt.layer_mul(0, 1, lt.UNIT) == 0
     assert lt.layer_add(0, lt.INF, lt.SUPER) == lt.INF
+    assert lt.layer_mul(0, lt.INF, lt.SUPER) == lt.layer_mul(lt.INF, 0, lt.SUPER) == 0
 
 
 def test_is_ghost_sort():
@@ -116,6 +118,58 @@ def test_nmul_ndiv_roundtrip():
             assert lt.layer_nmul(n, half, sort) == product
     with pytest.raises(lt.LayerNotDivisible):
         lt.layer_ndiv(3, F(1), lt.NAT)
+
+
+def _stepwise_pow(l, n, sort):
+    out = F(1)
+    for _ in range(n):
+        out = lt.layer_mul(out, l, sort)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except lt.LaytropError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_layer_pow_int_matches_stepwise_product(sort):
+    layers = [F(0), F(1), F(2), F(3), F(4), F(1, 2), F(-3, 2), lt.INF]  # caps: 1, 3, INF
+    for l in layers:
+        for n in range(13):
+            assert _outcome(lt.layer_pow_int, l, n, sort) == _outcome(_stepwise_pow, l, n, sort)
+        assert lt.layer_pow_int(l, 0, sort) == 1  # the empty product, valid layer or not
+
+
+def test_layer_pow_int_is_bounded():
+    for sort in (lt.UNIT, lt.SUPER, T4):  # clamped exponent: constant time
+        assert lt.layer_pow_int(1, 10**18, sort) == 1
+    assert lt.layer_pow_int(3, 10**18, T4) == 4
+    assert lt.layer_pow_int(lt.INF, 10**18, lt.SUPER) == lt.INF
+    assert lt.layer_pow_int(-1, 10**18 + 1, lt.RAT) == -1
+    bits = lt.sorts.MAX_LAYER_BITS
+    assert lt.layer_pow_int(2, bits - 1, lt.NAT) == 2 ** (bits - 1)
+    for l, n in [(2, bits), (2, 10**18), (F(1, 3), 10**18), (3, 10**18)]:
+        with pytest.raises(lt.OutOfRange):
+            lt.layer_pow_int(l, n, lt.POSQ)
+    # 3**n has bit length floor(n log2 3) + 1: the largest n that fits is accepted
+    n = next(n for n in range(bits, 0, -1) if (3**n).bit_length() <= bits)
+    assert lt.layer_pow_int(3, n, lt.NAT) == 3**n
+    with pytest.raises(lt.OutOfRange):
+        lt.layer_pow_int(3, n + 1, lt.NAT)
+    with pytest.raises(lt.OutOfRange):
+        lt.ls_pow(lt.scalar(0, 2), -(10**18), lt.POSQ)
+
+
+def test_format_refuses_numbers_too_long_to_print():
+    assert lt.format_layer(F(10**100, 3)) == f"{10**100}/3"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    with pytest.raises(lt.OutOfRange):
+        lt.format_layer(F(10) ** limit)
 
 
 def test_parse_format_sort():
