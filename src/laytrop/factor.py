@@ -249,20 +249,39 @@ def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     their constant-term layer; factors with smaller roots contribute
     k**degree where k is b's layer.  The unit layer and, when a power of
     the variable was divided out, k**lambda_power multiply in.
+
+    Each layer read is checked once: k at the first positive power, a
+    coefficient layer where it is read, the unit layer where the first
+    part multiplies in (a decomposition without parts returns it as it
+    is).  Checks and powers run in the order of the stepwise product, so
+    a bad input raises what ``layer_mul`` and ``layer_pow_int`` would.
     """
-    k = b.layer
+    add, mul = sorts._raw_ops(sort)
+    k = None
+
+    def power(n):
+        nonlocal k
+        if n > 0 and k is None:
+            k = sorts.require_layer(b.layer, sort)
+        return sorts._raw_pow(k, n, sort)
+
+    def parts():
+        if decomp.lambda_power:
+            yield power(decomp.lambda_power)
+        for factor in decomp.factors:
+            if b.value == factor.root_value:
+                acc = None
+                for exp, c in factor.poly.terms():
+                    p = power(exp)
+                    term = mul(sorts.require_layer(c.layer, sort), p)
+                    acc = term if acc is None else add(acc, term)
+                yield acc
+            elif b.value < factor.root_value:
+                yield sorts.require_layer(factor.poly.coeffs[0].layer, sort)
+            else:
+                yield power(factor.degree)
+
     out = s(decomp.unit)
-    if decomp.lambda_power:
-        out = sorts.layer_mul(out, sorts.layer_pow_int(k, decomp.lambda_power, sort), sort)
-    for factor in decomp.factors:
-        if b.value == factor.root_value:
-            acc = None
-            for exp, c in factor.poly.terms():
-                term = sorts.layer_mul(c.layer, sorts.layer_pow_int(k, exp, sort), sort)
-                acc = term if acc is None else sorts.layer_add(acc, term, sort)
-            out = sorts.layer_mul(out, acc, sort)
-        elif b.value < factor.root_value:
-            out = sorts.layer_mul(out, factor.poly.coeffs[0].layer, sort)
-        else:
-            out = sorts.layer_mul(out, sorts.layer_pow_int(k, factor.degree, sort), sort)
+    for i, part in enumerate(parts()):
+        out = mul(sorts.require_layer(out, sort) if i == 0 else out, part)
     return out

@@ -66,6 +66,10 @@ def _check_point(F: MultiPoly, point):
 
 
 def monomial_value(exps, coeff, point, sort: Sort) -> LayeredScalar:
+    """coeff * prod x_j ** e_j; a constant's layer is checked on its own."""
+    if not any(exps):
+        sorts.require_layer(coeff.layer, sort)
+        return coeff
     out = coeff
     for e, x in zip(exps, point):
         if e == 0:

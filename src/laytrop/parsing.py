@@ -25,6 +25,10 @@ from .sorts import INF, NAT, Sort, format_layer, format_value
 # decimal text to an integer.
 MAX_LITERAL_DIGITS = 4000
 
+# The largest variable index, so that a term's dense exponent vector stays
+# small.
+MAX_VARIABLES = 1024
+
 
 def format_scalar(x: LayeredScalar) -> str:
     return f"{format_value(x.value)}:{format_layer(x.layer)}"
@@ -129,6 +133,9 @@ def _term(sc: _Scanner):
         index = int(sc.text[start:sc.pos]) if sc.pos > start else None
         if index == 0:
             sc.fail("variable indices start at 1")
+        if index is not None and index > MAX_VARIABLES:
+            sc.pos = start
+            sc.fail(f"variable index above {MAX_VARIABLES}")
         exp = Fraction(1)
         if sc.take("^"):
             exp = sc.rational()

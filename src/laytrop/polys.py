@@ -13,9 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotFullForm
-from .scalars import BOTTOM, ONE, LayeredScalar, ls_add, ls_mul, ls_pow, ls_sum
+from . import sorts
+from .errors import NotFullForm, OutOfRange
+from .scalars import BOTTOM, ONE, LayeredScalar, ls_add, ls_mul
 from .sorts import Sort
+
+# A full form may span at most this many exponents between its lowest and
+# highest essential ones; wider spans raise OutOfRange before any gap is
+# filled.
+MAX_FULL_FORM_TERMS = 2 ** 14
 
 
 class LayeredPoly:
@@ -95,13 +101,22 @@ def p_add(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredPoly:
 
 
 def p_mul(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredPoly:
-    out = {}
+    """The product; every coefficient layer is checked once, unless f or g is 0."""
+    if f.is_zero or g.is_zero:
+        return LayeredPoly({})
+    add, mul = sorts._raw_ops(sort)
+    right = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in g.coeffs.items()]
+    out = {}  # exponent -> (value, layer)
     for e1, c1 in f.coeffs.items():
-        for e2, c2 in g.coeffs.items():
-            exp = e1 + e2
-            prod = ls_mul(c1, c2, sort)
-            out[exp] = ls_add(out[exp], prod, sort) if exp in out else prod
-    return LayeredPoly(out)
+        v1, l1 = c1.value, sorts.require_layer(c1.layer, sort)
+        for e2, v2, l2 in right:
+            exp, v, l = e1 + e2, v1 + v2, mul(l1, l2)
+            old = out.get(exp)
+            if old is None or v > old[0]:
+                out[exp] = v, l
+            elif v == old[0]:
+                out[exp] = v, add(old[1], l)
+    return LayeredPoly({exp: LayeredScalar(v, l) for exp, (v, l) in out.items()})
 
 
 def p_scale(f: LayeredPoly, c: LayeredScalar, sort: Sort) -> LayeredPoly:
@@ -116,10 +131,28 @@ def p_pow(f: LayeredPoly, n: int, sort: Sort) -> LayeredPoly:
 
 
 def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
-    """Evaluate f at x; the zero polynomial evaluates to BOTTOM."""
-    return ls_sum(
-        (ls_mul(c, ls_pow(x, exp, sort), sort) for exp, c in f.coeffs.items()), sort
-    )
+    """Evaluate f at x; the zero polynomial evaluates to BOTTOM.
+
+    The nu-maximum of the monomial values, with the layers of the tied
+    monomials added.  Each coefficient layer is checked once, and x's
+    layer once, at the first positive exponent (a constant accepts any
+    x); terms run in ascending exponent order, each power before its
+    coefficient's check, so a bad input raises what ``ls_pow`` and
+    ``ls_mul`` would.
+    """
+    add, mul = sorts._raw_ops(sort)
+    best = layer = xl = None
+    for e, c in f.coeffs.items():
+        if e and xl is None:
+            xl = sorts.require_layer(x.layer, sort)
+        power = sorts._raw_pow(xl, e, sort)
+        l = mul(sorts.require_layer(c.layer, sort), power)
+        v = c.value + x.value * e if e else c.value
+        if best is None or v > best:
+            best, layer = v, l
+        elif v == best:
+            layer = add(layer, l)
+    return BOTTOM if best is None else LayeredScalar(best, layer)
 
 
 def _hull_classify(points):
@@ -192,13 +225,19 @@ def full_form(f: LayeredPoly) -> LayeredPoly:
 
     The result has a coefficient at every exponent between the lowest
     and highest essential exponents; inserted ones carry layer 0 and the
-    value interpolated linearly on the hull edge.
+    value interpolated linearly on the hull edge.  A span of more than
+    ``MAX_FULL_FORM_TERMS`` exponents raises OutOfRange.
     """
     base = essential_form(f)
     if base.is_zero:
         return LayeredPoly({}, form="full")
-    out = dict(base.coeffs)
     exps = sorted(base.coeffs)
+    if exps[-1] - exps[0] > MAX_FULL_FORM_TERMS:
+        raise OutOfRange(
+            f"a full form spanning {exps[-1] - exps[0]} exponents exceeds "
+            f"the limit of {MAX_FULL_FORM_TERMS}"
+        )
+    out = dict(base.coeffs)
     for lo, hi in zip(exps, exps[1:]):
         if hi == lo + 1:
             continue

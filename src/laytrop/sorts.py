@@ -16,6 +16,15 @@ under ``UNIT``, layers >= 2 go to ``INF`` under ``SUPER``, layers >= q go
 to q under ``truncated(q)``, and nothing moves under the other three.
 Sums, products, n-fold sums and powers are all derived from that map.
 
+Layers are checked where a kernel is entered.  Scalars and polynomials
+carry no sort, so a layer cannot be checked when it is built or parsed;
+instead each public operation (``layer_add``, ``ls_mul``, ...) runs
+``require_layer`` on each input layer it uses.  The evaluation kernels
+``p_eval``, ``p_mul`` and ``eval_sort`` do so once per layer and call,
+and their inner loops then work on the unchecked operations
+``_raw_ops(sort)`` and ``_raw_pow``.  An input a kernel never reads is
+not checked: ``p_eval`` of a constant accepts any point.
+
 Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:
 0 + l = l and 0 * l = 0.  It is not a member of the sort (except under
@@ -104,7 +113,8 @@ Layer = object  # Fraction or INF; kept loose on purpose
 
 
 def is_inf(layer) -> bool:
-    return layer == INF
+    # the type test spares Fraction.__eq__ against a float on every check
+    return isinstance(layer, float) and layer == INF
 
 
 def as_layer(value) -> Layer:
@@ -122,9 +132,10 @@ def layer_valid(layer, sort: Sort, allow_zero: bool = False) -> bool:
     """Membership of ``layer`` in the sort (optionally admitting formal 0)."""
     if is_inf(layer):
         return sort.kind == _SUPER
-    if not isinstance(layer, (int, Fraction)):
+    if isinstance(layer, int):
+        layer = Fraction(layer)
+    elif not isinstance(layer, Fraction):
         return False
-    layer = Fraction(layer)
     if allow_zero and layer == 0:
         return True
     if sort.kind == _UNIT:
@@ -269,6 +280,14 @@ def layer_div(k, l, sort: Sort) -> Layer:
 def layer_pow_int(l, n: int, sort: Sort) -> Layer:
     """l multiplied with itself n times (n >= 0); n = 0 gives layer 1.
 
+    Checks l (only when n > 0) and returns ``_raw_pow``.
+    """
+    return _raw_pow(require_layer(l, sort) if n > 0 else l, n, sort)
+
+
+def _raw_pow(l, n: int, sort: Sort) -> Layer:
+    """``layer_pow_int`` on a layer already checked, for hot loops.
+
     The exact power followed by the collapse.  Under trunc:q the collapse
     sends every power of a layer >= 2 to q from n = q.bit_length() on
     (2**n > q), so the exponent is clamped there (n = 1 under unit and
@@ -279,7 +298,6 @@ def layer_pow_int(l, n: int, sort: Sort) -> Layer:
         raise InvalidLayer("integer layer power needs n >= 0")
     if n == 0:
         return _ONE
-    l = require_layer(l, sort)
     if sort.kind in _EXACT:
         return bounded_pow(l, n)
     clamp = sort.q.bit_length() if sort.kind == _TRUNC else 1

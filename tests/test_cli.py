@@ -203,3 +203,22 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv):
     )
     assert proc.returncode in (0, 2, 3)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "x1 + 0:5", "--at=-1:1", "--sort", "unit"], 3),
+        (["layermap", "x1 + 0:5", "--region=-2:-1:1", "--layers", "1", "--sort", "unit"], 3),
+        (["roots", "x^99999999+1:1"], 3),
+        (["eval", "x3000000", "--at", "1:1"], 2),
+    ],
+    ids=["constant-eval", "constant-layermap", "huge-degree-full-form", "huge-variable-index"],
+)
+def test_refused_at_once_without_traceback(argv, code):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "laytrop.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == code
+    assert proc.stdout == "" and "Traceback" not in proc.stderr

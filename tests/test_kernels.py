@@ -1,0 +1,194 @@
+"""The evaluation kernels against the stepwise compositions they replace.
+
+``p_eval``, ``p_mul`` and ``eval_sort`` check each input layer once and
+then run on the sort's unchecked operations.  The oracles below are the
+compositions of checked scalar and layer operations that these kernels
+used to be; the kernels must give the same result, or refuse with the
+same exception class, on every input.
+"""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import laytrop as lt
+from conftest import ALL_SORTS
+from laytrop import sorts
+
+HUGE = F(2**6000 + 1)  # a valid layer whose cube exceeds MAX_LAYER_BITS
+LAYERS = [F(0), F(1), F(2), F(3), F(4), F(1, 2), F(-1), F(-3, 2), lt.INF, HUGE]
+
+
+def oracle_p_eval(f, x, sort):
+    return lt.ls_sum(
+        (lt.ls_mul(c, lt.ls_pow(x, exp, sort), sort) for exp, c in f.coeffs.items()), sort
+    )
+
+
+def oracle_p_mul(f, g, sort):
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            exp = e1 + e2
+            prod = lt.ls_mul(c1, c2, sort)
+            out[exp] = lt.ls_add(out[exp], prod, sort) if exp in out else prod
+    return lt.poly(out)
+
+
+def oracle_eval_sort(decomp, b, sort):
+    k = b.layer
+    out = decomp.unit.layer
+    if decomp.lambda_power:
+        out = lt.layer_mul(out, lt.layer_pow_int(k, decomp.lambda_power, sort), sort)
+    for factor in decomp.factors:
+        if b.value == factor.root_value:
+            acc = None
+            for exp, c in factor.poly.terms():
+                term = lt.layer_mul(c.layer, lt.layer_pow_int(k, exp, sort), sort)
+                acc = term if acc is None else lt.layer_add(acc, term, sort)
+            out = lt.layer_mul(out, acc, sort)
+        elif b.value < factor.root_value:
+            out = lt.layer_mul(out, factor.poly.coeffs[0].layer, sort)
+        else:
+            out = lt.layer_mul(out, lt.layer_pow_int(k, factor.degree, sort), sort)
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except lt.LaytropError as err:
+        return type(err)
+
+
+def rand_layer(rng, sort):
+    """Mostly a layer of the sort (0, caps, INF, negatives included), else any."""
+    valid = [l for l in LAYERS if sorts.layer_valid(l, sort, allow_zero=True)]
+    if rng.random() < 0.9:
+        small = [l for l in valid if l is not HUGE]
+        return rng.choice(small if small and rng.random() < 0.9 else valid)
+    return rng.choice(LAYERS)
+
+
+def rand_poly(rng, sort, max_deg):
+    deg = rng.randint(0, max_deg)
+    exps = [e for e in range(deg + 1) if rng.random() < 0.6] or [deg]
+    return lt.poly(
+        {e: lt.LayeredScalar(F(rng.randint(-3, 3), rng.randint(1, 2)), rand_layer(rng, sort)) for e in exps}
+    )
+
+
+def rand_point(rng, sort):
+    return lt.LayeredScalar(F(rng.randint(-4, 4), rng.randint(1, 2)), rand_layer(rng, sort))
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_p_eval_matches_stepwise_sum(sort):
+    rng = random.Random(700 + ALL_SORTS.index(sort))
+    kinds = set()
+    for _ in range(300):
+        f, x = rand_poly(rng, sort, 6), rand_point(rng, sort)
+        got = outcome(lt.p_eval, f, x, sort)
+        assert got == outcome(oracle_p_eval, f, x, sort), (f, x)
+        kinds.add(got if isinstance(got, type) else "ok")
+    assert "ok" in kinds and lt.InvalidLayer in kinds
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_p_mul_matches_stepwise_double_loop(sort):
+    rng = random.Random(800 + ALL_SORTS.index(sort))
+    for _ in range(200):
+        f, g = rand_poly(rng, sort, 5), rand_poly(rng, sort, 4)
+        if rng.random() < 0.1:
+            f = lt.zero_poly()
+        assert outcome(lt.p_mul, f, g, sort) == outcome(oracle_p_mul, f, g, sort), (f, g)
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_eval_sort_matches_stepwise_product(sort):
+    rng = random.Random(900 + ALL_SORTS.index(sort))
+    decomposed = 0
+    for i in range(150):
+        dsort = (lt.POSQ, lt.RAT, lt.NAT)[i % 3]
+        layers = (F(1), F(2), F(3), F(1, 2), F(0)) if i % 2 else (F(1),)
+        f = lt.poly(
+            {e: lt.scalar(F(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice(layers))
+             for e in range(rng.randint(0, 6) + 1) if e == 0 or rng.random() < 0.6}
+        )
+        dec = outcome(lt.primary_decomposition, f, dsort)
+        if isinstance(dec, type):
+            continue
+        decomposed += 1
+        replaced = rng.random() < 0.2
+        if replaced:
+            dec = dataclasses.replace(dec, unit=lt.LayeredScalar(dec.unit.value, rng.choice(LAYERS)))
+        roots = [pf.root_value for pf in dec.factors] or [F(0)]
+        for _ in range(6):
+            b = lt.LayeredScalar(rng.choice(roots) + rng.choice([0, 0, 1, -1, F(1, 3)]), rand_layer(rng, sort))
+            got = outcome(lt.eval_sort, dec, b, sort)
+            assert got == outcome(oracle_eval_sort, dec, b, sort), (f, dsort, b)
+            valid_b = sorts.layer_valid(b.layer, sort, allow_zero=True)
+            if sort == dsort != lt.NAT and valid_b and not replaced and not isinstance(got, type):
+                assert got == lt.p_eval(lt.full_form(f), b, sort).layer, (f, b)
+    assert decomposed >= 100
+
+
+def test_order_of_refusals_is_kept():
+    """A power beyond MAX_LAYER_BITS and an invalid layer: the first met wins."""
+    x = lt.LayeredScalar(0, HUGE)
+    half = lt.LayeredScalar(0, F(1, 2))
+    late_bad = lt.poly({1: lt.ONE, 3: half})  # x**3 overflows before 1/2 is read
+    early_bad = lt.poly({0: half, 3: lt.ONE})
+    for f, expected in [(late_bad, lt.OutOfRange), (early_bad, lt.InvalidLayer)]:
+        assert outcome(lt.p_eval, f, x, lt.NAT) is expected
+        assert outcome(oracle_p_eval, f, x, lt.NAT) is expected
+    dec = lt.primary_decomposition(lt.parse_poly("x^3 + 3:1"), lt.POSQ)
+    bad_unit = dataclasses.replace(dec, unit=half)
+    # above the root k**3 comes first; below it only the unit layer is read
+    for b, expected in [(lt.LayeredScalar(5, HUGE), lt.OutOfRange), (lt.LayeredScalar(-5, HUGE), lt.InvalidLayer)]:
+        assert outcome(lt.eval_sort, bad_unit, b, lt.NAT) is expected
+        assert outcome(oracle_eval_sort, bad_unit, b, lt.NAT) is expected
+
+
+def test_unread_layers_are_not_checked():
+    bad = lt.LayeredScalar(0, 5)
+    const = lt.poly({0: lt.scalar(3, 1)})
+    assert lt.p_eval(const, bad, lt.UNIT) == lt.scalar(3, 1)
+    assert lt.p_eval(const, lt.LayeredScalar(0, lt.INF), lt.NAT) == lt.scalar(3, 1)
+    assert lt.p_mul(lt.zero_poly(), lt.poly({0: bad}), lt.UNIT).is_zero
+    # b below every root reads only the constant terms, never b's layer
+    dec = lt.primary_decomposition(lt.parse_poly("x^2 + 1:1*x + 2:1"), lt.POSQ)
+    assert lt.eval_sort(dec, lt.LayeredScalar(-5, 5), lt.UNIT) == 1
+    # nor does a power with exponent 0, as for a hand-built constant factor
+    const_factor = lt.PrimaryFactor(F(0), lt.poly({0: lt.ONE}, form="full"), 0)
+    for b in (lt.LayeredScalar(0, 5), lt.LayeredScalar(1, 5)):
+        assert lt.eval_sort(lt.PrimaryDecomposition(lt.ONE, (const_factor,)), b, lt.UNIT) == 1
+
+
+def test_is_inf_encodings():
+    assert sorts.is_inf(math.inf) and sorts.is_inf(float("inf")) and sorts.is_inf(lt.INF)
+    for layer in (-math.inf, F(5), F(0), 5, 0, 1.0):
+        assert not sorts.is_inf(layer)
+    assert lt.as_layer(math.inf) is lt.INF
+    assert sorts.layer_valid(math.inf, lt.SUPER) and not sorts.layer_valid(-math.inf, lt.RAT)
+    assert sorts.layer_valid(3, lt.NAT) and not sorts.layer_valid(3.0, lt.NAT)
+
+
+def test_p_eval_checks_each_layer_once(monkeypatch):
+    checked = []
+    require = sorts.require_layer
+
+    def counting(layer, sort, allow_zero=True):
+        checked.append(layer)
+        return require(layer, sort, allow_zero)
+
+    monkeypatch.setattr(sorts, "require_layer", counting)
+    f = lt.full_form(lt.parse_poly("x^6 + 3:2*x^4 + 2:1*x + 9:3"))
+    lt.p_eval(f, lt.scalar(1, 2), lt.POSQ)
+    assert len(checked) <= len(f.coeffs) + 1
+    checked.clear()
+    lt.p_eval(lt.poly({0: lt.scalar(3, 2)}), lt.scalar(1, 2), lt.POSQ)
+    assert len(checked) == 1

@@ -26,6 +26,16 @@ def test_mp_eval():
         lt.mp_eval(LINE, pt((0, 1)), lt.NAT)
 
 
+def test_constant_monomials_are_checked():
+    """A constant's layer is checked though nothing multiplies it."""
+    f = P("x1 + 0:5")
+    assert lt.mp_eval(f, pt((-1, 1)), lt.NAT) == sc(0, 5)
+    with pytest.raises(lt.InvalidLayer):
+        lt.mp_eval(f, pt((-1, 1)), lt.UNIT)
+    with pytest.raises(lt.InvalidLayer):
+        lt.grid_scan(f, [(-2, -1, 1)], [1], lt.UNIT)
+
+
 def test_theta():
     assert lt.theta(LINE, pt((0, 1), (0, 1)), lt.NAT) == 3
     assert lt.theta(LINE, pt((5, 1), (0, 1)), lt.NAT) == 1

@@ -48,6 +48,14 @@ def test_literal_length_is_bounded():
             parse(text)
 
 
+def test_variable_index_is_bounded():
+    top = lt.parsing.MAX_VARIABLES
+    assert lt.parse_poly(f"x{top} + 0:1").arity == top
+    for text in (f"x{top + 1}", f"x1 + 0:1*x{top + 1}^2", "x3000000"):
+        with pytest.raises(lt.ParseError, match="variable index"):
+            lt.parse_poly(text)
+
+
 def test_format_scalar():
     assert lt.format_scalar(sc(16, 2)) == "16:2"
     assert lt.format_scalar(lt.LayeredScalar(F(3, 2), lt.INF)) == "3/2:inf"

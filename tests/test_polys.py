@@ -64,6 +64,13 @@ def test_full_form():
     )
 
 
+def test_full_form_span_is_bounded(monkeypatch):
+    monkeypatch.setattr(lt.polys, "MAX_FULL_FORM_TERMS", 4)
+    assert len(lt.full_form(P("x^6 + 1:1*x^2")).coeffs) == 5  # span 4
+    with pytest.raises(lt.OutOfRange, match="exceeds"):
+        lt.full_form(P("x^7 + 1:1*x^2"))  # span 5
+
+
 def test_form_flags():
     f = P("x^2 + 2:1*x + 3:1")
     assert f.form is None
