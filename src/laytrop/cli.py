@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from . import calculus, factor, multivar, resultants
 from .errors import (
@@ -333,43 +333,41 @@ def _cmd_conjecture_search(args, sort):
     checked = 0
     violations = []
 
-    def primaries(max_deg):
-        for deg in range(1, max_deg + 1):
+    def primaries():
+        for deg in range(1, max_degree + 1):
             for layers in product(layer_range, repeat=deg):
                 yield _primary_from_layers(1, layers, sort)
 
-    done = False
-    for f in primaries(max_degree):
-        if done:
-            break
-        for g in primaries(max_degree):
-            if done:
-                break
-            res_fg = None  # computed at the first h, so --limit stops before it
-            for h in primaries(max_degree):
-                if checked >= args.limit:
-                    done = True
-                    break
-                checked += 1
-                gh = p_mul(g, h, sort)
-                lhs = resultants.resultant(f, gh, sort)
-                if res_fg is None:
-                    res_fg = resultants.resultant(f, g, sort)
-                rhs = ls_mul(res_fg, resultants.resultant(f, h, sort), sort)
-                if not surpasses_L(lhs, rhs, sort):
-                    violations.append(
-                        {
-                            "f": format_poly(f),
-                            "g": format_poly(g),
-                            "h": format_poly(h),
-                            "lhs": format_scalar(lhs),
-                            "rhs": format_scalar(rhs),
-                            "reproduce": (
-                                f'laytrop resultant "{format_poly(f)}" '
-                                f'"{format_poly(gh)}" --sort {sort}'
-                            ),
-                        }
-                    )
+    def triples():
+        """(f, res_f, g, h) lazily; res_f memoizes res(f, .) for one f."""
+        for f in primaries():
+            res_f = {}
+            for g in primaries():
+                for h in primaries():
+                    yield f, res_f, g, h
+
+    for f, res_f, g, h in islice(triples(), max(args.limit, 0)):
+        checked += 1
+        gh = p_mul(g, h, sort)
+        lhs = resultants.resultant(f, gh, sort)
+        for p in (g, h):
+            if p not in res_f:
+                res_f[p] = resultants.resultant(f, p, sort)
+        rhs = ls_mul(res_f[g], res_f[h], sort)
+        if not surpasses_L(lhs, rhs, sort):
+            violations.append(
+                {
+                    "f": format_poly(f),
+                    "g": format_poly(g),
+                    "h": format_poly(h),
+                    "lhs": format_scalar(lhs),
+                    "rhs": format_scalar(rhs),
+                    "reproduce": (
+                        f'laytrop resultant "{format_poly(f)}" '
+                        f'"{format_poly(gh)}" --sort {sort}'
+                    ),
+                }
+            )
     if args.json:
         print(
             json.dumps({"checked": checked, "sort": str(sort), "violations": violations}, sort_keys=True)

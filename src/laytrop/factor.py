@@ -193,13 +193,6 @@ def _synthetic_division(coeffs, r):
     return quotient, remainder
 
 
-def classical_eval(coeffs, x):
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def classical_multiplicity(coeffs, root):
     """Multiplicity of ``root`` in a classical polynomial over Q."""
     coeffs = list(coeffs)

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import sorts
 from .errors import ArityMismatch, OutOfRange, PreconditionViolated
-from .scalars import BOTTOM, LayeredScalar, ls_add, ls_mul, ls_pow, ls_sum
+from .polys import term_product
+from .scalars import BOTTOM, LayeredScalar, ls_mul, ls_pow
 from .sorts import Sort, as_layer
 
 # The largest lattice a raster may scan; larger regions raise OutOfRange
@@ -47,15 +49,11 @@ def multipoly(arity: int, monomials) -> MultiPoly:
 
 
 def mp_mul(F: MultiPoly, G: MultiPoly, sort: Sort) -> MultiPoly:
+    """The product: ``polys.term_product`` with vector exponents."""
     if F.arity != G.arity:
         raise ArityMismatch("arities differ")
-    out = {}
-    for e1, c1 in F.terms():
-        for e2, c2 in G.terms():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            prod = ls_mul(c1, c2, sort)
-            out[key] = ls_add(out[key], prod, sort) if key in out else prod
-    return multipoly(F.arity, out)
+    terms = term_product(F.terms(), G.terms(), sort, lambda a, b: tuple(map(operator.add, a, b)))
+    return multipoly(F.arity, terms)
 
 
 def _check_point(F: MultiPoly, point):
@@ -79,10 +77,9 @@ def monomial_value(exps, coeff, point, sort: Sort) -> LayeredScalar:
 
 
 def mp_eval(F: MultiPoly, point, sort: Sort):
-    _check_point(F, point)
-    return ls_sum(
-        (monomial_value(e, c, point, sort) for e, c in F.terms()), sort
-    )
+    """The layered sum of the monomial values; BOTTOM without monomials."""
+    fold = _at_point(F, point, sort)[1]
+    return BOTTOM if fold is None else LayeredScalar(fold[0], fold[1])
 
 
 def theta(F: MultiPoly, point, sort: Sort):
@@ -109,23 +106,25 @@ class _Affine(NamedTuple):
     """A polynomial whose coordinate layers are fixed, as on a grid.
 
     Every monomial then has a constant layer, and its value
-    c + sum_j e_j * x_j is an affine form in the coordinate values.  The
-    raster and the pointwise queries read value, layer, corner support
-    and component off the one tie set that ``fold`` returns.
+    c + sum_j e_j * x_j is an affine form in the coordinate values.
+    ``mp_eval``, the rasters and the pointwise queries read value, layer,
+    corner support and component off the one tie set ``fold`` returns.
     """
 
     exps: list  # exponent vectors, in term order
     forms: list  # (c, ((axis, e), ...)) with the nonzero exponents only
-    layers: list  # the monomial layers
+    layers: list  # the monomial layers, each checked by ``monomial_value``
+    add: object  # the sort's raw layer sum
 
-    def fold(self, values, sort: Sort):
+    def fold(self, values):
         """``ls_sum`` of the monomials at the coordinate values.
 
         Returns (value, layer, ties): the maximum value, its layer and
         the indices of the monomials tied at it, in term order; None
-        when there are no monomials.  Layers are added with
-        ``layer_add`` wherever a monomial ties the running maximum,
-        exactly as ``ls_sum`` does, so the same inputs raise.
+        when there are no monomials.  Tied layers are added in term
+        order with the sort's raw sum: ``monomial_value`` checked them
+        and the sort is closed under its sum, so nothing ``ls_sum``
+        would refuse is accepted.
         """
         best = layer = None
         ties = []
@@ -134,7 +133,7 @@ class _Affine(NamedTuple):
             if best is None or v > best:
                 best, layer, ties = v, self.layers[i], [i]
             elif v == best:
-                layer = sorts.layer_add(layer, self.layers[i], sort)
+                layer = self.add(layer, self.layers[i])
                 ties.append(i)
         return None if best is None else (best, layer, ties)
 
@@ -164,14 +163,14 @@ def _affine(F: MultiPoly, point, sort: Sort) -> _Affine:
         exps.append(e)
         forms.append((c.value, tuple((j, x) for j, x in enumerate(e) if x != 0)))
         layers.append(monomial_value(e, c, point, sort).layer)
-    return _Affine(exps, forms, layers)
+    return _Affine(exps, forms, layers, sorts._raw_ops(sort)[0])
 
 
 def _at_point(F: MultiPoly, point, sort: Sort):
     """(affine, fold) of F at one point; see ``_Affine``."""
     _check_point(F, point)
     affine = _affine(F, point, sort)
-    return affine, affine.fold([x.value for x in point], sort)
+    return affine, affine.fold([x.value for x in point])
 
 
 def corner_support(F: MultiPoly, point, sort: Sort):
@@ -263,7 +262,7 @@ def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
     for values in _grid(region):
         if affine is None:
             affine = _affine(F, tuple(map(LayeredScalar, values, layers)), sort)
-        fold = affine.fold(values, sort)
+        fold = affine.fold(values)
         if fold is None:
             raise PreconditionViolated("cannot rasterize the empty polynomial")
         value, layer, ties = fold
@@ -296,7 +295,7 @@ def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
             if affines[i] is None:
                 affines[i] = _affine(F, tuple(map(LayeredScalar, values, layers)), sort)
             affine = affines[i]
-            fold = affine.fold(values, sort)
+            fold = affine.fold(values)
             if fold is None or len(affine.corner_set(fold[2])) < 2:
                 break
         else:

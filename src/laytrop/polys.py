@@ -11,11 +11,12 @@ assuming it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import sorts
 from .errors import NotFullForm, OutOfRange
-from .scalars import BOTTOM, ONE, LayeredScalar, ls_add, ls_mul
+from .scalars import BOTTOM, ONE, LayeredScalar, ls_add
 from .sorts import Sort
 
 # A full form may span at most this many exponents between its lowest and
@@ -102,25 +103,31 @@ def p_add(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredPoly:
 
 def p_mul(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredPoly:
     """The product; every coefficient layer is checked once, unless f or g is 0."""
-    if f.is_zero or g.is_zero:
-        return LayeredPoly({})
+    return LayeredPoly(term_product(f.coeffs.items(), g.coeffs.items(), sort, operator.add))
+
+
+def term_product(left, right, sort: Sort, add_exps) -> dict:
+    """The layered product of two term lists, as exponent -> LayeredScalar.
+
+    ``add_exps`` adds two exponents (ints, or vectors in ``mp_mul``).
+    Each coefficient layer is checked once, the right operand's first,
+    then the loop runs on raw ops; an empty operand gives {} unchecked.
+    """
+    if not left or not right:
+        return {}
     add, mul = sorts._raw_ops(sort)
-    right = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in g.coeffs.items()]
+    right = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in right]
     out = {}  # exponent -> (value, layer)
-    for e1, c1 in f.coeffs.items():
+    for e1, c1 in left:
         v1, l1 = c1.value, sorts.require_layer(c1.layer, sort)
         for e2, v2, l2 in right:
-            exp, v, l = e1 + e2, v1 + v2, mul(l1, l2)
+            exp, v, l = add_exps(e1, e2), v1 + v2, mul(l1, l2)
             old = out.get(exp)
             if old is None or v > old[0]:
                 out[exp] = v, l
             elif v == old[0]:
                 out[exp] = v, add(old[1], l)
-    return LayeredPoly({exp: LayeredScalar(v, l) for exp, (v, l) in out.items()})
-
-
-def p_scale(f: LayeredPoly, c: LayeredScalar, sort: Sort) -> LayeredPoly:
-    return LayeredPoly({exp: ls_mul(coeff, c, sort) for exp, coeff in f.coeffs.items()})
+    return {exp: LayeredScalar(v, l) for exp, (v, l) in out.items()}
 
 
 def p_pow(f: LayeredPoly, n: int, sort: Sort) -> LayeredPoly:

@@ -31,7 +31,7 @@ from .errors import (
 from .factor import is_primary
 from .polys import LayeredPoly, full_form
 from .scalars import BOTTOM, LayeredScalar, ls_add, ls_mul, ls_pow
-from .sorts import Sort
+from .sorts import SUPER, UNIT, Sort
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,9 @@ def primary_pair_resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> Layere
     """Closed form for an equal-root primary pair.
 
     The value is m*n*a (logarithmic notation) and the layer is the
-    classical permanent of the layer Sylvester matrix.
+    classical permanent of the layer Sylvester matrix, collapsed onto the sort.
     """
-    if sort.kind in ("unit", "super"):
+    if sort in (UNIT, SUPER):
         raise PreconditionViolated(
             "the layer-permanent closed form needs ordinary layer arithmetic"
         )
@@ -235,7 +235,5 @@ def primary_pair_resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> Layere
     if a is None or b is None or a != b:
         raise NotPrimaryPair("closed form needs an equal-root primary pair")
     m, n = f.degree, g.degree
-    layer = layer_permanent(layer_sylvester(f, g, sort))
-    if sort.kind == "trunc":
-        layer = sorts.truncate_layer(layer, sort.q)
+    layer = sort.collapse(layer_permanent(layer_sylvester(f, g, sort)))
     return LayeredScalar(Fraction(m * n) * a, layer)

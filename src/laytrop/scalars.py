@@ -63,10 +63,6 @@ def nu_cmp(x: LayeredScalar, y: LayeredScalar) -> int:
     return -1 if x.value < y.value else 1
 
 
-def nu_eq(x: LayeredScalar, y: LayeredScalar) -> bool:
-    return x.value == y.value
-
-
 def ls_add(x: LayeredScalar, y: LayeredScalar, sort: Sort) -> LayeredScalar:
     c = nu_cmp(x, y)
     if c > 0:

@@ -19,11 +19,13 @@ Sums, products, n-fold sums and powers are all derived from that map.
 Layers are checked where a kernel is entered.  Scalars and polynomials
 carry no sort, so a layer cannot be checked when it is built or parsed;
 instead each public operation (``layer_add``, ``ls_mul``, ...) runs
-``require_layer`` on each input layer it uses.  The evaluation kernels
-``p_eval``, ``p_mul`` and ``eval_sort`` do so once per layer and call,
-and their inner loops then work on the unchecked operations
-``_raw_ops(sort)`` and ``_raw_pow``.  An input a kernel never reads is
-not checked: ``p_eval`` of a constant accepts any point.
+``require_layer`` on each input layer it uses.  The kernels
+``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval``, the two rasters
+(``grid_scan``, ``corner_locus_on_grid``) and ``eval_sort`` do so once
+per layer and call, and their inner loops then work on the unchecked
+operations ``_raw_ops(sort)`` and ``_raw_pow``, under which the valid
+layers (with 0) are closed.  An input a kernel never reads is not
+checked: ``p_eval`` of a constant accepts any point.
 
 Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:
@@ -258,6 +260,8 @@ def layer_div(k, l, sort: Sort) -> Layer:
     l = require_layer(l, sort)
     if l == 0:
         raise NonInvertibleLayer("layer 0 is not invertible")
+    if k == 0:  # x * l = 0 with l != 0 forces x = 0 in every sort
+        return _ZERO
     if sort.kind == _UNIT:
         return Fraction(1)
     if sort.kind == _SUPER:
@@ -267,8 +271,6 @@ def layer_div(k, l, sort: Sort) -> Layer:
     if sort.kind == _TRUNC:
         # capping destroys cancellation; quotients are not well defined
         raise LayerNotDivisible(f"layer division is not defined under {sort}")
-    if k == 0:
-        return Fraction(0)
     x = k / l
     if not layer_valid(x, sort):
         raise LayerNotDivisible(

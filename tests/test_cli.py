@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
+import laytrop as lt
+from laytrop import cli, resultants
 from laytrop.cli import main
 
 
@@ -152,6 +155,30 @@ def test_conjecture_search(capsys):
     assert record["violations"] == []
 
 
+def test_conjecture_search_computes_each_resultant_once(capsys, monkeypatch):
+    """Every triple compares res(f, g*h) with res(f, g)*res(f, h); the memo
+    computes each res(f, p) once per f.  40 triples cross from the first
+    f to the second (6 primaries of degree <= 2 with layers 1..2)."""
+    sort = lt.NAT
+    compared = []
+    surpasses = cli.surpasses_L
+    monkeypatch.setattr(cli, "surpasses_L", lambda a, b, s: compared.append((a, b)) or surpasses(a, b, s))
+    calls = []
+    resultant = resultants.resultant
+    monkeypatch.setattr(resultants, "resultant", lambda f, g, s: calls.append((f, g)) or resultant(f, g, s))
+    code, out, _ = run_cli(
+        capsys, "conjecture-search", "--max-degree", "2", "--max-layer", "2", "--limit", "40"
+    )
+    assert code == 0 and out == "no violations in 40 primary triples\n"
+    prims = [cli._primary_from_layers(1, ls, sort) for d in (1, 2) for ls in product((1, 2), repeat=d)]
+    triples = list(product(prims, repeat=3))[:40]
+    assert compared == [
+        (resultant(f, lt.p_mul(g, h, sort), sort), lt.ls_mul(resultant(f, g, sort), resultant(f, h, sort), sort))
+        for f, g, h in triples
+    ]
+    assert len(calls) == 40 + len({(f, p) for f, g, h in triples for p in (g, h)})
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -179,6 +206,16 @@ def test_layermap_refuses_huge_grid(capsys):
     )
     assert code == 3 and out == ""
     assert "exceeds the limit" in err
+
+
+def test_factor_with_layer_zero_coefficient_under_unit():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "laytrop.cli", "factor", "-3/2:1*x + 0:0", "--sort", "unit"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stdout == "unit -3/2:1\nfactor root=3/2 degree=1 poly=x + 3/2:0\n"
 
 
 SEVENS = "7" * 3000

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import laytrop as lt
-from conftest import probe_points, rand_poly, rand_primary
+from conftest import ALL_SORTS, probe_points, rand_poly, rand_primary
 
 sc = lt.scalar
 P = lt.parse_poly
@@ -199,6 +199,27 @@ def test_separable_iff_all_factors_linear_distinct():
             assert len(factors) == f.degree
         except lt.NotSeparable:
             assert not separable
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_decomposition_with_zero_layers_passes_its_check(sort):
+    """Layer-0 coefficients divide to layer 0; the reconstruction never fails."""
+    rng = random.Random(1300 + ALL_SORTS.index(sort))
+    valid = [l for l in (F(1), F(2), F(3), F(1, 2), F(-1), lt.INF) if lt.layer_valid(l, sort)]
+    decomposed = 0
+    for _ in range(150):
+        deg = rng.randint(1, 4)
+        f = lt.poly(
+            {e: lt.LayeredScalar(F(rng.randint(-3, 3), rng.choice((1, 2))),
+                                 F(0) if e < deg and rng.random() < 0.4 else rng.choice(valid))
+             for e in range(deg + 1) if e in (0, deg) or rng.random() < 0.7}
+        )
+        try:
+            lt.primary_decomposition(f, sort)  # an AssertionError fails the test
+        except lt.LaytropError:
+            continue
+        decomposed += 1
+    assert decomposed >= (0 if sort.kind == "trunc" else 50)
 
 
 def test_decomposition_needs_divisible_layers():

@@ -1,7 +1,7 @@
 """The evaluation kernels against the stepwise compositions they replace.
 
-``p_eval``, ``p_mul`` and ``eval_sort`` check each input layer once and
-then run on the sort's unchecked operations.  The oracles below are the
+``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval`` and ``eval_sort`` check
+each input layer once and then run on the sort's unchecked operations.  The oracles below are the
 compositions of checked scalar and layer operations that these kernels
 used to be; the kernels must give the same result, or refuse with the
 same exception class, on every input.
@@ -192,3 +192,86 @@ def test_p_eval_checks_each_layer_once(monkeypatch):
     checked.clear()
     lt.p_eval(lt.poly({0: lt.scalar(3, 2)}), lt.scalar(1, 2), lt.POSQ)
     assert len(checked) == 1
+
+
+# -- the multivariate kernels -------------------------------------------------
+
+EXPONENTS = [0, 0, 1, 2, 3, -1, F(1, 2), F(3, 2), F(-1, 2)]
+
+
+def oracle_monomial(exps, coeff, point, sort):
+    if not any(exps):
+        sorts.require_layer(coeff.layer, sort)
+        return coeff
+    out = coeff
+    for e, x in zip(exps, point):
+        if e != 0:
+            out = lt.ls_mul(out, lt.ls_pow(x, e, sort), sort)
+    return out
+
+
+def oracle_mp_eval(f, point, sort):
+    if len(point) != f.arity:
+        raise lt.ArityMismatch("point and polynomial arities differ")
+    return lt.ls_sum((oracle_monomial(e, c, point, sort) for e, c in f.terms()), sort)
+
+
+def oracle_mp_mul(f, g, sort):
+    if f.arity != g.arity:
+        raise lt.ArityMismatch("arities differ")
+    out = {}
+    for e1, c1 in f.terms():
+        for e2, c2 in g.terms():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            prod = lt.ls_mul(c1, c2, sort)
+            out[key] = lt.ls_add(out[key], prod, sort) if key in out else prod
+    return lt.multipoly(f.arity, out)
+
+
+def rand_multipoly(rng, sort, arity):
+    """Up to five terms; a list of pairs may repeat an exponent vector."""
+    return lt.multipoly(
+        arity,
+        [
+            (tuple(F(rng.choice(EXPONENTS)) for _ in range(arity)),
+             lt.LayeredScalar(F(rng.randint(-3, 3), rng.randint(1, 2)), rand_layer(rng, sort)))
+            for _ in range(rng.randint(0, 5))
+        ],
+    )
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_mp_eval_matches_stepwise_sum(sort):
+    rng = random.Random(1000 + ALL_SORTS.index(sort))
+    kinds = set()
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        f = rand_multipoly(rng, sort, arity)
+        point = tuple(rand_point(rng, sort) for _ in range(arity if rng.random() < 0.95 else arity + 1))
+        got = outcome(lt.mp_eval, f, point, sort)
+        assert got == outcome(oracle_mp_eval, f, point, sort), (f, point)
+        kinds.add(got if isinstance(got, type) else "ok")
+    assert {"ok", lt.InvalidLayer, lt.ArityMismatch} <= kinds
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_mp_mul_matches_stepwise_double_loop(sort):
+    rng = random.Random(1100 + ALL_SORTS.index(sort))
+    kinds = set()
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        f, g = rand_multipoly(rng, sort, arity), rand_multipoly(rng, sort, arity)
+        if rng.random() < 0.05:
+            g = rand_multipoly(rng, sort, arity + 1)
+        got = outcome(lt.mp_mul, f, g, sort)
+        assert got == outcome(oracle_mp_mul, f, g, sort), (f, g)
+        kinds.add(got if isinstance(got, type) else "ok")
+    assert {"ok", lt.InvalidLayer} <= kinds
+
+
+def test_mp_mul_with_an_empty_operand_reads_no_layer():
+    bad = lt.multipoly(2, [((F(1), F(0)), lt.LayeredScalar(0, 5)), ((F(0), F(0)), lt.LayeredScalar(1, lt.INF))])
+    empty = lt.multipoly(2, {})
+    for f, g in ((empty, bad), (bad, empty)):
+        assert lt.mp_mul(f, g, lt.UNIT) == empty == oracle_mp_mul(f, g, lt.UNIT)
+    assert outcome(lt.mp_mul, bad, bad, lt.UNIT) is lt.InvalidLayer

@@ -249,17 +249,31 @@ def _outcome(call, *args):
         return type(err)
 
 
+def _monomial(exps, coeff, point, sort):
+    """coeff * prod x_j ** e_j by checked scalar operations; a constant's
+    layer is checked on its own."""
+    if not any(exps):
+        lt.sorts.require_layer(coeff.layer, sort)
+        return coeff
+    out = coeff
+    for e, x in zip(exps, point):
+        if e != 0:
+            out = lt.ls_mul(out, lt.ls_pow(x, e, sort), sort)
+    return out
+
+
 def _pointwise_rows(F_, region, layers, sort):
-    """grid_scan by its definition: mp_eval, corner_support and
-    component_index at every lattice point, checked against the corner
-    support and component read off the monomial values."""
+    """grid_scan by its definition: at every lattice point, the ls_sum of
+    the monomial values (a composition sharing no fold with the raster),
+    checked against mp_eval, corner_support and component_index."""
     rows = []
     for values in _lattice(region):
         point = tuple(lt.LayeredScalar(v, lt.as_layer(l)) for v, l in zip(values, layers))
-        total = lt.mp_eval(F_, point, sort)
+        monos = [(e, _monomial(e, c, point, sort)) for e, c in F_.terms()]
+        total = lt.ls_sum((m for _, m in monos), sort)
         if total is lt.BOTTOM:
             raise lt.PreconditionViolated("empty polynomial")
-        monos = [(e, lt.mp_eval(lt.multipoly(F_.arity, [(e, c)]), point, sort)) for e, c in F_.terms()]
+        assert lt.mp_eval(F_, point, sort) == total
         csupp = lt.corner_support(F_, point, sort)
         assert csupp == {e for e, m in monos if m.value == total.value and m.layer > 0}
         component = lt.component_index(F_, point, sort)

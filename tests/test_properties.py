@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
+from laytrop import sorts
 
 SORTS = st.sampled_from(
     [lt.UNIT, lt.SUPER, lt.truncated(3), lt.NAT, lt.POSQ, lt.RAT]
@@ -35,6 +36,29 @@ def scalar_for(sort):
 def sort_and_scalars(draw, n):
     sort = draw(SORTS)
     return sort, [draw(scalar_for(sort)) for _ in range(n)]
+
+
+@st.composite
+def sort_and_layers(draw, n):
+    """A sort and n of its layers, layer 0 included (INF under super)."""
+    sort = draw(SORTS)
+    layer = st.one_of(st.just(F(0)), layer_for(sort))
+    return sort, [draw(layer) for _ in range(n)]
+
+
+@given(sort_and_layers(2), st.integers(0, 12))
+@settings(max_examples=400, deadline=None)
+def test_raw_ops_are_closed_and_match_checked_ops(data, n):
+    """The kernels' unchecked folds rely on this: valid layers in, valid layers out."""
+    sort, (k, l) = data
+    add, mul = sorts._raw_ops(sort)
+    for raw, checked in (
+        (add(k, l), lt.layer_add(k, l, sort)),
+        (mul(k, l), lt.layer_mul(k, l, sort)),
+        (sorts._raw_pow(k, n, sort), lt.layer_pow_int(k, n, sort)),
+    ):
+        assert sorts.layer_valid(raw, sort, allow_zero=True)
+        assert raw == checked
 
 
 @given(sort_and_scalars(3))

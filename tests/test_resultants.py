@@ -169,7 +169,7 @@ def test_reduction():
 
 def test_primary_pair_formula():
     rng = random.Random(7)
-    for sort in (lt.NAT, lt.POSQ):
+    for sort in (lt.NAT, lt.POSQ, lt.truncated(2), lt.truncated(3), lt.RAT):
         for _ in range(60):
             root = F(rng.randint(-4, 4))
             f = rand_primary(rng, sort, root, max_deg=3)

@@ -24,6 +24,38 @@ def test_layer_mul_examples():
     assert lt.layer_mul(3, 2, T4) == 4
 
 
+def test_layer_div_per_sort():
+    assert lt.layer_div(1, 1, lt.UNIT) == 1
+    assert lt.layer_div(lt.INF, 1, lt.SUPER) == lt.INF  # dividing by 1 keeps the layer
+    assert lt.layer_div(1, 1, lt.SUPER) == 1
+    for k in (1, lt.INF):
+        with pytest.raises(lt.NonInvertibleLayer):
+            lt.layer_div(k, lt.INF, lt.SUPER)
+    with pytest.raises(lt.LayerNotDivisible):
+        lt.layer_div(2, 1, T4)  # capping destroys cancellation
+    assert lt.layer_div(6, 3, lt.NAT) == 2
+    with pytest.raises(lt.LayerNotDivisible):
+        lt.layer_div(3, 2, lt.NAT)
+    assert lt.layer_div(3, 2, lt.POSQ) == F(3, 2)
+    assert lt.layer_div(-3, 2, lt.RAT) == F(-3, 2)
+    assert lt.layer_div(3, F(-1, 2), lt.RAT) == -6
+    with pytest.raises(lt.InvalidLayer):
+        lt.layer_div(2, 1, lt.UNIT)  # inputs are checked before dividing
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_layer_div_zero_dividend_and_divisor(sort):
+    """x * l = 0 with l != 0 forces x = 0 in every sort; 0 divides nothing."""
+    divisors = [l for l in (F(1), F(2), F(3), F(1, 2), F(-1), lt.INF) if lt.layer_valid(l, sort)]
+    for l in divisors:
+        x = lt.layer_div(0, l, sort)
+        assert x == 0 and lt.layer_mul(x, l, sort) == 0
+        with pytest.raises(lt.NonInvertibleLayer):
+            lt.layer_div(l, 0, sort)
+    with pytest.raises(lt.NonInvertibleLayer):
+        lt.layer_div(0, 0, sort)
+
+
 def test_layer_cmp():
     assert lt.layer_cmp(2, 3) == -1
     assert lt.layer_cmp(lt.INF, 5) == 1
