@@ -29,6 +29,7 @@ from .parsing import (
     parse_layer,
     parse_poly,
     parse_scalar,
+    parse_value,
     to_multipoly,
 )
 from .polys import LayeredPoly, corner_roots, p_eval, p_mul, poly
@@ -274,11 +275,9 @@ def _parse_region(text):
         if len(parts) != 3:
             raise ParseError(f"region axis {axis!r} is not lo:hi:step")
         try:
-            region.append(tuple(Fraction(p) for p in parts))
-        except ZeroDivisionError:
-            raise ParseError(f"region axis {axis!r} has a zero denominator") from None
-        except ValueError:
-            raise ParseError(f"region axis {axis!r} is not lo:hi:step of rationals") from None
+            region.append(tuple(parse_value(p) for p in parts))
+        except ParseError as err:
+            raise ParseError(f"region axis {axis!r} is not lo:hi:step: {err}") from None
     return region
 
 

@@ -249,14 +249,14 @@ def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     is).  Checks and powers run in the order of the stepwise product, so
     a bad input raises what ``layer_mul`` and ``layer_pow_int`` would.
     """
-    add, mul = sorts._raw_ops(sort)
+    add, mul = sort.add, sort.mul
     k = None
 
     def power(n):
         nonlocal k
         if n > 0 and k is None:
             k = sorts.require_layer(b.layer, sort)
-        return sorts._raw_pow(k, n, sort)
+        return sort.pow(k, n)
 
     def parts():
         if decomp.lambda_power:

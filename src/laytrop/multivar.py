@@ -114,7 +114,7 @@ class _Affine(NamedTuple):
     exps: list  # exponent vectors, in term order
     forms: list  # (c, ((axis, e), ...)) with the nonzero exponents only
     layers: list  # the monomial layers, each checked by ``monomial_value``
-    add: object  # the sort's raw layer sum
+    add: object  # the sort's unchecked layer sum, ``sort.add``
 
     def fold(self, values):
         """``ls_sum`` of the monomials at the coordinate values.
@@ -122,7 +122,7 @@ class _Affine(NamedTuple):
         Returns (value, layer, ties): the maximum value, its layer and
         the indices of the monomials tied at it, in term order; None
         when there are no monomials.  Tied layers are added in term
-        order with the sort's raw sum: ``monomial_value`` checked them
+        order with ``sort.add``: ``monomial_value`` checked them
         and the sort is closed under its sum, so nothing ``ls_sum``
         would refuse is accepted.
         """
@@ -163,7 +163,7 @@ def _affine(F: MultiPoly, point, sort: Sort) -> _Affine:
         exps.append(e)
         forms.append((c.value, tuple((j, x) for j, x in enumerate(e) if x != 0)))
         layers.append(monomial_value(e, c, point, sort).layer)
-    return _Affine(exps, forms, layers, sorts._raw_ops(sort)[0])
+    return _Affine(exps, forms, layers, sort.add)
 
 
 def _at_point(F: MultiPoly, point, sort: Sort):
@@ -216,9 +216,7 @@ def _axis_size(lo, hi, step) -> int:
 
 def _check_size(size: int):
     if size > MAX_GRID_POINTS:
-        raise OutOfRange(
-            f"a grid of {size} points exceeds the limit of {MAX_GRID_POINTS}"
-        )
+        raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
 
 
 def axis_points(lo, hi, step):

@@ -93,22 +93,27 @@ class _Scanner:
         return self.rational()
 
 
-def parse_layer(text: str):
+def _whole(text: str, read, what: str):
+    """``read`` from a fresh scanner, which must consume all of ``text``."""
     sc = _Scanner(text)
-    layer = sc.layer()
+    x = read(sc)
     sc.skip_ws()
     if sc.pos != len(text):
-        sc.fail("trailing input after layer")
-    return layer
+        sc.fail(f"trailing input after {what}")
+    return x
+
+
+def parse_value(text: str) -> Fraction:
+    """A rational ``p`` or ``p/q``, as the value of a scalar."""
+    return _whole(text, _Scanner.rational, "number")
+
+
+def parse_layer(text: str):
+    return _whole(text, _Scanner.layer, "layer")
 
 
 def parse_scalar(text: str) -> LayeredScalar:
-    sc = _Scanner(text)
-    x = _scalar(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        sc.fail("trailing input after scalar")
-    return x
+    return _whole(text, _scalar, "scalar")
 
 
 def _scalar(sc: _Scanner) -> LayeredScalar:

@@ -111,11 +111,12 @@ def term_product(left, right, sort: Sort, add_exps) -> dict:
 
     ``add_exps`` adds two exponents (ints, or vectors in ``mp_mul``).
     Each coefficient layer is checked once, the right operand's first,
-    then the loop runs on raw ops; an empty operand gives {} unchecked.
+    then the loop runs on ``sort.add`` and ``sort.mul``; an empty operand
+    gives {} unchecked.
     """
     if not left or not right:
         return {}
-    add, mul = sorts._raw_ops(sort)
+    add, mul = sort.add, sort.mul
     right = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in right]
     out = {}  # exponent -> (value, layer)
     for e1, c1 in left:
@@ -147,12 +148,12 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     coefficient's check, so a bad input raises what ``ls_pow`` and
     ``ls_mul`` would.
     """
-    add, mul = sorts._raw_ops(sort)
+    add, mul = sort.add, sort.mul
     best = layer = xl = None
     for e, c in f.coeffs.items():
         if e and xl is None:
             xl = sorts.require_layer(x.layer, sort)
-        power = sorts._raw_pow(xl, e, sort)
+        power = sort.pow(xl, e)
         l = mul(sorts.require_layer(c.layer, sort), power)
         v = c.value + x.value * e if e else c.value
         if best is None or v > best:

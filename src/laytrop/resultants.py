@@ -105,7 +105,7 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
         if not cells:
             return BOTTOM
         rows.append(cells)
-    layer_add_raw, layer_mul_raw = sorts._raw_ops(sort)
+    add, mul = sort.add, sort.mul
 
     states = {0: (Fraction(0), Fraction(1))}  # used columns -> (value, layer)
     for cells in rows:
@@ -118,9 +118,9 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
                 w = value + v
                 prior = extended.get(mask)
                 if prior is None or w > prior[0]:
-                    extended[mask] = (w, layer_mul_raw(layer, l))
+                    extended[mask] = (w, mul(layer, l))
                 elif w == prior[0]:
-                    extended[mask] = (w, layer_add_raw(prior[1], layer_mul_raw(layer, l)))
+                    extended[mask] = (w, add(prior[1], mul(layer, l)))
         if not extended:
             return BOTTOM
         states = extended

@@ -109,10 +109,10 @@ def surpasses_L(a: LayeredScalar, b: LayeredScalar, sort: Sort) -> bool:
 
 def ls_inv(x: LayeredScalar, sort: Sort) -> LayeredScalar:
     """Multiplicative inverse: value negated, layer inverted in L."""
-    l = x.layer
+    l = sorts.require_layer(x.layer, sort)
     if is_inf(l) or l == 0:
         raise NonInvertibleLayer(f"layer {sorts.format_layer(l)} is not invertible")
-    inv_layer = 1 / Fraction(l)
+    inv_layer = 1 / l
     if not sorts.layer_valid(inv_layer, sort):
         raise NonInvertibleLayer(
             f"layer {sorts.format_layer(l)} has no inverse under sort {sort}"
@@ -143,7 +143,6 @@ def _layer_pow(l, n: Fraction, sort: Sort):
         if n > 0:
             return INF
         raise InvalidLayer("negative powers of the infinite layer are undefined")
-    l = Fraction(l)
     if n.denominator == 1:
         if l == 0 and n < 0:
             raise InvalidLayer("layer 0 has no negative powers")
@@ -164,7 +163,11 @@ def _layer_pow(l, n: Fraction, sort: Sort):
 
 
 def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
-    """x ** n for rational n; the layer must stay inside the sort."""
+    """x ** n for rational n.
+
+    For n != 0 x's layer and the result must be layers of the sort, or
+    0; n = 0 gives ONE for any x.
+    """
     n = Fraction(n)
     if n == 0:
         return ONE
@@ -172,7 +175,7 @@ def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
         # the n-fold product inside the sort, so truncation caps apply
         layer = sorts.layer_pow_int(x.layer, n.numerator, sort)
     else:
-        layer = _layer_pow(x.layer, n, sort)
+        layer = _layer_pow(sorts.require_layer(x.layer, sort), n, sort)
         if not sorts.layer_valid(layer, sort, allow_zero=True):
             raise InvalidLayer(
                 f"layer {sorts.format_layer(x.layer)} ** {n} leaves sort {sort}"

@@ -1,20 +1,30 @@
 """The sorting semiring of layers.
 
 A layer is encoded universally as an exact ``Fraction`` or the infinite
-element ``INF``; which encodings are legal depends on the active sort:
+element ``INF``.  A sort is a membership test (which encodings are its
+layers) and a collapse map (which sends an exact sum, product or power
+of layers back into the sort), both fixed where the sort is defined:
 
-* ``UNIT``          -- only layer 1 (max-plus; 1+1 = 1).
-* ``SUPER``         -- layers {1, INF}; 1*1 = 1, every other sum/product INF.
-* ``truncated(q)``  -- layers {1, ..., q}; sums and products cap at q.
-* ``NAT``           -- positive integers with ordinary arithmetic.
-* ``POSQ``          -- positive rationals with ordinary arithmetic.
-* ``RAT``           -- arbitrary rationals; 0 absorbs multiplicatively.
+* ``UNIT``: layer 1; every nonzero layer collapses to 1 (max-plus).
+* ``SUPER``: layers 1 and ``INF``; layers >= 2 collapse to ``INF``.
+* ``truncated(q)``: layers 1, ..., q; layers >= q collapse to q.
+* ``NAT``, ``POSQ``, ``RAT``: the positive integers, the positive
+  rationals, all rationals; the collapse is the identity.
 
-Every sort's arithmetic is exact rational arithmetic followed by the
-sort's collapse map (``Sort.collapse``): every nonzero layer goes to 1
-under ``UNIT``, layers >= 2 go to ``INF`` under ``SUPER``, layers >= q go
-to q under ``truncated(q)``, and nothing moves under the other three.
-Sums, products, n-fold sums and powers are all derived from that map.
+Every other layer rule is derived from these two parts:
+
+* ``Sort.add`` and ``Sort.mul``: the exact sum or product, collapsed;
+* ``Sort.pow``: the exact power, collapsed.  Where the collapse is not
+  the identity the exponent is clamped to ``(q or 1).bit_length()``,
+  beyond which every power collapses to the same layer;
+* ``layer_valid`` and ``require_layer``: the membership test;
+* ``infinite_layer``: l + 1 collapses to l (never where the collapse is
+  the identity);
+* ``layer_nmul`` and ``layer_ndiv``: the n-fold sum, and its inverse
+  l / n when that is a layer, else l itself when n * l collapses to l;
+* ``layer_div``: k / l when that is a layer.  It refuses an ``INF``
+  divisor, and any division under ``truncated(q)``, where capping
+  destroys cancellation.
 
 Layers are checked where a kernel is entered.  Scalars and polynomials
 carry no sort, so a layer cannot be checked when it is built or parsed;
@@ -23,22 +33,23 @@ instead each public operation (``layer_add``, ``ls_mul``, ...) runs
 ``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval``, the two rasters
 (``grid_scan``, ``corner_locus_on_grid``) and ``eval_sort`` do so once
 per layer and call, and their inner loops then work on the unchecked
-operations ``_raw_ops(sort)`` and ``_raw_pow``, under which the valid
+``sort.add``, ``sort.mul`` and ``sort.pow``, under which the valid
 layers (with 0) are closed.  An input a kernel never reads is not
 checked: ``p_eval`` of a constant accepts any point.
 
 Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:
 0 + l = l and 0 * l = 0.  It is not a member of the sort (except under
-``RAT``) and ``layer_valid`` rejects it elsewhere; the ``allow_zero``
-flag used internally by the arithmetic admits it.
+``RAT``), so ``layer_valid`` rejects it elsewhere, but ``require_layer``
+admits it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import InvalidLayer, LayerNotDivisible, NonInvertibleLayer, OutOfRange
 
@@ -50,13 +61,14 @@ _ONE = Fraction(1)
 # numerator or denominator (2**14 bits, about 4900 decimal digits).
 MAX_LAYER_BITS = 1 << 14
 
-_UNIT = "unit"
-_SUPER = "super"
-_TRUNC = "trunc"
-_NAT = "nat"
-_POSQ = "posq"
-_RAT = "q"
-_EXACT = (_NAT, _POSQ, _RAT)  # sorts whose collapse map is the identity
+
+def _same(x):
+    return x
+
+
+def _cap(q):
+    """The collapse of ``truncated(q)``: every layer >= q goes to q."""
+    return lambda x: x if x < q else q
 
 
 @dataclass(frozen=True)
@@ -65,44 +77,83 @@ class Sort:
 
     kind: str
     q: int | None = None
+    member: Callable = field(kw_only=True, compare=False, repr=False)
+    collapse: Callable = field(default=_same, kw_only=True, compare=False, repr=False)
+    add: Callable = field(init=False, compare=False, repr=False)
+    mul: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        collapse = self.collapse
+        if self.exact:
+            add, mul = operator.add, operator.mul
+        else:
+            def add(k, l):
+                return collapse(k + l)
+
+            def mul(k, l):
+                if k == 0 or l == 0:  # layer 0 absorbs, and 0 * INF is nan
+                    return _ZERO
+                return collapse(k * l)
+
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "mul", mul)
+
+    @property
+    def exact(self) -> bool:
+        """True when the collapse is the identity (nat, posq, q)."""
+        return self.collapse is _same
 
     def __str__(self):
-        if self.kind == _TRUNC:
-            return f"trunc:{self.q}"
-        return self.kind
+        return self.kind if self.q is None else f"{self.kind}:{self.q}"
 
     def __repr__(self):
         return f"Sort({self})"
 
-    def collapse(self, x):
-        """Map an exact sum, product or power of layers onto this sort."""
-        if self.kind == _UNIT:
-            return _ONE if x else x
-        if self.kind == _SUPER:
-            return x if x <= 1 else INF
-        if self.kind == _TRUNC:
-            return x if x < self.q else Fraction(self.q)
-        return x
+    def pow(self, l, n: int):
+        """l multiplied with itself n times (n >= 0), for a checked layer.
+
+        Once 2**n > q (q = 1 under unit and super) every power of a
+        layer >= 2 collapses to the same layer, hence the clamp; without
+        a collapse ``bounded_pow`` refuses powers beyond MAX_LAYER_BITS.
+        """
+        if n < 0:
+            raise InvalidLayer("integer layer power needs n >= 0")
+        if n == 0:
+            return _ONE
+        if self.exact:
+            return bounded_pow(l, n)
+        return self.collapse(l ** min(n, (self.q or 1).bit_length()))
 
 
-UNIT = Sort(_UNIT)
-SUPER = Sort(_SUPER)
-NAT = Sort(_NAT)
-POSQ = Sort(_POSQ)
-RAT = Sort(_RAT)
+UNIT = Sort("unit", member=lambda l: l == 1, collapse=lambda x: _ONE if x else x)
+SUPER = Sort(
+    "super", member=lambda l: l == 1 or is_inf(l), collapse=lambda x: x if x <= 1 else INF
+)
+NAT = Sort(
+    "nat", member=lambda l: isinstance(l, Fraction) and l.denominator == 1 and l.numerator >= 1
+)
+POSQ = Sort("posq", member=lambda l: isinstance(l, Fraction) and l.numerator > 0)
+RAT = Sort("q", member=lambda l: isinstance(l, Fraction))
 
 
 def truncated(q: int) -> Sort:
     if not isinstance(q, int) or q < 1:
         raise InvalidLayer(f"truncation bound must be a positive integer, got {q!r}")
-    return Sort(_TRUNC, q)
+    return Sort(
+        "trunc",
+        q,
+        member=lambda l: isinstance(l, Fraction) and l.denominator == 1 and 1 <= l.numerator <= q,
+        collapse=_cap(Fraction(q)),
+    )
+
+
+_NAMED = {str(sort): sort for sort in (UNIT, SUPER, NAT, POSQ, RAT)}
 
 
 def parse_sort(text: str) -> Sort:
     """Parse the CLI grammar ``unit|super|trunc:<q>|nat|posq|q``."""
-    plain = {"unit": UNIT, "super": SUPER, "nat": NAT, "posq": POSQ, "q": RAT}
-    if text in plain:
-        return plain[text]
+    if text in _NAMED:
+        return _NAMED[text]
     if text.startswith("trunc:"):
         try:
             return truncated(int(text[len("trunc:"):]))
@@ -132,70 +183,32 @@ def as_layer(value) -> Layer:
 
 def layer_valid(layer, sort: Sort, allow_zero: bool = False) -> bool:
     """Membership of ``layer`` in the sort (optionally admitting formal 0)."""
-    if is_inf(layer):
-        return sort.kind == _SUPER
     if isinstance(layer, int):
         layer = Fraction(layer)
-    elif not isinstance(layer, Fraction):
+    elif not isinstance(layer, Fraction) and not is_inf(layer):
         return False
-    if allow_zero and layer == 0:
-        return True
-    if sort.kind == _UNIT:
-        return layer == 1
-    if sort.kind == _SUPER:
-        return layer == 1
-    if sort.kind == _TRUNC:
-        return layer.denominator == 1 and 1 <= layer <= sort.q
-    if sort.kind == _NAT:
-        return layer.denominator == 1 and layer >= 1
-    if sort.kind == _POSQ:
-        return layer > 0
-    return True  # RAT
+    return (allow_zero and layer == 0) or sort.member(layer)
 
 
-def require_layer(layer, sort: Sort, allow_zero: bool = True) -> Layer:
+def require_layer(layer, sort: Sort) -> Layer:
+    """The layer in its universal encoding; InvalidLayer unless it is 0 or a member."""
     layer = as_layer(layer)
-    if not layer_valid(layer, sort, allow_zero=allow_zero):
+    if not sort.member(layer) and layer != 0:
         raise InvalidLayer(f"layer {format_layer(layer)} is not valid under sort {sort}")
     return layer
 
 
 def infinite_layer(layer, sort: Sort) -> bool:
     """True when layer + p = layer for every positive p (Def. of finiteness)."""
-    if sort.kind == _UNIT:
-        return layer == 1
-    if sort.kind == _SUPER:
-        return is_inf(layer)
-    if sort.kind == _TRUNC:
-        return layer == sort.q
-    return False
-
-
-def _raw_ops(sort: Sort):
-    """The sort's (add, mul) on layers already validated, for hot loops."""
-    if sort.kind in _EXACT:
-        return operator.add, operator.mul
-    collapse = sort.collapse
-
-    def add(k, l):
-        return collapse(k + l)
-
-    def mul(k, l):
-        if k == 0 or l == 0:  # layer 0 absorbs, and 0 * INF is nan
-            return _ZERO
-        return collapse(k * l)
-
-    return add, mul
+    return not sort.exact and sort.collapse(layer + 1) == layer
 
 
 def layer_add(k, l, sort: Sort) -> Layer:
-    add, _ = _raw_ops(sort)
-    return add(require_layer(k, sort), require_layer(l, sort))
+    return sort.add(require_layer(k, sort), require_layer(l, sort))
 
 
 def layer_mul(k, l, sort: Sort) -> Layer:
-    _, mul = _raw_ops(sort)
-    return mul(require_layer(k, sort), require_layer(l, sort))
+    return sort.mul(require_layer(k, sort), require_layer(l, sort))
 
 
 def layer_cmp(k, l) -> int:
@@ -220,12 +233,12 @@ def is_ghost_sort(l, base, sort: Sort) -> bool:
 
 
 def truncate_layer(l, q) -> Layer:
-    """Quotient map collapsing every layer >= q to q."""
+    """The collapse of ``truncated(q)`` on one layer: every layer >= q goes to q."""
     l = as_layer(l)
     q = as_layer(q)
     if is_inf(q) or q <= 0:
         raise InvalidLayer("truncation bound must be finite and positive")
-    return l if layer_cmp(l, q) < 0 else q
+    return _cap(q)(l)
 
 
 def layer_nmul(n: int, l, sort: Sort) -> Layer:
@@ -236,22 +249,19 @@ def layer_nmul(n: int, l, sort: Sort) -> Layer:
 
 
 def layer_ndiv(n: int, l, sort: Sort) -> Layer:
-    """Solve layer_nmul(n, x, sort) == l for x, or raise LayerNotDivisible."""
+    """Solve layer_nmul(n, x, sort) == l for x, or raise LayerNotDivisible.
+
+    x = l / n when that is a layer, else x = l when n * l collapses to l.
+    """
     if n < 1:
         raise InvalidLayer(f"n-fold quotient needs n >= 1, got {n}")
     l = require_layer(l, sort)
-    if n == 1 or l == 0:
-        return l
-    if sort.kind == _UNIT:
-        return Fraction(1)
-    if sort.kind == _SUPER:
-        if is_inf(l):
-            return INF
-        raise LayerNotDivisible(f"layer {format_layer(l)} has no {n}-fold half under {sort}")
     x = l / n
-    if not layer_valid(x, sort):
-        raise LayerNotDivisible(f"{n} does not divide layer {format_layer(l)} under {sort}")
-    return x
+    if sort.member(x):
+        return x
+    if sort.collapse(n * l) == l:
+        return l
+    raise LayerNotDivisible(f"{n} does not divide layer {format_layer(l)} under {sort}")
 
 
 def layer_div(k, l, sort: Sort) -> Layer:
@@ -262,17 +272,13 @@ def layer_div(k, l, sort: Sort) -> Layer:
         raise NonInvertibleLayer("layer 0 is not invertible")
     if k == 0:  # x * l = 0 with l != 0 forces x = 0 in every sort
         return _ZERO
-    if sort.kind == _UNIT:
-        return Fraction(1)
-    if sort.kind == _SUPER:
-        if l == 1:
-            return k
-        raise NonInvertibleLayer("layer inf is not invertible under the supertropical sort")
-    if sort.kind == _TRUNC:
+    if is_inf(l):
+        raise NonInvertibleLayer(f"layer inf is not invertible under {sort}")
+    if sort.kind == "trunc":
         # capping destroys cancellation; quotients are not well defined
         raise LayerNotDivisible(f"layer division is not defined under {sort}")
     x = k / l
-    if not layer_valid(x, sort):
+    if not sort.member(x):
         raise LayerNotDivisible(
             f"layer {format_layer(k)} is not divisible by {format_layer(l)} under {sort}"
         )
@@ -282,28 +288,9 @@ def layer_div(k, l, sort: Sort) -> Layer:
 def layer_pow_int(l, n: int, sort: Sort) -> Layer:
     """l multiplied with itself n times (n >= 0); n = 0 gives layer 1.
 
-    Checks l (only when n > 0) and returns ``_raw_pow``.
+    Checks l (only when n > 0) and returns ``Sort.pow``.
     """
-    return _raw_pow(require_layer(l, sort) if n > 0 else l, n, sort)
-
-
-def _raw_pow(l, n: int, sort: Sort) -> Layer:
-    """``layer_pow_int`` on a layer already checked, for hot loops.
-
-    The exact power followed by the collapse.  Under trunc:q the collapse
-    sends every power of a layer >= 2 to q from n = q.bit_length() on
-    (2**n > q), so the exponent is clamped there (n = 1 under unit and
-    super) and the work is O(1).  Under nat, posq and q ``bounded_pow``
-    refuses powers beyond ``MAX_LAYER_BITS``.
-    """
-    if n < 0:
-        raise InvalidLayer("integer layer power needs n >= 0")
-    if n == 0:
-        return _ONE
-    if sort.kind in _EXACT:
-        return bounded_pow(l, n)
-    clamp = sort.q.bit_length() if sort.kind == _TRUNC else 1
-    return sort.collapse(l ** min(n, clamp))
+    return sort.pow(require_layer(l, sort) if n > 0 else l, n)
 
 
 def _bits(x: Fraction) -> int:

@@ -91,6 +91,14 @@ def test_derivative_and_integrate(capsys):
     assert out == "3:1*x^2\n"
 
 
+def test_derivative_and_integrate_round_trip_under_trunc(capsys):
+    # 3 * 4 collapses to 4 under trunc:4, so layer 4 has a 3-fold quotient
+    code, out, _ = run_cli(capsys, "derivative", "0:4*x^3", "--sort", "trunc:4")
+    assert (code, out) == (0, "0:4*x^2\n")
+    code, out, _ = run_cli(capsys, "integrate", "0:4*x^2", "--sort", "trunc:4")
+    assert (code, out) == (0, "0:4*x^3\n")
+
+
 def test_discriminant_and_separable(capsys):
     code, out, _ = run_cli(capsys, "discriminant", "x^2+2:1*x+3:1", "--sort", "posq")
     assert code == 0
@@ -188,8 +196,20 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
         ["eval", "1/0:1", "--at", "1:1"],
         ["layermap", "x1 + x2", "--region=0:1/0:1,0:1:1", "--layers", "1,1"],
         ["layermap", "x1 + x2", "--region=a:b:c,0:1:1", "--layers", "1,1"],
+        ["layermap", "x1", "--region=0:1.5:0.5", "--layers", "1"],
+        ["layermap", "x1", "--region=0:1_0:1", "--layers", "1"],
+        ["layermap", "x1", "--region=0:1e999999:1", "--layers", "1"],
+        ["layermap", "x1", "--region=0:1e99999999:1", "--layers", "1"],
     ],
-    ids=["zero-denominator", "region-zero-denominator", "region-not-numeric"],
+    ids=[
+        "zero-denominator",
+        "region-zero-denominator",
+        "region-not-numeric",
+        "region-decimal",
+        "region-underscore",
+        "region-exponent",
+        "region-huge-exponent",
+    ],
 )
 def test_malformed_numbers_are_parse_errors(argv):
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -219,6 +239,7 @@ def test_factor_with_layer_zero_coefficient_under_unit():
 
 
 SEVENS = "7" * 3000
+NINES = "9" * 4000  # the longest literal; the grid size then has 8000 digits
 
 
 @pytest.mark.parametrize(
@@ -249,8 +270,19 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv):
         (["layermap", "x1 + 0:5", "--region=-2:-1:1", "--layers", "1", "--sort", "unit"], 3),
         (["roots", "x^99999999+1:1"], 3),
         (["eval", "x3000000", "--at", "1:1"], 2),
+        (["eval", "x1^-1", "--at", "0:1/2", "--sort", "nat"], 3),
+        (["eval", "x1^1/2", "--at", "0:9", "--sort", "trunc:4"], 3),
+        (["layermap", "x1", f"--region=0:{NINES}:1/{NINES}", "--layers", "1"], 3),
     ],
-    ids=["constant-eval", "constant-layermap", "huge-degree-full-form", "huge-variable-index"],
+    ids=[
+        "constant-eval",
+        "constant-layermap",
+        "huge-degree-full-form",
+        "huge-variable-index",
+        "inverse-of-invalid-layer",
+        "root-of-invalid-layer",
+        "grid-size-too-long-to-print",
+    ],
 )
 def test_refused_at_once_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -181,9 +181,9 @@ def test_p_eval_checks_each_layer_once(monkeypatch):
     checked = []
     require = sorts.require_layer
 
-    def counting(layer, sort, allow_zero=True):
+    def counting(layer, sort):
         checked.append(layer)
-        return require(layer, sort, allow_zero)
+        return require(layer, sort)
 
     monkeypatch.setattr(sorts, "require_layer", counting)
     f = lt.full_form(lt.parse_poly("x^6 + 3:2*x^4 + 2:1*x + 9:3"))

@@ -51,14 +51,43 @@ def sort_and_layers(draw, n):
 def test_raw_ops_are_closed_and_match_checked_ops(data, n):
     """The kernels' unchecked folds rely on this: valid layers in, valid layers out."""
     sort, (k, l) = data
-    add, mul = sorts._raw_ops(sort)
     for raw, checked in (
-        (add(k, l), lt.layer_add(k, l, sort)),
-        (mul(k, l), lt.layer_mul(k, l, sort)),
-        (sorts._raw_pow(k, n, sort), lt.layer_pow_int(k, n, sort)),
+        (sort.add(k, l), lt.layer_add(k, l, sort)),
+        (sort.mul(k, l), lt.layer_mul(k, l, sort)),
+        (sort.pow(k, n), lt.layer_pow_int(k, n, sort)),
     ):
         assert sorts.layer_valid(raw, sort, allow_zero=True)
         assert raw == checked
+
+
+CAPPED = [lt.UNIT, lt.SUPER, lt.truncated(1), lt.truncated(3), lt.truncated(4)]
+EVERY_SORT = CAPPED + [lt.NAT, lt.POSQ, lt.RAT]
+
+
+@given(st.data())
+@settings(max_examples=600, deadline=None)
+def test_each_sort_is_a_commutative_semiring(data):
+    """sort.add and sort.mul on the layers with 0: INF under super, the caps."""
+    sort = data.draw(st.sampled_from(EVERY_SORT))
+    k, l, m = (data.draw(st.one_of(st.just(F(0)), layer_for(sort))) for _ in range(3))
+    add, mul = sort.add, sort.mul
+    assert add(k, l) == add(l, k)
+    assert mul(k, l) == mul(l, k)
+    assert add(add(k, l), m) == add(k, add(l, m))
+    assert mul(mul(k, l), m) == mul(k, mul(l, m))
+    assert mul(k, add(l, m)) == add(mul(k, l), mul(k, m))
+    assert add(F(0), k) == k and mul(F(0), k) == 0
+    assert mul(F(1), k) == k
+
+
+@given(st.sampled_from(CAPPED), st.integers(0, 40), st.integers(0, 40))
+@settings(max_examples=400, deadline=None)
+def test_collapse_is_a_homomorphism_from_n(sort, a, b):
+    c = sort.collapse
+    a, b = F(a), F(b)
+    assert c(a + b) == sort.add(c(a), c(b))
+    assert c(a * b) == sort.mul(c(a), c(b))
+    assert c(F(0)) == 0 and c(F(1)) == 1
 
 
 @given(sort_and_scalars(3))

@@ -56,6 +56,8 @@ def test_ls_inv():
         lt.ls_inv(sc(3, 2), lt.NAT)
     with pytest.raises(lt.NonInvertibleLayer):
         lt.ls_inv(sc(3, 0), lt.RAT)
+    with pytest.raises(lt.InvalidLayer):
+        lt.ls_inv(sc(1, F(1, 2)), lt.NAT)  # the input layer is checked too
 
 
 def test_ls_pow():
@@ -66,6 +68,17 @@ def test_ls_pow():
         lt.ls_pow(sc(2, 2), F(1, 2), lt.POSQ)  # sqrt(2) leaves Q
     # truncation caps stepwise
     assert lt.ls_pow(sc(1, 3), 2, lt.truncated(4)) == sc(2, 4)
+    # every nonzero exponent checks the input layer, not only the result's
+    for x, n, sort in [
+        (sc(0, F(1, 2)), -1, lt.NAT),
+        (sc(0, 9), F(1, 2), lt.truncated(4)),
+        (sc(0, 2), -1, lt.UNIT),
+        (sc(0, lt.INF), F(1, 2), lt.NAT),
+        (sc(0, 2), 2, lt.UNIT),
+    ]:
+        with pytest.raises(lt.InvalidLayer):
+            lt.ls_pow(x, n, sort)
+    assert lt.ls_pow(sc(3, F(1, 2)), 0, lt.NAT) == lt.ONE  # the empty product
 
 
 def test_ls_pow_roots_of_long_layers():

@@ -90,6 +90,14 @@ def test_is_ghost_sort():
     assert lt.is_ghost_sort(4, 4, T4)  # the cap is infinite
 
 
+@pytest.mark.parametrize("sort", ALL_SORTS + [T4, lt.truncated(1)], ids=str)
+def test_infinite_layer_per_sort(sort):
+    """l + p = l for all positive p: 1 under unit, INF under super, the cap."""
+    expected = {"unit": [1], "super": [lt.INF], "trunc": [sort.q]}.get(sort.kind, [])
+    candidates = [0, 1, 2, 3, 4, F(1, 2), -1, lt.INF]
+    assert [l for l in candidates if lt.infinite_layer(l, sort)] == expected
+
+
 def test_truncate_layer():
     assert lt.truncate_layer(5, 2) == 2
     assert lt.truncate_layer(1, 2) == 1
@@ -137,19 +145,23 @@ def test_monotonicity(sort):
 
 
 def test_nmul_ndiv_roundtrip():
+    """Every n-fold sum has an n-fold quotient, the cap included."""
     rng = random.Random(3)
-    for sort in [lt.NAT, lt.POSQ, lt.RAT, lt.truncated(4)]:
+    for sort in [lt.NAT, lt.POSQ, lt.RAT, lt.truncated(4), lt.truncated(1), lt.UNIT, lt.SUPER]:
         for _ in range(200):
             l = rand_layer(rng, sort)
             n = rng.randint(1, 5)
             product = lt.layer_nmul(n, l, sort)
-            try:
-                half = lt.layer_ndiv(n, product, sort)
-            except lt.LayerNotDivisible:
-                continue
+            half = lt.layer_ndiv(n, product, sort)
             assert lt.layer_nmul(n, half, sort) == product
+    assert lt.layer_ndiv(3, 4, T4) == 4  # 3 * 4 collapses to 4
+    assert lt.layer_ndiv(2, 4, T4) == 2  # l / n first, where it is a layer
     with pytest.raises(lt.LayerNotDivisible):
         lt.layer_ndiv(3, F(1), lt.NAT)
+    with pytest.raises(lt.LayerNotDivisible):
+        lt.layer_ndiv(3, 2, T4)
+    with pytest.raises(lt.LayerNotDivisible):
+        lt.layer_ndiv(2, 1, lt.SUPER)
 
 
 def _stepwise_pow(l, n, sort):
