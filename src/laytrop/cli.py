@@ -4,6 +4,11 @@ Every subcommand is deterministic for fixed inputs and flags.  Exit
 codes: 0 ok, 2 parse error, 3 domain error, 4 precondition violation.
 The default sort is the naturals; commands that need divisible layers
 suggest ``--sort posq`` in their error message.
+
+A subcommand is one row of ``COMMANDS``.  Its handler prints nothing: it
+returns the formatted result twice, as a JSON record and as text lines,
+and ``run`` prints one of them.  So a refused call prints nothing on
+stdout, even when it is refused while its result is being formatted.
 """
 
 from __future__ import annotations
@@ -37,38 +42,31 @@ from .scalars import BOTTOM, ONE, LayeredScalar, ls_mul, surpasses_L
 from .sorts import format_layer, parse_sort, truncate_layer
 
 
-def _common_flags(sub):
-    sub.add_argument(
-        "--sort",
-        default="nat",
-        help="sorting semiring: unit|super|trunc:<q>|nat|posq|q (default nat)",
-    )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-
-
 def _poly_record(f: LayeredPoly):
     return [
         [exp, format_value(c.value), format_layer(c.layer)] for exp, c in f.terms()
     ]
 
 
-def _scalar_record(x):
+def _scalar_result(x):
+    """The record and the text lines of a scalar (or BOTTOM) result."""
     if x is BOTTOM:
-        return {"scalar": None}
-    return {
-        "scalar": format_scalar(x),
-        "value": format_value(x.value),
-        "layer": format_layer(x.layer),
-    }
+        return {"scalar": None}, ["bottom"]
+    text = format_scalar(x)
+    return {"scalar": text, "value": format_value(x.value), "layer": format_layer(x.layer)}, [text]
 
 
-def _emit_scalar(x, args, sort):
-    if args.json:
-        record = _scalar_record(x)
-        record["sort"] = str(sort)
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print("bottom" if x is BOTTOM else format_scalar(x))
+def _poly_result(f: LayeredPoly):
+    text = format_poly(f)
+    return {"poly": text, "coeffs": _poly_record(f)}, [text]
+
+
+def _suggest_posq(kernel, f, sort):
+    """kernel(f, sort), suggesting ``--sort posq`` when a layer does not divide."""
+    try:
+        return kernel(f, sort)
+    except LayerNotDivisible as err:
+        raise LayerNotDivisible(f"{err}; try --sort posq") from err
 
 
 def _parse_univar(text, sort) -> LayeredPoly:
@@ -82,168 +80,90 @@ def _cmd_eval(args, sort):
     f = parse_poly(args.poly, sort)
     coords = [parse_scalar(t) for t in args.at.split(",")]
     if isinstance(f, MultiPoly):
-        value = multivar.mp_eval(f, tuple(coords), sort)
-    else:
-        if len(coords) != 1:
-            raise PreconditionViolated("univariate evaluation takes one coordinate")
-        value = p_eval(f, coords[0], sort)
-    _emit_scalar(value, args, sort)
-    return 0
+        return _scalar_result(multivar.mp_eval(f, tuple(coords), sort))
+    if len(coords) != 1:
+        raise PreconditionViolated("univariate evaluation takes one coordinate")
+    return _scalar_result(p_eval(f, coords[0], sort))
 
 
 def _cmd_truncate(args, sort):
-    layer = truncate_layer(parse_layer(args.layer), Fraction(args.q))
-    if args.json:
-        print(json.dumps({"layer": format_layer(layer), "sort": str(sort)}, sort_keys=True))
-    else:
-        print(format_layer(layer))
-    return 0
+    text = format_layer(truncate_layer(parse_layer(args.layer), Fraction(args.q)))
+    return {"layer": text}, [text]
 
 
 def _cmd_factor(args, sort):
-    f = _parse_univar(args.poly, sort)
-    try:
-        decomp = factor.primary_decomposition(f, sort)
-    except LayerNotDivisible as err:
-        raise LayerNotDivisible(f"{err}; try --sort posq") from err
+    decomp = _suggest_posq(factor.primary_decomposition, _parse_univar(args.poly, sort), sort)
+    factors = [
+        {"root": format_value(pf.root_value), "degree": pf.degree, "poly": _poly_record(pf.poly)}
+        for pf in decomp.factors
+    ]
     record = {
         "unit": format_scalar(decomp.unit),
-        "factors": [
-            {
-                "root": format_value(pf.root_value),
-                "degree": pf.degree,
-                "poly": _poly_record(pf.poly),
-            }
-            for pf in decomp.factors
-        ],
+        "factors": factors,
         "promoted_sort": decomp.promoted_sort,
         "lambda_power": decomp.lambda_power,
-        "sort": str(sort),
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-        return 0
-    print(f"unit {record['unit']}")
+    lines = [f"unit {record['unit']}"]
     if decomp.lambda_power:
-        print(f"variable power {decomp.lambda_power}")
-    for pf in decomp.factors:
-        print(
-            f"factor root={format_value(pf.root_value)} degree={pf.degree} "
-            f"poly={format_poly(pf.poly)}"
-        )
+        lines.append(f"variable power {decomp.lambda_power}")
+    for entry, pf in zip(factors, decomp.factors):
+        lines.append(f"factor root={entry['root']} degree={pf.degree} poly={format_poly(pf.poly)}")
     if decomp.promoted_sort:
-        print("promoted to posq layers")
-    return 0
+        lines.append("promoted to posq layers")
+    return record, lines
 
 
 def _cmd_roots(args, sort):
     f = _parse_univar(args.poly, sort)
     if f.is_zero:
         raise PreconditionViolated("the zero polynomial has no corner roots")
-    roots = corner_roots(f)
-    if args.json:
-        record = {
-            "roots": [
-                {"root": format_value(r), "multiplicity": m} for r, m in roots
-            ],
-            "sort": str(sort),
-        }
-        print(json.dumps(record, sort_keys=True))
-        return 0
-    if not roots:
-        print("no corner roots")
-    for r, m in roots:
-        print(f"root={format_value(r)} multiplicity={m}")
-    return 0
-
-
-def _matrix_text(matrix):
-    rows = []
-    for row in matrix.entries:
-        rows.append(
-            " ".join("_" if e is BOTTOM else format_scalar(e) for e in row)
-        )
-    return rows
+    roots = [{"root": format_value(r), "multiplicity": m} for r, m in corner_roots(f)]
+    lines = [f"root={r['root']} multiplicity={r['multiplicity']}" for r in roots]
+    return {"roots": roots}, lines or ["no corner roots"]
 
 
 def _cmd_resultant(args, sort):
     f = _parse_univar(args.f, sort)
     g = _parse_univar(args.g, sort)
-    value = resultants.resultant(f, g, sort)
+    record, lines = _scalar_result(resultants.resultant(f, g, sort))
     if not args.explain:
-        _emit_scalar(value, args, sort)
-        return 0
-    record = _scalar_record(value)
-    record["sort"] = str(sort)
-    syl = None
+        return record, lines
+    syl = layer_matrix = layer_perm = None
     if not f.is_zero and not g.is_zero and f.degree >= 1 and g.degree >= 1:
         syl = resultants.sylvester(f, g, sort)
-    layer_matrix = None
-    layer_perm = None
-    if syl is not None:
         try:
             layer_matrix = resultants.layer_sylvester(f, g, sort)
             layer_perm = resultants.layer_permanent(layer_matrix)
         except DomainError:
             pass
-    if args.json:
-        record["sylvester"] = (
-            None
-            if syl is None
-            else [
-                [None if e is BOTTOM else format_scalar(e) for e in row]
-                for row in syl.entries
-            ]
-        )
-        record["layer_sylvester"] = (
-            None
-            if layer_matrix is None
-            else [[format_value(e) for e in row] for row in layer_matrix.entries]
-        )
-        record["layer_permanent"] = (
-            None if layer_perm is None else format_value(layer_perm)
-        )
-        print(json.dumps(record, sort_keys=True))
-        return 0
+    record["sylvester"] = None if syl is None else [
+        [None if e is BOTTOM else format_scalar(e) for e in row] for row in syl.entries
+    ]
+    record["layer_sylvester"] = None if layer_matrix is None else [
+        [format_value(e) for e in row] for row in layer_matrix.entries
+    ]
+    record["layer_permanent"] = None if layer_perm is None else format_value(layer_perm)
+    explained = []
     if syl is not None:
-        print("sylvester:")
-        for line in _matrix_text(syl):
-            print(f"  {line}")
+        explained.append("sylvester:")
+        explained += ["  " + " ".join("_" if e is None else e for e in row) for row in record["sylvester"]]
     if layer_matrix is not None:
-        print("layer sylvester:")
-        for row in layer_matrix.entries:
-            print("  " + " ".join(format_value(e) for e in row))
-        print(f"layer permanent: {format_value(layer_perm)}")
-    print("bottom" if value is BOTTOM else format_scalar(value))
-    return 0
-
-
-def _emit_poly(f, args, sort):
-    if args.json:
-        record = {"poly": format_poly(f), "coeffs": _poly_record(f), "sort": str(sort)}
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(format_poly(f))
+        explained.append("layer sylvester:")
+        explained += ["  " + " ".join(row) for row in record["layer_sylvester"]]
+        explained.append(f"layer permanent: {record['layer_permanent']}")
+    return record, explained + lines
 
 
 def _cmd_derivative(args, sort):
-    _emit_poly(calculus.derivative(_parse_univar(args.poly, sort), sort), args, sort)
-    return 0
+    return _poly_result(calculus.derivative(_parse_univar(args.poly, sort), sort))
 
 
 def _cmd_integrate(args, sort):
-    f = _parse_univar(args.poly, sort)
-    try:
-        out = calculus.antiderivative(f, sort)
-    except LayerNotDivisible as err:
-        raise LayerNotDivisible(f"{err}; try --sort posq") from err
-    _emit_poly(out, args, sort)
-    return 0
+    return _poly_result(_suggest_posq(calculus.antiderivative, _parse_univar(args.poly, sort), sort))
 
 
 def _cmd_discriminant(args, sort):
-    _emit_scalar(calculus.discriminant(_parse_univar(args.poly, sort), sort), args, sort)
-    return 0
+    return _scalar_result(calculus.discriminant(_parse_univar(args.poly, sort), sort))
 
 
 def _cmd_separable(args, sort):
@@ -251,21 +171,12 @@ def _cmd_separable(args, sort):
     disc = calculus.separable_discriminant(f, sort)
     expected = calculus.separable_sort(f.degree)
     flag = disc.layer == expected
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "separable": flag,
-                    "discriminant_layer": format_layer(disc.layer),
-                    "expected_layer": format_value(expected),
-                    "sort": str(sort),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print("true" if flag else "false")
-    return 0
+    record = {
+        "separable": flag,
+        "discriminant_layer": format_layer(disc.layer),
+        "expected_layer": format_value(expected),
+    }
+    return record, ["true" if flag else "false"]
 
 
 def _parse_region(text):
@@ -309,11 +220,7 @@ def _cmd_layermap(args, sort):
                 ]
             )
         )
-    if args.json:
-        print(json.dumps({"csv": lines, "sort": str(sort)}, sort_keys=True))
-    else:
-        print("\n".join(lines))
-    return 0
+    return {"csv": lines}, lines
 
 
 def _primary_from_layers(root, layers, sort):
@@ -367,21 +274,42 @@ def _cmd_conjecture_search(args, sort):
                     ),
                 }
             )
-    if args.json:
-        print(
-            json.dumps({"checked": checked, "sort": str(sort), "violations": violations}, sort_keys=True)
-        )
-        return 0
-    if violations:
-        for v in violations:
-            print(
-                f"violation: f={v['f']} g={v['g']} h={v['h']} "
-                f"lhs={v['lhs']} rhs={v['rhs']}"
-            )
-            print(f"  reproduce: {v['reproduce']}")
-    else:
-        print(f"no violations in {checked} primary triples")
-    return 0
+    lines = []
+    for v in violations:
+        lines.append(f"violation: f={v['f']} g={v['g']} h={v['h']} lhs={v['lhs']} rhs={v['rhs']}")
+        lines.append(f"  reproduce: {v['reproduce']}")
+    return {"checked": checked, "violations": violations}, lines or [
+        f"no violations in {checked} primary triples"
+    ]
+
+
+_POLY = {"poly": {}}
+
+# (name, handler, help, {argument: add_argument options}); every subcommand
+# also takes --sort and --json, added after its own arguments.
+COMMANDS = (
+    ("eval", _cmd_eval, "evaluate a polynomial at a point",
+     {"poly": {}, "--at": {"required": True, "help": "comma-separated scalars v:l"}}),
+    ("factor", _cmd_factor, "primary decomposition", _POLY),
+    ("roots", _cmd_roots, "corner roots with multiplicities", _POLY),
+    ("resultant", _cmd_resultant, "layered resultant of two polynomials",
+     {"f": {}, "g": {}, "--explain": {"action": "store_true"}}),
+    ("derivative", _cmd_derivative, "layered derivative", _POLY),
+    ("integrate", _cmd_integrate, "layered antiderivative", _POLY),
+    ("discriminant", _cmd_discriminant, "resultant of f with its derivative", _POLY),
+    ("separable", _cmd_separable, "discriminant-layer separability test", _POLY),
+    ("layermap", _cmd_layermap, "CSV raster of the layering map",
+     {"poly": {},
+      "--region": {"required": True, "help": "lo:hi:step per axis, comma-separated"},
+      "--layers": {"required": True, "help": "coordinate layers, comma-separated"}}),
+    ("truncate", _cmd_truncate, "truncate a layer at a bound",
+     {"layer": {}, "--q": {"required": True, "type": int}}),
+    ("conjecture-search", _cmd_conjecture_search,
+     "search primary triples for surpassing-multiplicativity violations",
+     {"--max-degree": {"type": int, "default": 2},
+      "--max-layer": {"type": int, "default": 2},
+      "--limit": {"type": int, "default": 200}}),
+)
 
 
 def build_parser():
@@ -389,73 +317,17 @@ def build_parser():
         prog="laytrop", description="exact layered tropical algebra"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("eval", help="evaluate a polynomial at a point")
-    sub.add_argument("poly")
-    sub.add_argument("--at", required=True, help="comma-separated scalars v:l")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_eval)
-
-    sub = subs.add_parser("factor", help="primary decomposition")
-    sub.add_argument("poly")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_factor)
-
-    sub = subs.add_parser("roots", help="corner roots with multiplicities")
-    sub.add_argument("poly")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_roots)
-
-    sub = subs.add_parser("resultant", help="layered resultant of two polynomials")
-    sub.add_argument("f")
-    sub.add_argument("g")
-    sub.add_argument("--explain", action="store_true")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_resultant)
-
-    sub = subs.add_parser("derivative", help="layered derivative")
-    sub.add_argument("poly")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_derivative)
-
-    sub = subs.add_parser("integrate", help="layered antiderivative")
-    sub.add_argument("poly")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_integrate)
-
-    sub = subs.add_parser("discriminant", help="resultant of f with its derivative")
-    sub.add_argument("poly")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_discriminant)
-
-    sub = subs.add_parser("separable", help="discriminant-layer separability test")
-    sub.add_argument("poly")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_separable)
-
-    sub = subs.add_parser("layermap", help="CSV raster of the layering map")
-    sub.add_argument("poly")
-    sub.add_argument("--region", required=True, help="lo:hi:step per axis, comma-separated")
-    sub.add_argument("--layers", required=True, help="coordinate layers, comma-separated")
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_layermap)
-
-    sub = subs.add_parser("truncate", help="truncate a layer at a bound")
-    sub.add_argument("layer")
-    sub.add_argument("--q", required=True, type=int)
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_truncate)
-
-    sub = subs.add_parser(
-        "conjecture-search",
-        help="search primary triples for surpassing-multiplicativity violations",
-    )
-    sub.add_argument("--max-degree", type=int, default=2)
-    sub.add_argument("--max-layer", type=int, default=2)
-    sub.add_argument("--limit", type=int, default=200)
-    _common_flags(sub)
-    sub.set_defaults(handler=_cmd_conjecture_search)
-
+    for name, handler, help_text, arguments in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for argument, options in arguments.items():
+            sub.add_argument(argument, **options)
+        sub.add_argument(
+            "--sort",
+            default="nat",
+            help="sorting semiring: unit|super|trunc:<q>|nat|posq|q (default nat)",
+        )
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -464,7 +336,7 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         sort = parse_sort(args.sort)
-        return args.handler(args, sort)
+        record, lines = args.handler(args, sort)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -474,6 +346,11 @@ def run(argv) -> int:
     except PreconditionViolated as err:
         print(f"precondition violated: {err}", file=sys.stderr)
         return 4
+    if args.json:
+        print(json.dumps({**record, "sort": str(sort)}, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import LayeredPoly, full_form, monomial, p_mul, p_shift, poly
+from .polys import LayeredPoly, full_form, monomial, p_mul, p_shift, poly, slopes
 from .scalars import ONE, LayeredScalar, ls_mul, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
@@ -83,30 +83,23 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     inv_lead = LayeredScalar(-lead.value, sorts.layer_div(Fraction(1), lead.layer, work_sort))
     monic = full_form(poly({e: ls_mul(c, inv_lead, work_sort) for e, c in base.terms()}))
 
+    d = monic.degree
     factors = []
-    rest = monic
-    while rest.degree > 0:
-        exps = sorted(rest.coeffs)
-        lo = exps[0]
-        values = [rest.coeffs[e].value for e in exps]
-        slope0 = values[0] - values[1]
-        j = 1
-        while j + 1 < len(exps) and values[j] - values[j + 1] == slope0:
-            j += 1
-        pivot = rest.coeffs[exps[j]]
-        factor_coeffs = {}
-        for e in exps[: j + 1]:
-            c = rest.coeffs[e]
-            factor_coeffs[e - lo] = LayeredScalar(
-                c.value - pivot.value, sorts.layer_div(c.layer, pivot.layer, work_sort)
-            )
-        fpoly = LayeredPoly(factor_coeffs, form="full")
-        degree = exps[j] - lo
-        root = Fraction(values[0] - values[j], degree)
-        factors.append(PrimaryFactor(root, fpoly, degree))
-        rest = LayeredPoly(
-            {e - exps[j]: rest.coeffs[e] for e in exps[j:]}, form="full"
+    for _, (start, end) in reversed(slopes(monic)):  # bottom part first
+        lo, hi = d - end, d - start
+        pivot = monic.coeffs[hi]
+        fpoly = LayeredPoly(
+            {
+                e - lo: LayeredScalar(
+                    monic.coeffs[e].value - pivot.value,
+                    sorts.layer_div(monic.coeffs[e].layer, pivot.layer, work_sort),
+                )
+                for e in range(lo, hi + 1)
+            },
+            form="full",
         )
+        root = Fraction(monic.coeffs[lo].value - pivot.value, hi - lo)
+        factors.append(PrimaryFactor(root, fpoly, hi - lo))
 
     factors.reverse()
     promoted = False

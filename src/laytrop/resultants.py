@@ -33,6 +33,10 @@ from .polys import LayeredPoly, full_form
 from .scalars import BOTTOM, LayeredScalar, ls_add, ls_mul, ls_pow
 from .sorts import SUPER, UNIT, Sort
 
+# A Sylvester matrix of more than this many rows (m + n for degrees m and
+# n) is refused before any row is built: its rows hold (m + n)**2 cells.
+MAX_SYLVESTER_SIZE = 2 ** 12
+
 
 @dataclass(frozen=True)
 class LayeredMatrix:
@@ -132,7 +136,8 @@ def sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredMatrix:
     """The (m+n) x (m+n) staircase of full-form coefficients.
 
     Inputs are normalized to full form first; absent exponents (below a
-    power of the variable dividing the input) stay BOTTOM.
+    power of the variable dividing the input) stay BOTTOM.  A size above
+    ``MAX_SYLVESTER_SIZE`` raises OutOfRange.
     """
     f = full_form(f)
     g = full_form(g)
@@ -140,6 +145,10 @@ def sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredMatrix:
         raise DegreeZero("sylvester needs two polynomials of degree >= 1")
     m, n = f.degree, g.degree
     size = m + n
+    if size > MAX_SYLVESTER_SIZE:
+        raise OutOfRange(
+            f"a Sylvester matrix of size {size} exceeds the limit of {MAX_SYLVESTER_SIZE}"
+        )
     rows = []
     for r in range(n):
         row = [BOTTOM] * size

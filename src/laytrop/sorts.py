@@ -61,6 +61,11 @@ _ONE = Fraction(1)
 # numerator or denominator (2**14 bits, about 4900 decimal digits).
 MAX_LAYER_BITS = 1 << 14
 
+# A checked layer of trunc:q has at most bits(q) bits.  Up to this many
+# bits of q its clamped power (at most bits(q)**2 bits) is taken in one
+# exact step; under a longer q the power collapses after each product.
+_SHORT_Q_BITS = 64
+
 
 def _same(x):
     return x
@@ -115,6 +120,8 @@ class Sort:
         Once 2**n > q (q = 1 under unit and super) every power of a
         layer >= 2 collapses to the same layer, hence the clamp; without
         a collapse ``bounded_pow`` refuses powers beyond MAX_LAYER_BITS.
+        Under a long q the clamped power is taken by repeated squaring
+        with a collapse after each product, so it costs about bits(q)**2.
         """
         if n < 0:
             raise InvalidLayer("integer layer power needs n >= 0")
@@ -122,7 +129,20 @@ class Sort:
             return _ONE
         if self.exact:
             return bounded_pow(l, n)
-        return self.collapse(l ** min(n, (self.q or 1).bit_length()))
+        q_bits = (self.q or 1).bit_length()
+        n = min(n, q_bits)
+        if q_bits <= _SHORT_Q_BITS:
+            return self.collapse(l ** n)
+        # Square and multiply, collapsing every product: exact because the
+        # collapse is a congruence, and no operand outgrows q.
+        out = _ONE
+        while True:
+            if n & 1:
+                out = self.mul(out, l)
+            n >>= 1
+            if not n:
+                return out
+            l = self.mul(l, l)
 
 
 UNIT = Sort("unit", member=lambda l: l == 1, collapse=lambda x: _ONE if x else x)
@@ -151,13 +171,17 @@ _NAMED = {str(sort): sort for sort in (UNIT, SUPER, NAT, POSQ, RAT)}
 
 
 def parse_sort(text: str) -> Sort:
-    """Parse the CLI grammar ``unit|super|trunc:<q>|nat|posq|q``."""
+    """Parse the CLI grammar ``unit|super|trunc:<q>|nat|posq|q``.
+
+    q is a run of ASCII digits: no sign, space, separator or other script.
+    """
     if text in _NAMED:
         return _NAMED[text]
-    if text.startswith("trunc:"):
+    digits = text[len("trunc:"):]
+    if text.startswith("trunc:") and digits.isascii() and digits.isdigit():
         try:
-            return truncated(int(text[len("trunc:"):]))
-        except ValueError:
+            return truncated(int(digits))
+        except ValueError:  # more digits than int() converts
             pass
     raise InvalidLayer(f"unknown sort {text!r}")
 

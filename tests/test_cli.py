@@ -46,6 +46,87 @@ def test_resultant_explain(capsys):
     assert record["layer_permanent"] == "3"
 
 
+def test_resultant_explain_text(capsys):
+    code, out, _ = run_cli(capsys, "resultant", "x^2+1:1*x+2:1", "x+1:2", "--explain")
+    assert code == 0
+    assert out == (
+        "sylvester:\n"
+        "  2:1 1:1 0:1\n"
+        "  1:2 0:1 _\n"
+        "  _ 1:2 0:1\n"
+        "layer sylvester:\n"
+        "  1 1 1\n"
+        "  2 1 0\n"
+        "  0 2 1\n"
+        "layer permanent: 7\n"
+        "2:7\n"
+    )
+    # roots 1 and 3 differ, so there is no layer Sylvester matrix
+    code, out, _ = run_cli(capsys, "resultant", "x^2+1:1*x+2:1", "x+3:1", "--explain")
+    assert (code, out) == (0, "sylvester:\n  2:1 1:1 0:1\n  3:1 0:1 _\n  _ 3:1 0:1\n6:1\n")
+    # a constant input has no Sylvester matrix at all
+    code, out, _ = run_cli(capsys, "resultant", "3:2", "x+1:1", "--explain")
+    assert (code, out) == (0, "3:2\n")
+    code, out, _ = run_cli(capsys, "resultant", "3:2", "x+1:1", "--explain", "--json")
+    assert json.loads(out) == {
+        "layer": "2", "layer_permanent": None, "layer_sylvester": None, "scalar": "3:2",
+        "sort": "nat", "sylvester": None, "value": "3",
+    }
+
+
+def test_factor_text_variable_power_and_promotion(capsys):
+    code, out, _ = run_cli(capsys, "factor", "2:2*x^2 + 3:1*x")
+    assert code == 0
+    assert out == (
+        "unit 2:2\n"
+        "variable power 1\n"
+        "factor root=1 degree=1 poly=x + 1:1/2\n"
+        "promoted to posq layers\n"
+    )
+    code, out, _ = run_cli(capsys, "factor", "2:2*x^2 + 3:1*x", "--json")
+    assert out == (
+        '{"factors": [{"degree": 1, "poly": [[0, "1", "1/2"], [1, "0", "1"]], "root": "1"}], '
+        '"lambda_power": 1, "promoted_sort": true, "sort": "nat", "unit": "2:2"}\n'
+    )
+
+
+def test_roots_none(capsys):
+    assert run_cli(capsys, "roots", "x^2")[:2] == (0, "no corner roots\n")
+    assert run_cli(capsys, "roots", "3:1", "--json")[:2] == (0, '{"roots": [], "sort": "nat"}\n')
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["eval", "x^2+2:1*x+4:1", "--at", "2:1"],
+            '{"layer": "3", "scalar": "4:3", "sort": "nat", "value": "4"}',
+        ),
+        (["truncate", "5", "--q", "2"], '{"layer": "2", "sort": "nat"}'),
+        (
+            ["derivative", "x^2+3:1*x+5:1"],
+            '{"coeffs": [[0, "3", "1"], [1, "0", "2"]], "poly": "0:2*x + 3:1", "sort": "nat"}',
+        ),
+        (
+            ["integrate", "3:2*x", "--sort", "posq"],
+            '{"coeffs": [[2, "3", "1"]], "poly": "3:1*x^2", "sort": "posq"}',
+        ),
+        (
+            ["discriminant", "x^2+2:1*x+3:1", "--sort", "posq"],
+            '{"layer": "3", "scalar": "4:3", "sort": "posq", "value": "4"}',
+        ),
+        (
+            ["layermap", "x1 + x2 + 0:1", "--region=0:1:1,0:1:1", "--layers", "1,1"],
+            '{"csv": ["x1,x2,value,layer,csupp,component", "0,0,0,3,3,", "0,1,1,1,1,0;1", '
+            '"1,0,1,1,1,1;0", "1,1,1,2,2,"], "sort": "nat"}',
+        ),
+    ],
+    ids=["eval", "truncate", "derivative", "integrate", "discriminant", "layermap"],
+)
+def test_json_records(capsys, argv, out):
+    assert run_cli(capsys, *argv, "--json")[:2] == (0, out + "\n")
+
+
 def test_factor_json(capsys):
     code, out, _ = run_cli(
         capsys, "factor", "x^2+2:1*x+3:1", "--sort", "posq", "--json"
@@ -243,24 +324,35 @@ NINES = "9" * 4000  # the longest literal; the grid size then has 8000 digits
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        ["eval", "x^99999999999", "--at", "1:2"],
-        ["eval", "x^99999999999", "--at", "1:1", "--sort", "unit"],
-        ["eval", "x^20000", "--at", "0:2"],
-        ["eval", "x", "--at", "0:" + "1" * 5000],
-        ["eval", f"0:{SEVENS}*x", "--at", f"0:{SEVENS}"],
-        ["eval", "x1^1/2", "--at", "0:" + "4" * 400, "--sort", "posq"],
+        (["eval", "x^99999999999", "--at", "1:2"], None),
+        (["eval", "x^99999999999", "--at", "1:1", "--sort", "unit"], None),
+        (["eval", "x^20000", "--at", "0:2"], None),
+        (["eval", "x", "--at", "0:" + "1" * 5000], None),
+        (["eval", f"0:{SEVENS}*x", "--at", f"0:{SEVENS}"], None),
+        (["eval", "x1^1/2", "--at", "0:" + "4" * 400, "--sort", "posq"], None),
+        (["eval", "x^20000", "--at", "0:" + "9" * 3999, "--sort", "trunc:" + NINES], (0, f"0:{NINES}\n")),
     ],
-    ids=["huge-power", "huge-power-unit", "long-power", "long-literal", "long-product", "root-of-long-layer"],
+    ids=[
+        "huge-power",
+        "huge-power-unit",
+        "long-power",
+        "long-literal",
+        "long-product",
+        "root-of-long-layer",
+        "long-power-long-trunc",
+    ],
 )
-def test_big_numbers_end_in_bounded_time_without_traceback(argv):
+def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "laytrop.cli", *argv], env=env, capture_output=True, text=True, timeout=10
     )
     assert proc.returncode in (0, 2, 3)
     assert "Traceback" not in proc.stderr
+    if expected is not None:
+        assert (proc.returncode, proc.stdout) == expected
 
 
 @pytest.mark.parametrize(
@@ -273,6 +365,12 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv):
         (["eval", "x1^-1", "--at", "0:1/2", "--sort", "nat"], 3),
         (["eval", "x1^1/2", "--at", "0:9", "--sort", "trunc:4"], 3),
         (["layermap", "x1", f"--region=0:{NINES}:1/{NINES}", "--layers", "1"], 3),
+        (["discriminant", "x^20000"], 3),
+        (["resultant", "x^20000", "x^2+1:1"], 3),
+        (["eval", "x^2", "--at", "0:3", "--sort", "trunc:1_0"], 3),
+        (["eval", "x^2", "--at", "0:3", "--sort", "trunc: 4"], 3),
+        (["eval", "x^2", "--at", "0:3", "--sort", "trunc:+4"], 3),
+        (["eval", "x^2", "--at", "0:3", "--sort", "trunc:\u0664"], 3),
     ],
     ids=[
         "constant-eval",
@@ -282,6 +380,12 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv):
         "inverse-of-invalid-layer",
         "root-of-invalid-layer",
         "grid-size-too-long-to-print",
+        "sylvester-too-large-discriminant",
+        "sylvester-too-large-resultant",
+        "sort-digit-separator",
+        "sort-space",
+        "sort-sign",
+        "sort-non-ascii-digit",
     ],
 )
 def test_refused_at_once_without_traceback(argv, code):

@@ -187,6 +187,19 @@ def test_layer_pow_int_matches_stepwise_product(sort):
         assert lt.layer_pow_int(l, 0, sort) == 1  # the empty product, valid layer or not
 
 
+def test_layer_pow_int_under_a_long_truncation():
+    """Past 64 bits of q the power is squared with a collapse after each
+    product; it must equal the exact power, capped at q."""
+    q = 3**80  # 127 bits
+    sort = lt.truncated(q)
+    rng = random.Random(8)
+    layers = [F(0), F(1), F(2), F(3), F(q - 1), F(q)] + [F(rng.randint(2, 2**40)) for _ in range(10)]
+    for l in layers:
+        for n in range(0, 140, 3):
+            assert lt.layer_pow_int(l, n, sort) == min(l**n, q)
+    assert lt.layer_pow_int(2, 10**18, sort) == q
+
+
 def test_layer_pow_int_is_bounded():
     for sort in (lt.UNIT, lt.SUPER, T4):  # clamped exponent: constant time
         assert lt.layer_pow_int(1, 10**18, sort) == 1
@@ -219,5 +232,6 @@ def test_format_refuses_numbers_too_long_to_print():
 def test_parse_format_sort():
     for text in ["unit", "super", "trunc:5", "nat", "posq", "q"]:
         assert str(lt.parse_sort(text)) == text
-    with pytest.raises(lt.InvalidLayer):
-        lt.parse_sort("bogus")
+    for text in ["bogus", "trunc:1_0", "trunc: 4", "trunc:+4", "trunc:\u0664", "trunc:", "trunc:0"]:
+        with pytest.raises(lt.InvalidLayer):
+            lt.parse_sort(text)
