@@ -15,8 +15,8 @@ Every other layer rule is derived from these two parts:
 
 * ``Sort.add`` and ``Sort.mul``: the exact sum or product, collapsed;
 * ``Sort.pow``: the exact power, collapsed.  Where the collapse is not
-  the identity the exponent is clamped to ``(q or 1).bit_length()``,
-  beyond which every power collapses to the same layer;
+  the identity the exponent is clamped where every further power
+  collapses to the same layer, so the exact power stays short;
 * ``layer_valid`` and ``require_layer``: the membership test;
 * ``infinite_layer``: l + 1 collapses to l (never where the collapse is
   the identity);
@@ -60,11 +60,6 @@ _ONE = Fraction(1)
 # Exact powers under nat, posq and q are refused beyond this many bits of
 # numerator or denominator (2**14 bits, about 4900 decimal digits).
 MAX_LAYER_BITS = 1 << 14
-
-# A checked layer of trunc:q has at most bits(q) bits.  Up to this many
-# bits of q its clamped power (at most bits(q)**2 bits) is taken in one
-# exact step; under a longer q the power collapses after each product.
-_SHORT_Q_BITS = 64
 
 
 def _same(x):
@@ -120,8 +115,9 @@ class Sort:
         Once 2**n > q (q = 1 under unit and super) every power of a
         layer >= 2 collapses to the same layer, hence the clamp; without
         a collapse ``bounded_pow`` refuses powers beyond MAX_LAYER_BITS.
-        Under a long q the clamped power is taken by repeated squaring
-        with a collapse after each product, so it costs about bits(q)**2.
+        Under trunc:q a layer of b >= 2 bits has l**n >= 2**((b-1)*n), so
+        n is also clamped to ceil(bits(q) / (b-1)): the exact power then
+        has at most about 2 * bits(q) + b bits.
         """
         if n < 0:
             raise InvalidLayer("integer layer power needs n >= 0")
@@ -131,18 +127,9 @@ class Sort:
             return bounded_pow(l, n)
         q_bits = (self.q or 1).bit_length()
         n = min(n, q_bits)
-        if q_bits <= _SHORT_Q_BITS:
-            return self.collapse(l ** n)
-        # Square and multiply, collapsing every product: exact because the
-        # collapse is a congruence, and no operand outgrows q.
-        out = _ONE
-        while True:
-            if n & 1:
-                out = self.mul(out, l)
-            n >>= 1
-            if not n:
-                return out
-            l = self.mul(l, l)
+        if self.q and l > 1:  # l is never INF here: q is None under super
+            n = min(n, -(-q_bits // (_bits(l) - 1)))
+        return self.collapse(l ** n)
 
 
 UNIT = Sort("unit", member=lambda l: l == 1, collapse=lambda x: _ONE if x else x)

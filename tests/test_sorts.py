@@ -188,8 +188,8 @@ def test_layer_pow_int_matches_stepwise_product(sort):
 
 
 def test_layer_pow_int_under_a_long_truncation():
-    """Past 64 bits of q the power is squared with a collapse after each
-    product; it must equal the exact power, capped at q."""
+    """The exponent clamp from the bit lengths of q and l must leave the
+    power equal to the exact power, capped at q."""
     q = 3**80  # 127 bits
     sort = lt.truncated(q)
     rng = random.Random(8)
