@@ -87,7 +87,7 @@ def _cmd_eval(args, sort):
 
 
 def _cmd_truncate(args, sort):
-    text = format_layer(truncate_layer(parse_layer(args.layer), Fraction(args.q)))
+    text = format_layer(truncate_layer(parse_layer(args.layer), args.q))
     return {"layer": text}, [text]
 
 

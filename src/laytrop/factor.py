@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import LayeredPoly, full_form, monomial, p_mul, p_shift, poly, slopes
+from .polys import LayeredPoly, essential_form, full_form, monomial, p_eval, p_mul, p_shift, poly, slopes
 from .scalars import ONE, LayeredScalar, ls_mul, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
@@ -35,11 +35,11 @@ class PrimaryDecomposition:
     lambda_power: int = 0
     promoted_sort: bool = False
 
-    def product(self, sort: Sort, include_lambda: bool = True) -> LayeredPoly:
+    def product(self, sort: Sort) -> LayeredPoly:
         out = monomial(0, self.unit)
         for factor in self.factors:
             out = p_mul(out, factor.poly, sort)
-        if include_lambda and self.lambda_power:
+        if self.lambda_power:
             out = p_shift(out, self.lambda_power)
         return out
 
@@ -107,9 +107,9 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
         layers = [lead.layer] + [
             c.layer for factor in factors for c in factor.poly.coeffs.values()
         ]
-        promoted = not all(layer_valid(l, NAT, allow_zero=True) for l in layers)
+        promoted = not all(l == 0 or layer_valid(l, NAT) for l in layers)
     decomp = PrimaryDecomposition(lead, tuple(factors), u, promoted)
-    if decomp.product(work_sort, include_lambda=False) != full_form(base):
+    if decomp.product(work_sort) != full_form(f):
         raise AssertionError("primary decomposition failed its reconstruction check")
     return decomp
 
@@ -123,8 +123,6 @@ def separable_factor(f: LayeredPoly, sort: Sort):
     multiple corner root) or an interior coefficient survives on a hull
     edge.
     """
-    from .polys import essential_form
-
     if f.is_zero:
         raise NotSeparable("the zero polynomial has no linear factorization")
     if f.coeffs[f.degree].value != 0:
@@ -215,8 +213,6 @@ def linear_divides_via_zero_layer(f, l, sort: Sort) -> bool:
     Evaluates the primary polynomial at its root value with layer -l;
     landing in the 0 layer is equivalent to (x + <a>^l) dividing it.
     """
-    from .polys import p_eval
-
     if sort != RAT:
         raise PreconditionViolated("the zero-layer probe needs the rational sort")
     p = _as_poly(f)

@@ -66,8 +66,7 @@ def _check_point(F: MultiPoly, point):
 def monomial_value(exps, coeff, point, sort: Sort) -> LayeredScalar:
     """coeff * prod x_j ** e_j; a constant's layer is checked on its own."""
     if not any(exps):
-        sorts.require_layer(coeff.layer, sort)
-        return coeff
+        return LayeredScalar(coeff.value, sorts.require_layer(coeff.layer, sort))
     out = coeff
     for e, x in zip(exps, point):
         if e == 0:

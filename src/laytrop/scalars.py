@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sorts
-from .errors import InvalidLayer, NonInvertibleLayer
-from .sorts import INF, Sort, as_layer, is_inf
+from .errors import NonInvertibleLayer
+from .sorts import Sort, as_layer, is_inf
 
 
 @dataclass(frozen=True)
@@ -120,50 +120,8 @@ def ls_inv(x: LayeredScalar, sort: Sort) -> LayeredScalar:
     return LayeredScalar(-x.value, inv_layer)
 
 
-def _int_nth_root(n: int, k: int):
-    """Exact k-th root of a non-negative integer, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1) or k == 1:
-        return n
-    if k >= n.bit_length():  # 2 ** k > n, and 1 ** k = 1 < n
-        return None
-    # integer Newton iteration, falling from a start above the root
-    root = 1 << -(-n.bit_length() // k)
-    while True:
-        step = ((k - 1) * root + n // root ** (k - 1)) // k
-        if step >= root:
-            return root if root ** k == n else None
-        root = step
-
-
-def _layer_pow(l, n: Fraction, sort: Sort):
-    """Exact l ** n for rational n, staying inside the sort."""
-    if is_inf(l):
-        if n > 0:
-            return INF
-        raise InvalidLayer("negative powers of the infinite layer are undefined")
-    if n.denominator == 1:
-        if l == 0 and n < 0:
-            raise InvalidLayer("layer 0 has no negative powers")
-        return sorts.bounded_pow(l, n.numerator)
-    if l == 0:
-        if n > 0:
-            return Fraction(0)
-        raise InvalidLayer("layer 0 has no negative powers")
-    if l < 0:
-        raise InvalidLayer("fractional powers of negative layers leave the rationals")
-    num = _int_nth_root(l.numerator, n.denominator)
-    den = _int_nth_root(l.denominator, n.denominator)
-    if num is None or den is None:
-        raise InvalidLayer(
-            f"layer {sorts.format_layer(l)} has no exact {n.denominator}-th root"
-        )
-    return sorts.bounded_pow(Fraction(num, den), n.numerator)
-
-
 def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
-    """x ** n for rational n.
+    """x ** n for rational n; the layer is ``Sort.pow``'s.
 
     For n != 0 x's layer and the result must be layers of the sort, or
     0; n = 0 gives ONE for any x.
@@ -171,13 +129,6 @@ def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
     n = Fraction(n)
     if n == 0:
         return ONE
-    if n.denominator == 1 and n > 0:
-        # the n-fold product inside the sort, so truncation caps apply
-        layer = sorts.layer_pow_int(x.layer, n.numerator, sort)
-    else:
-        layer = _layer_pow(sorts.require_layer(x.layer, sort), n, sort)
-        if not sorts.layer_valid(layer, sort, allow_zero=True):
-            raise InvalidLayer(
-                f"layer {sorts.format_layer(x.layer)} ** {n} leaves sort {sort}"
-            )
-    return LayeredScalar(x.value * n, layer)
+    # an integral exponent goes on as an int, to Sort.pow's n-fold product
+    e = n.numerator if n.denominator == 1 else n
+    return LayeredScalar(x.value * n, sorts.layer_pow_int(x.layer, e, sort))

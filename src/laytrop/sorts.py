@@ -14,10 +14,14 @@ of layers back into the sort), both fixed where the sort is defined:
 Every other layer rule is derived from these two parts:
 
 * ``Sort.add`` and ``Sort.mul``: the exact sum or product, collapsed;
-* ``Sort.pow``: the exact power, collapsed.  Where the collapse is not
-  the identity the exponent is clamped where every further power
-  collapses to the same layer, so the exact power stays short;
+* ``Sort.pow``: for a positive integer exponent the exact power,
+  collapsed.  Where the collapse is not the identity the exponent is
+  clamped where every further power collapses to the same layer, so the
+  exact power stays short.  Any other rational exponent gives the exact
+  power (a root, then a power), not collapsed, since it is no n-fold
+  product; it must be 0 or a member of the sort;
 * ``layer_valid`` and ``require_layer``: the membership test;
+* ``truncate_layer``: the collapse of ``truncated(q)`` on its own;
 * ``infinite_layer``: l + 1 collapses to l (never where the collapse is
   the identity);
 * ``layer_nmul`` and ``layer_ndiv``: the n-fold sum, and its inverse
@@ -41,7 +45,7 @@ Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:
 0 + l = l and 0 * l = 0.  It is not a member of the sort (except under
 ``RAT``), so ``layer_valid`` rejects it elsewhere, but ``require_layer``
-admits it.
+admits it; a caller that admits it writes ``l == 0 or layer_valid(l, sort)``.
 """
 
 from __future__ import annotations
@@ -64,11 +68,6 @@ MAX_LAYER_BITS = 1 << 14
 
 def _same(x):
     return x
-
-
-def _cap(q):
-    """The collapse of ``truncated(q)``: every layer >= q goes to q."""
-    return lambda x: x if x < q else q
 
 
 @dataclass(frozen=True)
@@ -109,20 +108,32 @@ class Sort:
     def __repr__(self):
         return f"Sort({self})"
 
-    def pow(self, l, n: int):
-        """l multiplied with itself n times (n >= 0), for a checked layer.
+    def pow(self, l, n):
+        """l ** n for a checked layer l (0 included) and a rational n.
 
-        Once 2**n > q (q = 1 under unit and super) every power of a
-        layer >= 2 collapses to the same layer, hence the clamp; without
-        a collapse ``bounded_pow`` refuses powers beyond MAX_LAYER_BITS.
-        Under trunc:q a layer of b >= 2 bits has l**n >= 2**((b-1)*n), so
-        n is also clamped to ceil(bits(q) / (b-1)): the exact power then
-        has at most about 2 * bits(q) + b bits.
+        n = 0 gives 1 for any l.  A positive integer n gives the n-fold
+        product, collapsed.  Once 2**n > q (q = 1 under unit and super)
+        every power of a layer >= 2 collapses to the same layer, hence
+        the clamp; without a collapse ``bounded_pow`` refuses powers
+        beyond MAX_LAYER_BITS.  Under trunc:q a layer of b >= 2 bits has
+        l**n >= 2**((b-1)*n), so n is also clamped to
+        ceil(bits(q) / (b-1)): the exact power then has at most about
+        2 * bits(q) + b bits.
+
+        Any other n gives the exact power (an integer root, then
+        ``bounded_pow``).  A root is not an n-fold product, so it is not
+        collapsed: InvalidLayer unless it is 0 or a member of the sort.
         """
-        if n < 0:
-            raise InvalidLayer("integer layer power needs n >= 0")
         if n == 0:
             return _ONE
+        if not isinstance(n, int) or n < 0:
+            n = Fraction(n)
+            if n.denominator != 1 or n < 0:
+                out = _exact_pow(l, n)
+                if out != 0 and not self.member(out):
+                    raise InvalidLayer(f"layer {format_layer(l)} ** {n} leaves sort {self}")
+                return out
+            n = n.numerator
         if self.exact:
             return bounded_pow(l, n)
         q_bits = (self.q or 1).bit_length()
@@ -146,11 +157,12 @@ RAT = Sort("q", member=lambda l: isinstance(l, Fraction))
 def truncated(q: int) -> Sort:
     if not isinstance(q, int) or q < 1:
         raise InvalidLayer(f"truncation bound must be a positive integer, got {q!r}")
+    cap = Fraction(q)
     return Sort(
         "trunc",
         q,
         member=lambda l: isinstance(l, Fraction) and l.denominator == 1 and 1 <= l.numerator <= q,
-        collapse=_cap(Fraction(q)),
+        collapse=lambda x: x if x < cap else cap,
     )
 
 
@@ -192,13 +204,13 @@ def as_layer(value) -> Layer:
     raise InvalidLayer(f"not a layer: {value!r}")
 
 
-def layer_valid(layer, sort: Sort, allow_zero: bool = False) -> bool:
-    """Membership of ``layer`` in the sort (optionally admitting formal 0)."""
+def layer_valid(layer, sort: Sort) -> bool:
+    """Membership of ``layer`` in the sort."""
     if isinstance(layer, int):
         layer = Fraction(layer)
     elif not isinstance(layer, Fraction) and not is_inf(layer):
         return False
-    return (allow_zero and layer == 0) or sort.member(layer)
+    return sort.member(layer)
 
 
 def require_layer(layer, sort: Sort) -> Layer:
@@ -243,13 +255,9 @@ def is_ghost_sort(l, base, sort: Sort) -> bool:
     return l == base and infinite_layer(l, sort)
 
 
-def truncate_layer(l, q) -> Layer:
+def truncate_layer(l, q: int) -> Layer:
     """The collapse of ``truncated(q)`` on one layer: every layer >= q goes to q."""
-    l = as_layer(l)
-    q = as_layer(q)
-    if is_inf(q) or q <= 0:
-        raise InvalidLayer("truncation bound must be finite and positive")
-    return _cap(q)(l)
+    return truncated(q).collapse(as_layer(l))
 
 
 def layer_nmul(n: int, l, sort: Sort) -> Layer:
@@ -296,12 +304,48 @@ def layer_div(k, l, sort: Sort) -> Layer:
     return x
 
 
-def layer_pow_int(l, n: int, sort: Sort) -> Layer:
-    """l multiplied with itself n times (n >= 0); n = 0 gives layer 1.
+def layer_pow_int(l, n, sort: Sort) -> Layer:
+    """l ** n for a rational n; n = 0 gives layer 1.
 
-    Checks l (only when n > 0) and returns ``Sort.pow``.
+    Checks l (only when n != 0) and returns ``Sort.pow``.
     """
-    return sort.pow(require_layer(l, sort) if n > 0 else l, n)
+    return sort.pow(require_layer(l, sort) if n else l, n)
+
+
+def _int_nth_root(n: int, k: int):
+    """Exact k-th root of a positive integer (k >= 2), or None."""
+    if n == 1:
+        return 1
+    if k >= n.bit_length():  # 2 ** k > n, and 1 ** k = 1 < n
+        return None
+    # integer Newton iteration, falling from a start above the root
+    root = 1 << -(-n.bit_length() // k)
+    while True:
+        step = ((k - 1) * root + n // root ** (k - 1)) // k
+        if step >= root:
+            return root if root ** k == n else None
+        root = step
+
+
+def _exact_pow(l, n: Fraction) -> Layer:
+    """The exact l ** n, or InvalidLayer where it is not a rational or INF."""
+    if is_inf(l):
+        if n > 0:
+            return INF
+        raise InvalidLayer("negative powers of the infinite layer are undefined")
+    if l == 0:
+        if n > 0:
+            return _ZERO
+        raise InvalidLayer("layer 0 has no negative powers")
+    if n.denominator == 1:
+        return bounded_pow(l, n.numerator)
+    if l < 0:
+        raise InvalidLayer("fractional powers of negative layers leave the rationals")
+    num = _int_nth_root(l.numerator, n.denominator)
+    den = _int_nth_root(l.denominator, n.denominator)
+    if num is None or den is None:
+        raise InvalidLayer(f"layer {format_layer(l)} has no exact {n.denominator}-th root")
+    return bounded_pow(Fraction(num, den), n.numerator)
 
 
 def _bits(x: Fraction) -> int:

@@ -144,6 +144,7 @@ def test_truncate(capsys):
     code, out, _ = run_cli(capsys, "truncate", "5", "--q", "2")
     assert code == 0
     assert out == "2\n"
+    assert run_cli(capsys, "truncate", "inf", "--q", "3")[:2] == (0, "3\n")
 
 
 def test_eval(capsys):
@@ -371,6 +372,8 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
         (["eval", "x^2", "--at", "0:3", "--sort", "trunc: 4"], 3),
         (["eval", "x^2", "--at", "0:3", "--sort", "trunc:+4"], 3),
         (["eval", "x^2", "--at", "0:3", "--sort", "trunc:\u0664"], 3),
+        (["truncate", "5", "--q", "0"], 3),
+        (["truncate", "5", "--q", "-1"], 3),
     ],
     ids=[
         "constant-eval",
@@ -386,6 +389,8 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
         "sort-space",
         "sort-sign",
         "sort-non-ascii-digit",
+        "truncate-zero-bound",
+        "truncate-negative-bound",
     ],
 )
 def test_refused_at_once_without_traceback(argv, code):

@@ -66,7 +66,7 @@ def outcome(fn, *args):
 
 def rand_layer(rng, sort):
     """Mostly a layer of the sort (0, caps, INF, negatives included), else any."""
-    valid = [l for l in LAYERS if sorts.layer_valid(l, sort, allow_zero=True)]
+    valid = [l for l in LAYERS if l == 0 or sorts.layer_valid(l, sort)]
     if rng.random() < 0.9:
         small = [l for l in valid if l is not HUGE]
         return rng.choice(small if small and rng.random() < 0.9 else valid)
@@ -130,7 +130,7 @@ def test_eval_sort_matches_stepwise_product(sort):
             b = lt.LayeredScalar(rng.choice(roots) + rng.choice([0, 0, 1, -1, F(1, 3)]), rand_layer(rng, sort))
             got = outcome(lt.eval_sort, dec, b, sort)
             assert got == outcome(oracle_eval_sort, dec, b, sort), (f, dsort, b)
-            valid_b = sorts.layer_valid(b.layer, sort, allow_zero=True)
+            valid_b = b.layer == 0 or sorts.layer_valid(b.layer, sort)
             if sort == dsort != lt.NAT and valid_b and not replaced and not isinstance(got, type):
                 assert got == lt.p_eval(lt.full_form(f), b, sort).layer, (f, b)
     assert decomposed >= 100

@@ -36,6 +36,16 @@ def test_constant_monomials_are_checked():
         lt.grid_scan(f, [(-2, -1, 1)], [1], lt.UNIT)
 
 
+def test_constant_monomial_layer_is_a_fraction():
+    """mp_eval gives a constant's layer in the universal encoding, as p_eval does."""
+    coeffs = {(0,): lt.LayeredScalar(F(0), 5), (1,): lt.ONE}
+    x = sc(-1, 1)
+    got = lt.mp_eval(lt.multipoly(1, coeffs), (x,), lt.NAT)
+    want = lt.p_eval(lt.poly({0: coeffs[(0,)], 1: lt.ONE}), x, lt.NAT)
+    assert got == want == sc(0, 5)
+    assert type(got.layer) is type(want.layer) is F
+
+
 def test_theta():
     assert lt.theta(LINE, pt((0, 1), (0, 1)), lt.NAT) == 3
     assert lt.theta(LINE, pt((5, 1), (0, 1)), lt.NAT) == 1

@@ -183,7 +183,9 @@ def test_layer_pow_int_matches_stepwise_product(sort):
     layers = [F(0), F(1), F(2), F(3), F(4), F(1, 2), F(-3, 2), lt.INF]  # caps: 1, 3, INF
     for l in layers:
         for n in range(13):
-            assert _outcome(lt.layer_pow_int, l, n, sort) == _outcome(_stepwise_pow, l, n, sort)
+            want = _outcome(_stepwise_pow, l, n, sort)
+            assert _outcome(lt.layer_pow_int, l, n, sort) == want
+            assert _outcome(lt.layer_pow_int, l, F(n), sort) == want  # an integral Fraction too
         assert lt.layer_pow_int(l, 0, sort) == 1  # the empty product, valid layer or not
 
 
@@ -218,6 +220,34 @@ def test_layer_pow_int_is_bounded():
         lt.layer_pow_int(3, n + 1, lt.NAT)
     with pytest.raises(lt.OutOfRange):
         lt.ls_pow(lt.scalar(0, 2), -(10**18), lt.POSQ)
+
+
+POW_SORTS = [lt.UNIT, lt.SUPER, lt.truncated(1), lt.truncated(3), T4, lt.NAT, lt.POSQ, lt.RAT]
+
+
+@pytest.mark.parametrize("sort", POW_SORTS, ids=str)
+def test_sort_pow_with_negative_and_fractional_exponents(sort):
+    """The exact power, uncollapsed, when it is 0 or a member; else InvalidLayer."""
+    sympy = pytest.importorskip("sympy")
+
+    def exact(l, n):
+        if l is lt.INF:  # the infinite layer has no inverse
+            return lt.INF if n > 0 else None
+        out = sympy.Rational(l.numerator, l.denominator) ** sympy.Rational(n.numerator, n.denominator)
+        return F(int(out.p), int(out.q)) if out.is_Rational else None
+
+    layers = [F(0), F(1), F(2), F(4), F(8), F(9), F(1, 4), F(4, 9), F(-1), F(-8), lt.INF]
+    exponents = [F(-3), F(-2), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(2, 3), F(1, 3), F(-3, 2)]
+    for l in layers:
+        for n in exponents:
+            want = exact(l, n)
+            if want is not None and (want == 0 or lt.layer_valid(want, sort)):
+                assert sort.pow(l, n) == want, (l, n)
+            else:
+                with pytest.raises(lt.InvalidLayer):
+                    sort.pow(l, n)
+            if n.denominator == 1:  # an integral exponent as an int takes the same path
+                assert _outcome(sort.pow, l, int(n)) == _outcome(sort.pow, l, n)
 
 
 def test_format_refuses_numbers_too_long_to_print():
