@@ -11,8 +11,8 @@ polynomial over Q, which carries multiplicity information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
@@ -21,15 +21,13 @@ from .scalars import ONE, LayeredScalar, ls_mul, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
 
-@dataclass(frozen=True)
-class PrimaryFactor:
+class PrimaryFactor(NamedTuple):
     root_value: Fraction
     poly: LayeredPoly
     degree: int
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
+class PrimaryDecomposition(NamedTuple):
     unit: LayeredScalar
     factors: tuple  # PrimaryFactor, strictly decreasing root_value
     lambda_power: int = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,8 +26,7 @@ from .sorts import Sort, as_layer
 MAX_GRID_POINTS = 2 ** 18
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(NamedTuple):
     arity: int
     monomials: tuple  # ((exponent tuple, LayeredScalar), ...) sorted
 

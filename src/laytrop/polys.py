@@ -73,10 +73,6 @@ class LayeredPoly:
             raise ValueError("the zero polynomial has no minimal exponent")
         return min(self.coeffs)
 
-    def coeff(self, exp: int):
-        """The coefficient at ``exp``, or BOTTOM when absent."""
-        return self.coeffs.get(exp, BOTTOM)
-
     def terms(self):
         """(exponent, coefficient) pairs in ascending exponent order."""
         return list(self.coeffs.items())
@@ -167,12 +163,12 @@ def _hull_classify(points):
     """Classify points of an upper concave envelope.
 
     ``points`` is a list of (x, y) with strictly increasing x, all exact
-    Fractions.  Returns (vertices, status) where status[i] is one of
-    "vertex", "edge" (on the envelope but not a corner) or "below".
+    Fractions.  Returns status, where status[i] is one of "vertex",
+    "edge" (on the envelope but not a corner) or "below".
     """
     n = len(points)
     if n <= 2:
-        return list(points), ["vertex"] * n
+        return ["vertex"] * n
     hull = []
     for p in points:
         while len(hull) >= 2:
@@ -195,7 +191,7 @@ def _hull_classify(points):
         lhs = (p[1] - o[1]) * (a[0] - o[0])
         rhs = (a[1] - o[1]) * (p[0] - o[0])
         status.append("edge" if lhs == rhs else "below")
-    return hull, status
+    return status
 
 
 def hull_vertices(f: LayeredPoly):
@@ -203,7 +199,7 @@ def hull_vertices(f: LayeredPoly):
     if f.is_zero:
         return set()
     pts = [(Fraction(exp), c.value) for exp, c in f.terms()]
-    _, status = _hull_classify(pts)
+    status = _hull_classify(pts)
     return {exp for (exp, _), st in zip(f.terms(), status) if st == "vertex"}
 
 
@@ -217,7 +213,7 @@ def essential_form(f: LayeredPoly) -> LayeredPoly:
     if f.is_zero:
         return LayeredPoly({}, form="essential")
     pts = [(Fraction(exp), c.value) for exp, c in f.terms()]
-    _, status = _hull_classify(pts)
+    status = _hull_classify(pts)
     out = {}
     for (exp, c), st in zip(f.terms(), status):
         if st == "below":

@@ -16,9 +16,9 @@ value m*n*a at that layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from . import sorts
 from .errors import (
@@ -38,18 +38,13 @@ from .sorts import SUPER, UNIT, Sort
 MAX_SYLVESTER_SIZE = 2 ** 12
 
 
-@dataclass(frozen=True)
-class LayeredMatrix:
+class LayeredMatrix(NamedTuple):
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples; entries LayeredScalar or BOTTOM
 
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
 
-
-@dataclass(frozen=True)
-class LayerMatrix:
+class LayerMatrix(NamedTuple):
     size: int
     entries: tuple  # tuple of row tuples of Fractions (0 for empty)
 

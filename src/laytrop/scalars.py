@@ -10,16 +10,15 @@ LayeredScalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import sorts
 from .errors import NonInvertibleLayer
 from .sorts import Sort, as_layer, is_inf
 
 
-@dataclass(frozen=True)
-class LayeredScalar:
+class LayeredScalar(NamedTuple):
     value: Fraction
     layer: object  # Fraction or INF
 

@@ -51,7 +51,6 @@ admits it; a caller that admits it writes ``l == 0 or layer_valid(l, sort)``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -70,19 +69,21 @@ def _same(x):
     return x
 
 
-@dataclass(frozen=True)
 class Sort:
-    """One instance of the sorting semiring; see the module docstring."""
+    """One instance of the sorting semiring; see the module docstring.
 
-    kind: str
-    q: int | None = None
-    member: Callable = field(kw_only=True, compare=False, repr=False)
-    collapse: Callable = field(default=_same, kw_only=True, compare=False, repr=False)
-    add: Callable = field(init=False, compare=False, repr=False)
-    mul: Callable = field(init=False, compare=False, repr=False)
+    Immutable by convention; equality and hashing read ``kind`` and ``q``.
+    """
 
-    def __post_init__(self):
-        collapse = self.collapse
+    __slots__ = ("kind", "q", "member", "collapse", "add", "mul")
+
+    def __init__(
+        self, kind: str, q: int | None = None, *, member: Callable, collapse: Callable = _same
+    ):
+        self.kind = kind
+        self.q = q
+        self.member = member
+        self.collapse = collapse
         if self.exact:
             add, mul = operator.add, operator.mul
         else:
@@ -94,8 +95,15 @@ class Sort:
                     return _ZERO
                 return collapse(k * l)
 
-        object.__setattr__(self, "add", add)
-        object.__setattr__(self, "mul", mul)
+        self.add, self.mul = add, mul
+
+    def __eq__(self, other):
+        if not isinstance(other, Sort):
+            return NotImplemented
+        return (self.kind, self.q) == (other.kind, other.q)
+
+    def __hash__(self):
+        return hash((self.kind, self.q))
 
     @property
     def exact(self) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from itertools import product
@@ -269,7 +270,50 @@ def test_conjecture_search_computes_each_resultant_once(capsys, monkeypatch):
     assert len(calls) == 40 + len({(f, p) for f, g, h in triples for p in (g, h)})
 
 
+def test_conjecture_search_reports_and_reproduces_violations(capsys, monkeypatch):
+    """With surpassing forced to fail every triple is a violation; each
+    printed reproduce command prints the recorded lhs."""
+    monkeypatch.setattr(cli, "surpasses_L", lambda a, b, s: False)
+    argv = ["conjecture-search", "--limit", "3", "--sort", "posq"]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["checked"] == 3 and record["sort"] == "posq"
+    violations = record["violations"]
+    assert len(violations) == 3
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        line
+        for v in violations
+        for line in (
+            f"violation: f={v['f']} g={v['g']} h={v['h']} lhs={v['lhs']} rhs={v['rhs']}",
+            f"  reproduce: {v['reproduce']}",
+        )
+    ]
+    for v in violations:
+        assert set(v) == {"f", "g", "h", "lhs", "rhs", "reproduce"}
+        command = shlex.split(v["reproduce"])
+        assert command[:2] == ["laytrop", "resultant"] and command[-2:] == ["--sort", "posq"]
+        assert command[2] == v["f"]
+        assert run_cli(capsys, *command[1:]) == (0, v["lhs"] + "\n", "")
+
+
+def test_resultant_without_transversal_is_bottom(capsys):
+    assert run_cli(capsys, "resultant", "x^2", "x^3") == (0, "bottom\n", "")
+    code, out, _ = run_cli(capsys, "resultant", "x^2", "x^3", "--json")
+    assert code == 0 and json.loads(out) == {"scalar": None, "sort": "nat"}
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Records are NamedTuples, so starting the CLI does not pay for dataclasses."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = "import sys, laytrop.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ used to be; the kernels must give the same result, or refuse with the
 same exception class, on every input.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -124,7 +123,7 @@ def test_eval_sort_matches_stepwise_product(sort):
         decomposed += 1
         replaced = rng.random() < 0.2
         if replaced:
-            dec = dataclasses.replace(dec, unit=lt.LayeredScalar(dec.unit.value, rng.choice(LAYERS)))
+            dec = dec._replace(unit=lt.LayeredScalar(dec.unit.value, rng.choice(LAYERS)))
         roots = [pf.root_value for pf in dec.factors] or [F(0)]
         for _ in range(6):
             b = lt.LayeredScalar(rng.choice(roots) + rng.choice([0, 0, 1, -1, F(1, 3)]), rand_layer(rng, sort))
@@ -134,6 +133,37 @@ def test_eval_sort_matches_stepwise_product(sort):
             if sort == dsort != lt.NAT and valid_b and not replaced and not isinstance(got, type):
                 assert got == lt.p_eval(lt.full_form(f), b, sort).layer, (f, b)
     assert decomposed >= 100
+
+
+@pytest.mark.parametrize("sort", [lt.POSQ, lt.RAT, lt.NAT], ids=str)
+def test_eval_sort_with_a_power_of_the_variable(sort):
+    """f = x^u * g for u = 1, 2, 3: the divided-out power multiplies in k**u."""
+    rng = random.Random(950 + ALL_SORTS.index(sort))
+    compared = 0
+    for i in range(150):
+        u = i % 3 + 1
+        layers = (F(1), F(2), F(3), F(1, 2), F(0)) if i % 2 else (F(1),)
+        f = lt.poly(
+            {e + u: lt.scalar(F(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice(layers))
+             for e in range(rng.randint(0, 5) + 1) if e == 0 or rng.random() < 0.6}
+        )
+        dec = outcome(lt.primary_decomposition, f, sort)
+        if isinstance(dec, type) or dec.promoted_sort:
+            continue
+        assert dec.lambda_power == u
+        roots = [pf.root_value for pf in dec.factors] or [F(0)]
+        for _ in range(6):
+            b = lt.LayeredScalar(rng.choice(roots) + rng.choice([0, 0, 1, -1, F(1, 3)]), rand_layer(rng, sort))
+            got = outcome(lt.eval_sort, dec, b, sort)
+            assert got == outcome(oracle_eval_sort, dec, b, sort), (f, b)
+            if isinstance(got, type):
+                continue
+            full = outcome(lt.p_eval, lt.full_form(f), b, sort)
+            # p_eval raises k to every exponent of f, eval_sort to those it reads
+            if full is not lt.OutOfRange:
+                assert got == full.layer, (f, b)
+                compared += 1
+    assert compared >= 300
 
 
 def test_order_of_refusals_is_kept():
@@ -146,7 +176,7 @@ def test_order_of_refusals_is_kept():
         assert outcome(lt.p_eval, f, x, lt.NAT) is expected
         assert outcome(oracle_p_eval, f, x, lt.NAT) is expected
     dec = lt.primary_decomposition(lt.parse_poly("x^3 + 3:1"), lt.POSQ)
-    bad_unit = dataclasses.replace(dec, unit=half)
+    bad_unit = dec._replace(unit=half)
     # above the root k**3 comes first; below it only the unit layer is read
     for b, expected in [(lt.LayeredScalar(5, HUGE), lt.OutOfRange), (lt.LayeredScalar(-5, HUGE), lt.InvalidLayer)]:
         assert outcome(lt.eval_sort, bad_unit, b, lt.NAT) is expected

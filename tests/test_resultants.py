@@ -147,6 +147,18 @@ def test_layer_permanent_matches_permutation_sum():
         assert lt.layer_permanent(lt.LayerMatrix(n, rows)) == _classical_permanent(rows)
 
 
+def test_layer_permanent_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = tuple(
+            tuple(F(rng.choice([0, 1, 2, 3, -1]), rng.choice([1, 2])) for _ in range(n)) for _ in range(n)
+        )
+        want = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in rows]).per()
+        assert lt.layer_permanent(lt.LayerMatrix(n, rows)) == F(int(want.p), int(want.q)), rows
+
+
 def test_layer_permanent_has_no_size_cap():
     # 13 x 13 was refused with OutOfRange by the old enumeration
     ones = lt.LayerMatrix(13, ((F(1),) * 13,) * 13)
