@@ -15,7 +15,7 @@ print("f =", lt.format_poly(line))
 
 for ell in (1, 2):
     print(f"\ntheta on a 5x5 grid with coordinate layers ({ell},{ell}):")
-    rows = lt.grid_scan(line, [(-2, 2, 1), (-2, 2, 1)], [ell, ell], lt.NAT)
+    rows = list(lt.grid_scan(line, [(-2, 2, 1), (-2, 2, 1)], [ell, ell], lt.NAT))
     by_point = {row.point: row for row in rows}
     for x2 in range(2, -3, -1):
         cells = []
@@ -33,6 +33,6 @@ for point in [(2, 0), (0, 2), (-2, -2), (1, 1)]:
 # the corner locus of two parallel-ish lines is the diagonal ray
 print()
 other = lt.parse_poly("x1 + x2 + -2:1")
-locus = lt.corner_locus_on_grid([line, other], [(-2, 2, 1), (-2, 2, 1)], [1, 1], lt.NAT)
+locus = list(lt.corner_locus_on_grid([line, other], [(-2, 2, 1), (-2, 2, 1)], [1, 1], lt.NAT))
 print("corner locus of {f, x1 + x2 + -2:1} on the grid:", locus)
 print("(the ray x1 = x2 >= 0, a degenerate intersection of two tropical lines)")

@@ -20,7 +20,7 @@ from . import sorts
 from .errors import PreconditionViolated
 from .polys import LayeredPoly, essential_form, hull_vertices
 from .resultants import resultant
-from .scalars import LayeredScalar
+from .scalars import BOTTOM, LayeredScalar
 from .sorts import POSQ, Sort
 
 
@@ -93,6 +93,15 @@ def separable_discriminant(f: LayeredPoly, sort: Sort):
     return discriminant(f, sort)
 
 
+def has_separable_layer(disc, m: int) -> bool:
+    """Whether a degree-m discriminant has the separable layer ``separable_sort(m)``.
+
+    BOTTOM, the discriminant of an f that x^2 divides, is a repeated root
+    at -inf, so it is not separable.
+    """
+    return disc is not BOTTOM and disc.layer == separable_sort(m)
+
+
 def is_separable(f: LayeredPoly, sort: Sort) -> bool:
     """Discriminant-layer separability test (see ``separable_discriminant``)."""
-    return separable_discriminant(f, sort).layer == separable_sort(f.degree)
+    return has_separable_layer(separable_discriminant(f, sort), f.degree)

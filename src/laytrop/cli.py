@@ -169,12 +169,11 @@ def _cmd_discriminant(args, sort):
 def _cmd_separable(args, sort):
     f = _parse_univar(args.poly, sort)
     disc = calculus.separable_discriminant(f, sort)
-    expected = calculus.separable_sort(f.degree)
-    flag = disc.layer == expected
+    flag = calculus.has_separable_layer(disc, f.degree)
     record = {
         "separable": flag,
-        "discriminant_layer": format_layer(disc.layer),
-        "expected_layer": format_value(expected),
+        "discriminant_layer": None if disc is BOTTOM else format_layer(disc.layer),
+        "expected_layer": format_value(calculus.separable_sort(f.degree)),
     }
     return record, ["true" if flag else "false"]
 

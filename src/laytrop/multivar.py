@@ -5,6 +5,11 @@ coefficients; a Point is a vector of layered scalars.  The layering map
 sends a point to the layer of the evaluated polynomial; corner supports,
 corner roots and components are pointwise queries, and finite sample
 grids stand in for the full function space.
+
+The two rasters, ``grid_scan`` and ``corner_locus_on_grid``, stream
+their rows from one lattice walk and keep none of them.  Arity, step and
+grid-size errors raise when a raster is called; a monomial layer error
+raises at the first row that reaches it.
 """
 
 from __future__ import annotations
@@ -205,94 +210,82 @@ class GridRow(NamedTuple):
     component: object  # exponent tuple or None
 
 
-def _axis_size(lo, hi, step) -> int:
-    if step <= 0:
-        raise PreconditionViolated("grid steps must be positive")
-    return max(0, math.floor((hi - lo) / step) + 1)
-
-
-def _check_size(size: int):
-    if size > MAX_GRID_POINTS:
-        raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
-
-
-def axis_points(lo, hi, step):
-    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
-    size = _axis_size(lo, hi, step)
-    _check_size(size)
-    return [lo + k * step for k in range(size)]
-
-
 def _grid(region):
     """The lattice points of a region in lexicographic order.
 
-    The point count is checked against ``MAX_GRID_POINTS`` from the axis
-    lengths before any point is built.
+    Each axis is one (lo, hi, step) triple.  Step signs are checked first,
+    then the size of each axis and of the whole lattice against
+    ``MAX_GRID_POINTS``, before any point is built: an over-wide axis is
+    refused even next to an empty one.
     """
-    region = [tuple(Fraction(t) for t in axis) for axis in region]
-    _check_size(math.prod(_axis_size(*axis) for axis in region))
-    return itertools.product(*(axis_points(*axis) for axis in region))
+    region = [tuple(map(Fraction, axis)) for axis in region]
+    if any(step <= 0 for _, _, step in region):
+        raise PreconditionViolated("grid steps must be positive")
+    sizes = [max(0, math.floor((hi - lo) / step) + 1) for lo, hi, step in region]
+    if max(sizes, default=0) > MAX_GRID_POINTS or math.prod(sizes) > MAX_GRID_POINTS:
+        raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
+    return itertools.product(
+        *([lo + k * step for k in range(n)] for (lo, _, step), n in zip(region, sizes))
+    )
 
 
-def _check_arity(F: MultiPoly, region, coord_layers):
-    if len(region) != F.arity or len(coord_layers) != F.arity:
+def _folds(Fs, region, coord_layers, sort: Sort):
+    """The one lattice walk behind both rasters.
+
+    Checks arity, coordinate layers, step signs and the grid size at the
+    call, then streams (values, folds) per lattice point: ``folds`` lazily
+    yields (affine, fold) for each generator in turn.  A generator's
+    monomial layers are fixed, and checked, the first time a point reaches
+    it, so a layer error raises at the first row that reaches it.
+    """
+    if any(len(region) != F.arity or len(coord_layers) != F.arity for F in Fs):
         raise ArityMismatch("region and layer vectors must match the polynomial arity")
+    layers = [as_layer(l) for l in coord_layers]
+    grid = _grid(region)
+    affines = [None] * len(Fs)
+
+    def at(i, values):
+        if affines[i] is None:
+            affines[i] = _affine(Fs[i], tuple(map(LayeredScalar, values, layers)), sort)
+        return affines[i], affines[i].fold(values)
+
+    return ((values, map(at, range(len(Fs)), itertools.repeat(values))) for values in grid)
+
+
+def _row(values, affine, fold) -> GridRow:
+    if fold is None:
+        raise PreconditionViolated("cannot rasterize the empty polynomial")
+    value, layer, ties = fold
+    return GridRow(values, value, layer, len(affine.corner_set(ties)), affine.component(ties, layer))
 
 
 def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
     """Rasterize the layering map over a lattice region.
 
     ``region`` is one (lo, hi, step) triple per axis; ``coord_layers``
-    fixes the layer of each coordinate.  Rows come back in lexicographic
+    fixes the layer of each coordinate.  Rows stream in lexicographic
     order of the coordinate values.  Each monomial's layer is fixed once
     and its value is an affine form in the point, so every row comes
     from one exact evaluation; it equals ``mp_eval``, ``corner_support``
-    and ``component_index`` at that point.  Regions of more than
-    ``MAX_GRID_POINTS`` points raise ``OutOfRange``.
+    and ``component_index`` at that point.  Arity, step and size errors
+    raise at the call (regions of more than ``MAX_GRID_POINTS`` points
+    raise ``OutOfRange``); a layer error raises at the first row.
     """
-    _check_arity(F, region, coord_layers)
-    layers = [as_layer(l) for l in coord_layers]
-    rows = []
-    affine = None
-    for values in _grid(region):
-        if affine is None:
-            affine = _affine(F, tuple(map(LayeredScalar, values, layers)), sort)
-        fold = affine.fold(values)
-        if fold is None:
-            raise PreconditionViolated("cannot rasterize the empty polynomial")
-        value, layer, ties = fold
-        rows.append(
-            GridRow(
-                values,
-                value,
-                layer,
-                len(affine.corner_set(ties)),
-                affine.component(ties, layer),
-            )
-        )
-    return rows
+    stream = _folds([F], region, coord_layers, sort)
+    return (_row(values, *next(folds)) for values, folds in stream)
 
 
 def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
-    """Lattice points where every generator has a corner root.
+    """Stream the lattice points where every generator has a corner root.
 
-    An empty generator list returns the whole grid (empty intersection
-    convention).  A generator's monomial layers are fixed the first time
-    a point reaches it, as in ``grid_scan``.
+    An empty generator list gives the whole grid (empty intersection
+    convention).  Arity, step and size errors raise at the call.  The
+    generators are tried in order at each point and the first one without
+    a corner root ends the test there, so a generator's monomial layers
+    are fixed, and a layer error raised, the first time a point reaches it.
     """
-    for F in Fs:
-        _check_arity(F, region, coord_layers)
-    layers = [as_layer(l) for l in coord_layers]
-    affines = [None] * len(Fs)
-    out = []
-    for values in _grid(region):
-        for i, F in enumerate(Fs):
-            if affines[i] is None:
-                affines[i] = _affine(F, tuple(map(LayeredScalar, values, layers)), sort)
-            affine = affines[i]
-            fold = affine.fold(values)
-            if fold is None or len(affine.corner_set(fold[2])) < 2:
-                break
-        else:
-            out.append(values)
-    return out
+    return (
+        values
+        for values, folds in _folds(Fs, region, coord_layers, sort)
+        if all(fold is not None and len(affine.corner_set(fold[2])) >= 2 for affine, fold in folds)
+    )

@@ -35,11 +35,12 @@ carry no sort, so a layer cannot be checked when it is built or parsed;
 instead each public operation (``layer_add``, ``ls_mul``, ...) runs
 ``require_layer`` on each input layer it uses.  The kernels
 ``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval``, the two rasters
-(``grid_scan``, ``corner_locus_on_grid``) and ``eval_sort`` do so once
-per layer and call, and their inner loops then work on the unchecked
-``sort.add``, ``sort.mul`` and ``sort.pow``, under which the valid
-layers (with 0) are closed.  An input a kernel never reads is not
-checked: ``p_eval`` of a constant accepts any point.
+(``grid_scan``, ``corner_locus_on_grid``, which stream their rows and
+check a monomial's layer at the first row that reaches it) and
+``eval_sort`` do so once per layer and call, and their inner loops then
+work on the unchecked ``sort.add``, ``sort.mul`` and ``sort.pow``, under
+which the valid layers (with 0) are closed.  An input a kernel never
+reads is not checked: ``p_eval`` of a constant accepts any point.
 
 Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:

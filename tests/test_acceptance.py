@@ -283,7 +283,7 @@ def test_criterion_10_layering_map_raster():
     ok = True
     for ell, expect in ((1, {"open": {1}, "ray": {2}, "vertex": 3}),
                         (2, {"open": {2, 1}, "ray": {4, 3}, "vertex": 5})):
-        rows = lt.grid_scan(line, [(-2, 2, 1), (-2, 2, 1)], [ell, ell], lt.NAT)
+        rows = list(lt.grid_scan(line, [(-2, 2, 1), (-2, 2, 1)], [ell, ell], lt.NAT))
         by_point = {row.point: row for row in rows}
         vertex = by_point[(F(0), F(0))]
         ok = ok and vertex.theta == expect["vertex"] and vertex.csupp == 3

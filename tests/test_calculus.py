@@ -55,6 +55,8 @@ def test_is_separable():
     assert lt.discriminant(cubic, lt.POSQ).layer == lt.separable_sort(3) == 15
     assert lt.is_separable(cubic, lt.POSQ)
     assert not lt.is_separable(lt.p_pow(P("x + 2:1"), 2, lt.POSQ), lt.POSQ)
+    assert not lt.is_separable(P("x^2"), lt.POSQ)  # BOTTOM: a repeated root at -inf
+    assert lt.is_separable(P("x^2 + 0:1*x"), lt.POSQ)
     with pytest.raises(lt.PreconditionViolated):
         lt.is_separable(P("x^2 + 2:1*x + 3:1"), lt.NAT)
     with pytest.raises(lt.PreconditionViolated):

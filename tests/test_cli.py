@@ -317,6 +317,22 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.parametrize(
+    "poly, expected",
+    [("x^2", "false"), ("x^3", "false"), ("x^3+0:1*x^2", "false"), ("x^2+0:1*x", "true")],
+)
+def test_separable_of_a_power_of_the_variable(poly, expected):
+    """x^2 dividing f makes the discriminant BOTTOM: a repeated root at -inf."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "laytrop.cli", "separable", poly, "--sort", "posq"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
+    proc = subprocess.run([*argv, "--json"], env=env, capture_output=True, text=True, timeout=60)
+    record = json.loads(proc.stdout)
+    assert record["separable"] is (expected == "true")
+    assert (record["discriminant_layer"] is None) is (expected == "false")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["eval", "1/0:1", "--at", "1:1"],
