@@ -10,10 +10,20 @@ The two rasters, ``grid_scan`` and ``corner_locus_on_grid``, stream
 their rows from one lattice walk and keep none of them.  Arity, step and
 grid-size errors raise when a raster is called; a monomial layer error
 raises at the first row that reaches it.
+
+Every evaluation here, pointwise or on a grid, is one integer fold
+(``_Affine``): on a lattice the value of each monomial is an affine form
+in the integer lattice indices, and the forms of one polynomial are
+scaled once by the least common multiple D of their denominators.  The fold
+then adds, compares and ties Python ints, and only its maximum is divided
+by D.  This is exact, not an approximation: a positive D keeps every order
+and equality, so the ties, and with them layers, corner supports and
+components, are those of the exact rational values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -23,7 +33,7 @@ from typing import NamedTuple
 from . import sorts
 from .errors import ArityMismatch, OutOfRange, PreconditionViolated
 from .polys import term_product
-from .scalars import BOTTOM, LayeredScalar, ls_mul, ls_pow
+from .scalars import BOTTOM, LayeredScalar, integer_scale, ls_mul, ls_pow
 from .sorts import Sort, as_layer
 
 # The largest lattice a raster may scan; larger regions raise OutOfRange
@@ -105,21 +115,29 @@ def theta_min(Fs, point, sort: Sort):
 
 
 class _Affine(NamedTuple):
-    """A polynomial whose coordinate layers are fixed, as on a grid.
+    """A polynomial whose coordinate layers are fixed, on a lattice.
 
-    Every monomial then has a constant layer, and its value
-    c + sum_j e_j * x_j is an affine form in the coordinate values.
-    ``mp_eval``, the rasters and the pointwise queries read value, layer,
-    corner support and component off the one tie set ``fold`` returns.
+    The lattice is origin + k * steps for integer indices k.  Every
+    monomial then has a constant layer, and its value c + sum_j e_j * x_j
+    is an affine form a + sum_j k_j * b_j in the indices, with a its value
+    at the origin and b_j = e_j * step_j.  All these forms are scaled once
+    by the least common multiple D of their denominators, so ``fold``
+    adds, compares and ties Python ints and divides by D once per point.
+    This is exact: D is positive, so every order and equality of the
+    values holds for the ints, and the tie set, the layer sum,
+    ``corner_set`` and ``component`` are those of the values.  ``mp_eval``,
+    the rasters and the pointwise queries all read this one fold; a
+    pointwise query folds a one-point lattice at index 0.
     """
 
-    exps: list  # exponent vectors, in term order
-    forms: list  # (c, ((axis, e), ...)) with the nonzero exponents only
+    exps: list  # distinct exponent vectors, in term order
+    forms: list  # (a, (b_j, ...)) per monomial, both times D
+    scale: int  # D
     layers: list  # the monomial layers, each checked by ``monomial_value``
     add: object  # the sort's unchecked layer sum, ``sort.add``
 
-    def fold(self, values):
-        """``ls_sum`` of the monomials at the coordinate values.
+    def fold(self, index):
+        """``ls_sum`` of the monomials at the lattice index.
 
         Returns (value, layer, ties): the maximum value, its layer and
         the indices of the monomials tied at it, in term order; None
@@ -128,24 +146,18 @@ class _Affine(NamedTuple):
         and the sort is closed under its sum, so nothing ``ls_sum``
         would refuse is accepted.
         """
-        best = layer = None
-        ties = []
-        for i, (c, slopes) in enumerate(self.forms):
-            v = c + sum(e * values[j] for j, e in slopes)
-            if best is None or v > best:
-                best, layer, ties = v, self.layers[i], [i]
-            elif v == best:
-                layer = self.add(layer, self.layers[i])
-                ties.append(i)
-        return None if best is None else (best, layer, ties)
+        values = [a + sum(map(operator.mul, b, index)) for a, b in self.forms]
+        if not values:
+            return None
+        best = max(values)
+        ties = [i for i, v in enumerate(values) if v == best]
+        layer = functools.reduce(self.add, [self.layers[i] for i in ties])
+        return Fraction(best, self.scale), layer, ties
 
     def corner_set(self, ties):
-        """Exponent vectors of positive-layer monomials tied at the maximum."""
-        return {
-            self.exps[i]
-            for i in ties
-            if sorts.is_inf(self.layers[i]) or self.layers[i] > 0
-        }
+        """Exponent vectors of positive-layer monomials tied at the maximum;
+        a list without repeats, since ``_affine`` merged equal vectors."""
+        return [self.exps[i] for i in ties if sorts.is_inf(self.layers[i]) or self.layers[i] > 0]
 
     def component(self, ties, layer):
         """The one tied monomial whose layer is the layer of the sum, or None."""
@@ -153,32 +165,46 @@ class _Affine(NamedTuple):
         return hits[0] if len(hits) == 1 else None
 
 
-def _affine(F: MultiPoly, point, sort: Sort) -> _Affine:
-    """Fix the monomial layers of F at one point.
+def _affine(F: MultiPoly, origin, steps, sort: Sort) -> _Affine:
+    """Fix the monomial layers of F on the lattice origin + k * steps.
 
-    ``monomial_value`` runs the same checks, and the same stepwise
-    truncation caps, as a pointwise evaluation, so an invalid input
-    raises here as it would there.
+    ``monomial_value`` checks every term at the origin, in term order,
+    with the same checks and stepwise truncation caps as a pointwise
+    evaluation, so an invalid input raises here as it would there.  Terms
+    with one exponent vector then merge as their layered sum: the larger
+    value wins and equal values add their layers.  By distributivity of
+    the sort that is the monomial of the layered sum of their
+    coefficients, so F answers as the polynomial with merged terms does.
     """
-    exps, forms, layers = [], [], []
+    at = [x.value for x in origin]
+    merged = {}  # exponent vector -> (value at the origin, layer), in term order
     for e, c in F.terms():
-        exps.append(e)
-        forms.append((c.value, tuple((j, x) for j, x in enumerate(e) if x != 0)))
-        layers.append(monomial_value(e, c, point, sort).layer)
-    return _Affine(exps, forms, layers, sort.add)
+        layer = monomial_value(e, c, origin, sort).layer
+        value = c.value + sum(map(operator.mul, e, at))
+        old = merged.get(e)
+        if old is None or value > old[0]:
+            merged[e] = (value, layer)
+        elif value == old[0]:
+            merged[e] = (value, sort.add(old[1], layer))
+    rows = [[value, *(x * h for x, h in zip(e, steps))] for e, (value, _) in merged.items()]
+    scale, ints = integer_scale(itertools.chain.from_iterable(rows))
+    width = len(steps) + 1
+    forms = [(ints[i], tuple(ints[i + 1 : i + width])) for i in range(0, len(ints), width)]
+    return _Affine(list(merged), forms, scale, [layer for _, layer in merged.values()], sort.add)
 
 
 def _at_point(F: MultiPoly, point, sort: Sort):
-    """(affine, fold) of F at one point; see ``_Affine``."""
+    """(affine, fold) of F at one point: index 0 of a one-point lattice."""
     _check_point(F, point)
-    affine = _affine(F, point, sort)
-    return affine, affine.fold([x.value for x in point])
+    zeros = (0,) * F.arity  # at index 0 no step counts; zero steps leave constant forms
+    affine = _affine(F, point, zeros, sort)
+    return affine, affine.fold(zeros)
 
 
 def corner_support(F: MultiPoly, point, sort: Sort):
     """Exponent vectors of positive-layer monomials nu-tied with the value."""
     affine, fold = _at_point(F, point, sort)
-    return set() if fold is None else affine.corner_set(fold[2])
+    return set() if fold is None else set(affine.corner_set(fold[2]))
 
 
 def is_corner_root(F: MultiPoly, point, sort: Sort) -> bool:
@@ -211,12 +237,13 @@ class GridRow(NamedTuple):
 
 
 def _grid(region):
-    """The lattice points of a region in lexicographic order.
+    """(origin, steps, lattice) of a region.
 
-    Each axis is one (lo, hi, step) triple.  Step signs are checked first,
-    then the size of each axis and of the whole lattice against
-    ``MAX_GRID_POINTS``, before any point is built: an over-wide axis is
-    refused even next to an empty one.
+    Each axis is one (lo, hi, step) triple; ``lattice`` streams
+    (index, values) for the points lo + k * step in lexicographic order.
+    Step signs are checked first, then the size of each axis and of the
+    whole lattice against ``MAX_GRID_POINTS``, before any point is built:
+    an over-wide axis is refused even next to an empty one.
     """
     region = [tuple(map(Fraction, axis)) for axis in region]
     if any(step <= 0 for _, _, step in region):
@@ -224,9 +251,9 @@ def _grid(region):
     sizes = [max(0, math.floor((hi - lo) / step) + 1) for lo, hi, step in region]
     if max(sizes, default=0) > MAX_GRID_POINTS or math.prod(sizes) > MAX_GRID_POINTS:
         raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
-    return itertools.product(
-        *([lo + k * step for k in range(n)] for (lo, _, step), n in zip(region, sizes))
-    )
+    axes = ([lo + k * step for k in range(n)] for (lo, _, step), n in zip(region, sizes))
+    lattice = zip(itertools.product(*map(range, sizes)), itertools.product(*axes))
+    return [lo for lo, _, _ in region], [step for _, _, step in region], lattice
 
 
 def _folds(Fs, region, coord_layers, sort: Sort):
@@ -241,15 +268,16 @@ def _folds(Fs, region, coord_layers, sort: Sort):
     if any(len(region) != F.arity or len(coord_layers) != F.arity for F in Fs):
         raise ArityMismatch("region and layer vectors must match the polynomial arity")
     layers = [as_layer(l) for l in coord_layers]
-    grid = _grid(region)
+    origin, steps, lattice = _grid(region)
+    origin = tuple(map(LayeredScalar, origin, layers))
     affines = [None] * len(Fs)
 
-    def at(i, values):
+    def at(i, index):
         if affines[i] is None:
-            affines[i] = _affine(Fs[i], tuple(map(LayeredScalar, values, layers)), sort)
-        return affines[i], affines[i].fold(values)
+            affines[i] = _affine(Fs[i], origin, steps, sort)
+        return affines[i], affines[i].fold(index)
 
-    return ((values, map(at, range(len(Fs)), itertools.repeat(values))) for values in grid)
+    return ((values, map(at, range(len(Fs)), itertools.repeat(index))) for index, values in lattice)
 
 
 def _row(values, affine, fold) -> GridRow:

@@ -10,6 +10,8 @@ LayeredScalar.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -48,6 +50,22 @@ def scalar(value, layer=1) -> LayeredScalar:
 
 
 ONE = scalar(0, 1)
+
+
+def integer_scale(values):
+    """(D, [v * D for v in values]) for the least common multiple D of the
+    values' denominators.
+
+    D is positive, so the ints keep every order and equality of the
+    values: a loop can add, compare and tie them exactly and divide by D
+    once on the way out.
+    """
+    values = [Fraction(v) for v in values]
+    # not math.lcm(*generator): unpacking a generator resizes the argument
+    # tuple, and each call then leaves one more tuple on the interpreter's
+    # free list of that size, which shows as resident memory
+    scale = functools.reduce(math.lcm, (v.denominator for v in values), 1)
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def s(x: LayeredScalar):

@@ -4,6 +4,15 @@ from fractions import Fraction
 
 import laytrop as lt
 
+try:
+    from hypothesis import settings
+except ImportError:  # only the Hypothesis suites need it, and they fail to collect
+    pass
+else:
+    # CI runs tier-1 with --hypothesis-profile=ci: every run draws the same
+    # examples, and a failure prints the blob that replays it locally.
+    settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+
 ALL_SORTS = [lt.UNIT, lt.SUPER, lt.truncated(3), lt.NAT, lt.POSQ, lt.RAT]
 FINITE_SORTS = [lt.truncated(3), lt.NAT, lt.POSQ, lt.RAT]
 NONNEG_SORTS = [lt.UNIT, lt.SUPER, lt.truncated(3), lt.NAT, lt.POSQ]

@@ -239,12 +239,12 @@ def _coeff_layer(rng, sort):
     return rand_layer(rng, sort)
 
 
-def _rand_raster_poly(rng, sort, arity):
+def _rand_raster_poly(rng, sort, arity, denominators=(1, 2)):
     return lt.multipoly(
         arity,
         {
             tuple(F(rng.choice(EXPONENTS)) for _ in range(arity)): lt.LayeredScalar(
-                F(rng.randint(-4, 4), rng.choice((1, 2))), _coeff_layer(rng, sort)
+                F(rng.randint(-4, 4), rng.choice(denominators)), _coeff_layer(rng, sort)
             )
             for _ in range(rng.randint(1, 5))
         },
@@ -314,6 +314,19 @@ def _lattice(region):
     return points
 
 
+def _raster_matches_pointwise(Fs, region, layers, sort):
+    """Both rasters against the pointwise definition; True when it raises."""
+    expected = _outcome(_pointwise_rows, Fs[0], region, layers, sort)
+    got = _outcome(lt.grid_scan, Fs[0], region, layers, sort)
+    if isinstance(got, list):
+        got = [tuple(row) for row in got]
+    assert got == expected
+    assert _outcome(lt.corner_locus_on_grid, Fs, region, layers, sort) == _outcome(
+        _pointwise_locus, Fs, region, layers, sort
+    )
+    return not isinstance(expected, list)
+
+
 @pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
 def test_raster_matches_pointwise_definition(sort):
     rng = random.Random(f"raster-{sort}")
@@ -323,17 +336,62 @@ def test_raster_matches_pointwise_definition(sort):
         region = [(rng.randint(-2, 0), rng.randint(0, 2), F(1, rng.choice((1, 2)))) for _ in range(arity)]
         layers = [rng.choice(COORD_LAYERS[str(sort)]) for _ in range(arity)]
         Fs = [_rand_raster_poly(rng, sort, arity) for _ in range(rng.choice((1, 2)))]
-        expected = _outcome(_pointwise_rows, Fs[0], region, layers, sort)
-        got = _outcome(lt.grid_scan, Fs[0], region, layers, sort)
-        if isinstance(got, list):
-            got = [tuple(row) for row in got]
-        assert got == expected
-        assert _outcome(lt.corner_locus_on_grid, Fs, region, layers, sort) == _outcome(
-            _pointwise_locus, Fs, region, layers, sort
-        )
+        raised += _raster_matches_pointwise(Fs, region, layers, sort)
         compared += 1
-        raised += not isinstance(expected, list)
     assert 0 < raised < compared
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_raster_matches_pointwise_definition_over_a_common_denominator(sort):
+    """Steps 1/3, 2/7 and 5/6 in arity 3, origins off the step lattice and
+    coefficient denominators up to 12: the raster's integer fold scales
+    its forms by a common denominator in the hundreds or more, and must
+    still tie exactly where the rational values tie."""
+    rng = random.Random(f"raster-lcm-{sort}")
+    compared = raised = 0
+    for _ in range(40):
+        steps = [F(1, 3), F(2, 7), F(5, 6)]
+        rng.shuffle(steps)
+        region = []
+        for step in steps:
+            lo = rng.randint(-3, 1) * step + rng.choice((F(1, 5), F(1, 4), F(1, 11)))
+            assert (lo / step).denominator != 1
+            region.append((lo, lo + rng.randint(0, 2) * step, step))
+        layers = [rng.choice(COORD_LAYERS[str(sort)]) for _ in range(3)]
+        Fs = [_rand_raster_poly(rng, sort, 3, range(1, 13)) for _ in range(rng.choice((1, 2)))]
+        raised += _raster_matches_pointwise(Fs, region, layers, sort)
+        compared += 1
+    assert 0 < raised < compared
+
+
+def test_repeated_exponent_vectors_merge():
+    """Terms with one exponent vector answer as the one term whose
+    coefficient is their layered sum, in every query and both rasters."""
+    a = sc(0, 1)
+    x = (a,)
+    twice = lt.multipoly(1, [((1,), a), ((1,), a)])
+    merged = lt.multipoly(1, {(1,): sc(0, 2)})
+    for f in (twice, merged):
+        assert lt.mp_eval(f, x, lt.NAT) == sc(0, 2)
+        assert lt.corner_support(f, x, lt.NAT) == {(1,)}
+        assert lt.component_index(f, x, lt.NAT) == (1,)
+    region = [(-1, 1, F(1, 2))]
+    assert list(lt.grid_scan(twice, region, [1], lt.NAT)) == list(lt.grid_scan(merged, region, [1], lt.NAT))
+    # the parser merges repeated terms itself
+    listed = lt.multipoly(2, [((1, 0), a), ((0, 1), a), ((1, 0), a)])
+    parsed = P("x1 + x2 + x1")
+    assert parsed == lt.multipoly(2, {(1, 0): sc(0, 2), (0, 1): a})
+    p = pt((1, 1), (0, 1))
+    assert lt.component_index(listed, p, lt.NAT) == lt.component_index(parsed, p, lt.NAT) == (1, 0)
+    # under q, layers 1 and -1 merge to layer 0, which leaves the corner support
+    opposite = lt.multipoly(1, [((1,), a), ((1,), sc(0, -1)), ((0,), a)])
+    zeroed = lt.multipoly(1, {(1,): sc(0, 0), (0,): a})
+    for f in (opposite, zeroed):
+        assert lt.mp_eval(f, x, lt.RAT) == sc(0, 1)
+        assert lt.corner_support(f, x, lt.RAT) == {(0,)}
+        assert lt.component_index(f, x, lt.RAT) == (0,)
+        assert list(lt.corner_locus_on_grid([f], [(-1, 1, 1)], [1], lt.RAT)) == []
+    assert list(lt.grid_scan(opposite, region, [1], lt.RAT)) == list(lt.grid_scan(zeroed, region, [1], lt.RAT))
 
 
 def test_raster_truncation_caps_stepwise():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import laytrop as lt
 from conftest import ALL_SORTS, rand_layer, rand_poly, rand_primary, rand_scalar
@@ -381,3 +383,56 @@ def test_resultant_with_linear_evaluates():
         b = rand_scalar(rng, lt.NAT)
         g = lt.poly({1: lt.ONE, 0: b})
         assert lt.resultant(f, g, lt.NAT) == lt.p_eval(lt.full_form(f), b, lt.NAT)
+
+
+# -- the tropical Poisson formula as a value certificate ----------------------------
+
+
+def _poisson_value(f, g):
+    """val res(f, g) by the tropical Poisson formula (Odagiri 2008):
+    n * val(lc f) + m * val(lc g) + sum of max(alpha_i, beta_j) over the
+    corner roots with multiplicity, where m and n are the degrees.  Each
+    power of x dividing a polynomial adds a root -inf; a pair of them
+    makes the resultant BOTTOM, here None."""
+
+    def roots(p):
+        finite = [root for root, mult in lt.corner_roots(p) for _ in range(mult)]
+        return [-math.inf] * min(p.coeffs) + finite
+
+    m, n = f.degree, g.degree
+    total = n * f.coeffs[m].value + m * g.coeffs[n].value
+    for alpha in roots(f):
+        for beta in roots(g):
+            if max(alpha, beta) == -math.inf:
+                return None
+            total += max(alpha, beta)
+    return total
+
+
+@st.composite
+def _poisson_pair(draw):
+    """A sort and two polynomials of degree 1 to 4 over it, with small
+    values so that roots tie, and a power of x dividing either at times."""
+    sort = draw(st.sampled_from(ALL_SORTS))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def poly():
+        degree = rng.randint(1, 4)
+        low = rng.choice((0, 0, 0, 1, degree))
+        exps = {low, degree} | {e for e in range(low + 1, degree) if rng.random() < 0.6}
+        return lt.poly(
+            {e: lt.LayeredScalar(F(rng.randint(-6, 6), rng.randint(1, 3)), rand_layer(rng, sort)) for e in exps}
+        )
+
+    return sort, poly(), poly()
+
+
+@given(_poisson_pair())
+def test_resultant_value_matches_poisson_formula(case):
+    sort, f, g = case
+    res = lt.resultant(f, g, sort)
+    want = _poisson_value(f, g)
+    if want is None:
+        assert res is lt.BOTTOM
+    else:
+        assert res.value == want
