@@ -3,8 +3,8 @@
 Coefficients are stored as a map exponent -> LayeredScalar with no
 BOTTOM entries; the empty map is the zero polynomial.  The essential and
 full canonical forms are computed from the upper concave hull of the
-points (exponent, coefficient value), entirely over Q by
-cross-multiplication.  A polynomial carries a ``form`` tag ("essential",
+points (exponent, coefficient value), exactly, by cross-multiplication
+of ints: the values are scaled once over their common denominator.  A polynomial carries a ``form`` tag ("essential",
 "full" or None); consumers that require a form check the tag instead of
 assuming it.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sorts
 from .errors import NotFullForm, OutOfRange
-from .scalars import BOTTOM, ONE, LayeredScalar, ls_add
+from .scalars import BOTTOM, ONE, LayeredScalar, integer_scale, ls_add
 from .sorts import Sort
 
 # A full form may span at most this many exponents between its lowest and
@@ -143,29 +143,48 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     x); terms run in ascending exponent order, each power before its
     coefficient's check, so a bad input raises what ``ls_pow`` and
     ``ls_mul`` would.
+
+    The values are scaled once by the least common multiple D of the
+    denominators of the coefficient values and of x's value (x's only
+    where a positive exponent reads it), so the loop adds, compares and
+    ties Python ints and one ``Fraction`` is built at the end.  D is
+    positive, so every order and tie of the values holds for the ints.
     """
+    coeffs = f.coeffs
+    if not coeffs:
+        return BOTTOM
+    values = [c.value for c in coeffs.values()]
+    reads_x = f.degree > 0
+    if reads_x:
+        values.append(x.value)
+    scale, ints = integer_scale(values)
+    xv = ints[-1] if reads_x else 0
     add, mul = sort.add, sort.mul
     best = layer = xl = None
-    for e, c in f.coeffs.items():
+    for (e, c), v in zip(coeffs.items(), ints):
         if e and xl is None:
             xl = sorts.require_layer(x.layer, sort)
         power = sort.pow(xl, e)
-        l = mul(sorts.require_layer(c.layer, sort), power)
-        v = c.value + x.value * e if e else c.value
+        cl = sorts.require_layer(c.layer, sort)
+        v += xv * e
         if best is None or v > best:
-            best, layer = v, l
+            best, layer = v, mul(cl, power)
         elif v == best:
-            layer = add(layer, l)
-    return BOTTOM if best is None else LayeredScalar(best, layer)
+            layer = add(layer, mul(cl, power))
+    return LayeredScalar(Fraction(best, scale), layer)
 
 
-def _hull_classify(points):
-    """Classify points of an upper concave envelope.
+def _hull_classify(f: LayeredPoly):
+    """Classify the points (exponent, coefficient value) of f against
+    their upper concave envelope.
 
-    ``points`` is a list of (x, y) with strictly increasing x, all exact
-    Fractions.  Returns status, where status[i] is one of "vertex",
-    "edge" (on the envelope but not a corner) or "below".
+    Returns status in term order, where status[i] is one of "vertex",
+    "edge" (on the envelope but not a corner) or "below".  The values are
+    scaled once to ints over their common denominator D: D is positive,
+    so every cross product keeps its sign and every equality holds.
     """
+    _, ints = integer_scale([c.value for c in f.coeffs.values()])
+    points = list(zip(f.coeffs, ints))
     n = len(points)
     if n <= 2:
         return ["vertex"] * n
@@ -196,11 +215,7 @@ def _hull_classify(points):
 
 def hull_vertices(f: LayeredPoly):
     """Exponents sitting at corners of the coefficient hull."""
-    if f.is_zero:
-        return set()
-    pts = [(Fraction(exp), c.value) for exp, c in f.terms()]
-    status = _hull_classify(pts)
-    return {exp for (exp, _), st in zip(f.terms(), status) if st == "vertex"}
+    return {exp for exp, st in zip(f.coeffs, _hull_classify(f)) if st == "vertex"}
 
 
 def essential_form(f: LayeredPoly) -> LayeredPoly:
@@ -210,12 +225,8 @@ def essential_form(f: LayeredPoly) -> LayeredPoly:
     ones are quasi-essential and kept unless their layer is 0 (a 0-layer
     coefficient on an edge contributes nothing to the function).
     """
-    if f.is_zero:
-        return LayeredPoly({}, form="essential")
-    pts = [(Fraction(exp), c.value) for exp, c in f.terms()]
-    status = _hull_classify(pts)
     out = {}
-    for (exp, c), st in zip(f.terms(), status):
+    for (exp, c), st in zip(f.coeffs.items(), _hull_classify(f)):
         if st == "below":
             continue
         if st == "edge" and c.layer == 0:

@@ -37,6 +37,12 @@ from .sorts import SUPER, UNIT, Sort
 # n) is refused before any row is built: its rows hold (m + n)**2 cells.
 MAX_SYLVESTER_SIZE = 2 ** 12
 
+# ``layered_permanent`` raises OutOfRange once one row's table of column
+# masks would hold more than this many states, so its memory stays
+# bounded: a dense pair of degree d needs C(2d, d) states, 48620 at d = 9,
+# and the separable discriminant of degree m at most 92378 (m = 10).
+MAX_PERMANENT_STATES = 2 ** 17
+
 
 class LayeredMatrix(NamedTuple):
     rows: int
@@ -89,7 +95,8 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     layered multiplication distributes over layered addition under every
     sort; no subtraction is used, so layer 0 and ``INF`` need no care.
     The work is the number of reachable column masks, at most C(n, i)
-    after row i, whatever the values.
+    after row i, whatever the values.  A row whose table would hold more
+    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("permanent needs a square matrix")
@@ -105,6 +112,7 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
             return BOTTOM
         rows.append(cells)
     add, mul = sort.add, sort.mul
+    limit = MAX_PERMANENT_STATES
 
     states = {0: (Fraction(0), Fraction(1))}  # used columns -> (value, layer)
     for cells in rows:
@@ -116,7 +124,14 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
                 mask = used | bit
                 w = value + v
                 prior = extended.get(mask)
-                if prior is None or w > prior[0]:
+                if prior is None:
+                    if len(extended) == limit:
+                        raise OutOfRange(
+                            f"a permanent of size {matrix.rows} needs more than "
+                            f"{limit} states in one row"
+                        )
+                    extended[mask] = (w, mul(layer, l))
+                elif w > prior[0]:
                     extended[mask] = (w, mul(layer, l))
                 elif w == prior[0]:
                     extended[mask] = (w, add(prior[1], mul(layer, l)))

@@ -54,13 +54,13 @@ ONE = scalar(0, 1)
 
 def integer_scale(values):
     """(D, [v * D for v in values]) for the least common multiple D of the
-    values' denominators.
+    denominators of the values, which are ints or Fractions.
 
     D is positive, so the ints keep every order and equality of the
     values: a loop can add, compare and tie them exactly and divide by D
     once on the way out.
     """
-    values = [Fraction(v) for v in values]
+    values = list(values)
     # not math.lcm(*generator): unpacking a generator resizes the argument
     # tuple, and each call then leaves one more tuple on the interpreter's
     # free list of that size, which shows as resident memory

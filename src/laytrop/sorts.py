@@ -39,8 +39,11 @@ instead each public operation (``layer_add``, ``ls_mul``, ...) runs
 check a monomial's layer at the first row that reaches it) and
 ``eval_sort`` do so once per layer and call, and their inner loops then
 work on the unchecked ``sort.add``, ``sort.mul`` and ``sort.pow``, under
-which the valid layers (with 0) are closed.  An input a kernel never
-reads is not checked: ``p_eval`` of a constant accepts any point.
+which the valid layers (with 0) are closed.  Values carry no sort:
+``p_eval``, the coefficient hull and the raster fold scale them once to
+ints over one common denominator and compare those ints.  An input a
+kernel never reads is not checked: ``p_eval`` of a constant accepts any
+point.
 
 Layer 0 additionally appears in *every* sort as the formal marker of
 inessential full-form coefficients.  Arithmetic treats it uniformly:

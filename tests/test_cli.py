@@ -270,6 +270,27 @@ def test_conjecture_search_computes_each_resultant_once(capsys, monkeypatch):
     assert len(calls) == 40 + len({(f, p) for f, g, h in triples for p in (g, h)})
 
 
+def test_conjecture_search_accepts_its_bounds(capsys):
+    """Each bound is accepted (the README example and the benchmark's
+    calls lie inside them); one past it is refused before any triple is
+    built (see test_refused_at_once_without_traceback)."""
+    for argv, checked in [
+        (["--max-degree", str(cli.MAX_SEARCH_DEGREE), "--max-layer", "1", "--limit", "5"], 5),
+        (["--max-degree", "1", "--max-layer", str(cli.MAX_SEARCH_LAYER), "--limit", "5"], 5),
+        (["--max-degree", "1", "--max-layer", "1", "--limit", str(cli.MAX_SEARCH_LIMIT)], 1),
+        (["--max-degree", "2", "--max-layer", "3", "--limit", "500"], 500),
+    ]:
+        code, out, _ = run_cli(capsys, "conjecture-search", *argv, "--json")
+        assert code == 0 and json.loads(out)["checked"] == checked
+
+
+def test_permanent_state_bound_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(resultants, "MAX_PERMANENT_STATES", 5)
+    code, out, err = run_cli(capsys, "resultant", "x^2+1:1*x+2:1", "x^2+1:2*x+2:3")
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error:") and "states" in err
+
+
 def test_conjecture_search_reports_and_reproduces_violations(capsys, monkeypatch):
     """With surpassing forced to fail every triple is a violation; each
     printed reproduce command prints the recorded lhs."""
@@ -434,6 +455,10 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
         (["eval", "x^2", "--at", "0:3", "--sort", "trunc:\u0664"], 3),
         (["truncate", "5", "--q", "0"], 3),
         (["truncate", "5", "--q", "-1"], 3),
+        (["conjecture-search", "--max-degree", "6", "--max-layer", "4", "--limit", "100000000"], 3),
+        (["conjecture-search", "--max-degree", str(cli.MAX_SEARCH_DEGREE + 1), "--limit", "1"], 3),
+        (["conjecture-search", "--max-layer", str(cli.MAX_SEARCH_LAYER + 1), "--limit", "1"], 3),
+        (["conjecture-search", "--limit", str(cli.MAX_SEARCH_LIMIT + 1)], 3),
     ],
     ids=[
         "constant-eval",
@@ -451,6 +476,10 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
         "sort-non-ascii-digit",
         "truncate-zero-bound",
         "truncate-negative-bound",
+        "conjecture-search-days-of-work",
+        "conjecture-search-degree",
+        "conjecture-search-layer",
+        "conjecture-search-limit",
     ],
 )
 def test_refused_at_once_without_traceback(argv, code):

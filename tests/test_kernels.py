@@ -188,6 +188,8 @@ def test_unread_layers_are_not_checked():
     const = lt.poly({0: lt.scalar(3, 1)})
     assert lt.p_eval(const, bad, lt.UNIT) == lt.scalar(3, 1)
     assert lt.p_eval(const, lt.LayeredScalar(0, lt.INF), lt.NAT) == lt.scalar(3, 1)
+    # nor its value, which no common denominator then takes in
+    assert lt.p_eval(const, lt.LayeredScalar(None, "not a layer"), lt.NAT) == lt.scalar(3, 1)
     assert lt.p_mul(lt.zero_poly(), lt.poly({0: bad}), lt.UNIT).is_zero
     # b below every root reads only the constant terms, never b's layer
     dec = lt.primary_decomposition(lt.parse_poly("x^2 + 1:1*x + 2:1"), lt.POSQ)

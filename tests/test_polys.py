@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import laytrop as lt
-from conftest import rand_poly, rand_scalar
+from conftest import ALL_SORTS, rand_layer, rand_poly, rand_scalar
+from test_kernels import oracle_p_eval, outcome
 
 sc = lt.scalar
 P = lt.parse_poly
@@ -34,6 +37,10 @@ def test_p_eval():
     assert lt.p_eval(f, sc(2, 1), lt.NAT) == sc(4, 3)
     assert lt.p_eval(P("x + 2:1"), sc(5, 1), lt.NAT) == sc(5, 1)
     assert lt.p_eval(lt.zero_poly(), sc(5, 1), lt.NAT) is lt.BOTTOM
+    # the values 1/12, -1/6, 5/6 and x = 1/4 fold over the common denominator 12
+    g = lt.poly({0: sc(F(1, 12), 1), 1: sc(F(-1, 6), 2), 2: sc(F(5, 6), 1)})
+    assert lt.p_eval(g, sc(F(1, 4), 1), lt.NAT) == sc(F(4, 3), 1)
+    assert lt.p_eval(g, sc(F(-1, 4), 1), lt.NAT) == sc(F(1, 3), 1)
 
 
 def test_essential_form():
@@ -193,3 +200,99 @@ def test_eval_nu_compatibility():
         x = lt.LayeredScalar(v, F(rng.randint(1, 4)))
         y = lt.LayeredScalar(v, F(rng.randint(1, 4)))
         assert lt.p_eval(f, x, lt.NAT).value == lt.p_eval(f, y, lt.NAT).value
+
+
+# -- the integer folds against Fraction oracles ------------------------------
+
+
+def _status_oracle(f):
+    """exponent -> "vertex", "edge" or "below" against the chords of f.
+
+    A point strictly below a chord between points on either side is below
+    the upper concave envelope; one on such a chord but below none is on
+    an edge; one strictly above every such chord is a corner.
+    """
+    pts = [(F(e), F(c.value)) for e, c in sorted(f.coeffs.items())]
+    status = {}
+    for i, (x, y) in enumerate(pts):
+        sides = [
+            (y - y0) * (x1 - x0) - (y1 - y0) * (x - x0)  # sign of y against the chord
+            for x0, y0 in pts[:i]
+            for x1, y1 in pts[i + 1:]
+        ]
+        status[int(x)] = "below" if any(d < 0 for d in sides) else "edge" if 0 in sides else "vertex"
+    return status
+
+
+def _full_oracle(ess):
+    """The full form of the essential terms ``ess``, interpolated on Fractions."""
+    exps = sorted(ess)
+    if exps and exps[-1] - exps[0] > lt.polys.MAX_FULL_FORM_TERMS:
+        raise lt.OutOfRange("span")
+    out = dict(ess)
+    for lo, hi in zip(exps, exps[1:]):
+        v_lo, v_hi = F(ess[lo].value), F(ess[hi].value)
+        for e in range(lo + 1, hi):
+            out[e] = lt.LayeredScalar(v_lo + (v_hi - v_lo) * (e - lo) / (hi - lo), F(0))
+    return lt.poly(out, form="full")
+
+
+def _keeps(status, c):
+    return status == "vertex" or (status == "edge" and c.layer != 0)
+
+
+_BAD_LAYERS = [F(5), F(-1), F(1, 2), F(0), lt.INF]
+
+
+@st.composite
+def _fold_case(draw):
+    """A sort, a polynomial and a point: values with denominators 1 to 12
+    (ints at times), mostly valid layers with layer 0 and now and then one
+    outside the sort, now and then sparse exponents of about 20000, and
+    half of the time a point where two monomials tie."""
+    sort = draw(st.sampled_from(ALL_SORTS))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def value():
+        if rng.random() < 0.15:
+            return rng.randint(-6, 6)
+        return F(rng.randint(-40, 40), rng.randint(1, 12))
+
+    def layer():
+        k = rng.random()
+        if k < 0.1:
+            return F(0)
+        if k < 0.15:
+            return rng.choice(_BAD_LAYERS)
+        return rand_layer(rng, sort)
+
+    shape = rng.random()
+    if shape < 0.15:
+        exps = {0}  # a constant
+    elif shape < 0.3:
+        exps = set(rng.sample([b + d for b in (0, 20000) for d in range(4)], rng.randint(1, 5)))
+    else:
+        exps = set(rng.sample(range(9), rng.randint(0, 7)))
+    f = lt.poly({e: lt.LayeredScalar(value(), layer()) for e in exps})
+    at = value()
+    if len(exps) >= 2 and rng.random() < 0.5:  # where two monomials tie
+        (d, c), (e, b) = rng.sample(sorted(f.coeffs.items()), 2)
+        at = F(c.value - b.value) / (e - d)
+    return sort, f, lt.LayeredScalar(at, layer())
+
+
+@given(_fold_case())
+def test_integer_folds_match_fraction_oracles(case):
+    """p_eval and the hull fold ints over one common denominator; the
+    oracles fold Fractions, p_eval's through the scalar operations."""
+    sort, f, x = case
+    assert outcome(lt.p_eval, f, x, sort) == outcome(oracle_p_eval, f, x, sort)
+    status = _status_oracle(f)
+    assert lt.hull_vertices(f) == {e for e, st_ in status.items() if st_ == "vertex"}
+    kept = {e: c for e, c in f.coeffs.items() if _keeps(status[e], c)}
+    ess = lt.essential_form(f)
+    assert ess == lt.poly(kept) and ess.form == "essential"
+    full = outcome(lt.full_form, f)
+    assert full == outcome(_full_oracle, kept)
+    if isinstance(full, lt.LayeredPoly):
+        assert full.form == "full"

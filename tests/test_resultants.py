@@ -172,6 +172,23 @@ def test_layer_permanent_has_no_size_cap():
     assert lt.layer_permanent(band) == 377
 
 
+def test_permanent_state_bound(monkeypatch):
+    """A row whose table of column masks would pass MAX_PERMANENT_STATES
+    raises OutOfRange; the bound is read at call time.  A dense n x n
+    matrix holds C(n, i) masks after row i, at most 6 at n = 4."""
+    bound = lt.resultants.MAX_PERMANENT_STATES
+    assert math.comb(18, 9) <= math.comb(19, 9) <= bound  # dense d = 9, separable m = 10
+    dense = lt.layered_matrix([[sc(i * j % 3, 1 + (i + j) % 2) for j in range(4)] for i in range(4)])
+    expected = lt.layered_permanent_naive(dense, lt.NAT)
+    monkeypatch.setattr(lt.resultants, "MAX_PERMANENT_STATES", 6)
+    assert lt.layered_permanent(dense, lt.NAT) == expected
+    monkeypatch.setattr(lt.resultants, "MAX_PERMANENT_STATES", 5)
+    with pytest.raises(lt.OutOfRange, match="more than 5 states"):
+        lt.layered_permanent(dense, lt.NAT)
+    with pytest.raises(lt.OutOfRange):
+        lt.resultant(P("x^2 + 1:1*x + 2:1"), P("x^2 + 1:2*x + 2:3"), lt.NAT)
+
+
 def test_reduction():
     f = P("x^2 + 2:1*x + 3:1")
     assert lt.reduction(f, 1) == P("x + 2:1")
