@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import LayeredPoly, essential_form, full_form, monomial, p_eval, p_mul, p_shift, poly, slopes
+from .polys import LayeredPoly, full_form, hull_vertices, monomial, p_eval, p_mul, p_shift, poly, slopes
 from .scalars import ONE, LayeredScalar, ls_mul, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
@@ -83,7 +83,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
 
     d = monic.degree
     factors = []
-    for _, (start, end) in reversed(slopes(monic)):  # bottom part first
+    for root, (start, end) in reversed(slopes(monic)):  # bottom part first
         lo, hi = d - end, d - start
         pivot = monic.coeffs[hi]
         fpoly = LayeredPoly(
@@ -96,7 +96,6 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
             },
             form="full",
         )
-        root = Fraction(monic.coeffs[lo].value - pivot.value, hi - lo)
         factors.append(PrimaryFactor(root, fpoly, hi - lo))
 
     factors.reverse()
@@ -125,20 +124,13 @@ def separable_factor(f: LayeredPoly, sort: Sort):
         raise NotSeparable("the zero polynomial has no linear factorization")
     if f.coeffs[f.degree].value != 0:
         raise NotMonic("separable_factor needs a monic polynomial")
-    ess = essential_form(f)
-    t = ess.degree
-    if ess.min_exp != 0:
+    if f.min_exp != 0:
         raise NotSeparable("divisible by the variable; no linear factorization over R")
-    exps = sorted(ess.coeffs)
-    if exps != list(range(t + 1)):
-        raise NotSeparable("slope runs longer than 1: repeated corner root")
-    values = [ess.coeffs[e].value for e in exps]
-    diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-    if any(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:])):
+    if hull_vertices(f) != set(range(f.degree + 1)):
         raise NotSeparable("slope runs longer than 1: repeated corner root")
     out = []
-    for i in range(len(exps) - 1, 0, -1):
-        hi, lo = ess.coeffs[exps[i]], ess.coeffs[exps[i - 1]]
+    for e in range(f.degree, 0, -1):
+        hi, lo = f.coeffs[e], f.coeffs[e - 1]
         beta = lo.value - hi.value
         k = sorts.layer_div(lo.layer, hi.layer, POSQ if sort == NAT else sort)
         out.append(poly({1: ONE, 0: LayeredScalar(beta, k)}))

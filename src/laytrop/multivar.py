@@ -33,7 +33,7 @@ from typing import NamedTuple
 from . import sorts
 from .errors import ArityMismatch, OutOfRange, PreconditionViolated
 from .polys import term_product
-from .scalars import BOTTOM, LayeredScalar, integer_scale, ls_mul, ls_pow
+from .scalars import BOTTOM, LayeredScalar, integer_scale
 from .sorts import Sort, as_layer
 
 # The largest lattice a raster may scan; larger regions raise OutOfRange
@@ -76,16 +76,21 @@ def _check_point(F: MultiPoly, point):
         )
 
 
-def monomial_value(exps, coeff, point, sort: Sort) -> LayeredScalar:
-    """coeff * prod x_j ** e_j; a constant's layer is checked on its own."""
-    if not any(exps):
-        return LayeredScalar(coeff.value, sorts.require_layer(coeff.layer, sort))
-    out = coeff
+def _monomial_layer(exps, coeff, point, sort: Sort):
+    """The layer of coeff * prod x_j ** e_j.
+
+    Each coordinate's layer is checked where its power is taken, the
+    coefficient's at the first product and a constant's on its own; a
+    coordinate with exponent 0 is never read.
+    """
+    layer = None
     for e, x in zip(exps, point):
-        if e == 0:
-            continue
-        out = ls_mul(out, ls_pow(x, e, sort), sort)
-    return out
+        if e:
+            power = sorts.layer_pow_int(x.layer, e, sort)
+            if layer is None:
+                layer = sorts.require_layer(coeff.layer, sort)
+            layer = sort.mul(layer, power)
+    return sorts.require_layer(coeff.layer, sort) if layer is None else layer
 
 
 def mp_eval(F: MultiPoly, point, sort: Sort):
@@ -133,7 +138,7 @@ class _Affine(NamedTuple):
     exps: list  # distinct exponent vectors, in term order
     forms: list  # (a, (b_j, ...)) per monomial, both times D
     scale: int  # D
-    layers: list  # the monomial layers, each checked by ``monomial_value``
+    layers: list  # the monomial layers, each checked by ``_monomial_layer``
     add: object  # the sort's unchecked layer sum, ``sort.add``
 
     def fold(self, index):
@@ -142,7 +147,7 @@ class _Affine(NamedTuple):
         Returns (value, layer, ties): the maximum value, its layer and
         the indices of the monomials tied at it, in term order; None
         when there are no monomials.  Tied layers are added in term
-        order with ``sort.add``: ``monomial_value`` checked them
+        order with ``sort.add``: ``_monomial_layer`` checked them
         and the sort is closed under its sum, so nothing ``ls_sum``
         would refuse is accepted.
         """
@@ -168,7 +173,7 @@ class _Affine(NamedTuple):
 def _affine(F: MultiPoly, origin, steps, sort: Sort) -> _Affine:
     """Fix the monomial layers of F on the lattice origin + k * steps.
 
-    ``monomial_value`` checks every term at the origin, in term order,
+    ``_monomial_layer`` checks every term at the origin, in term order,
     with the same checks and stepwise truncation caps as a pointwise
     evaluation, so an invalid input raises here as it would there.  Terms
     with one exponent vector then merge as their layered sum: the larger
@@ -179,7 +184,7 @@ def _affine(F: MultiPoly, origin, steps, sort: Sort) -> _Affine:
     at = [x.value for x in origin]
     merged = {}  # exponent vector -> (value at the origin, layer), in term order
     for e, c in F.terms():
-        layer = monomial_value(e, c, origin, sort).layer
+        layer = _monomial_layer(e, c, origin, sort)
         value = c.value + sum(map(operator.mul, e, at))
         old = merged.get(e)
         if old is None or value > old[0]:

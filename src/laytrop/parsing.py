@@ -1,7 +1,7 @@
 """Text grammar for scalars, layers and polynomials.
 
-Scalar: ``v:l`` with v a rational (``p/q`` or integer) and l a rational
-or ``inf``, e.g. ``5:2``, ``3/2:inf``, ``-3:1/2``.
+Scalar: ``v:l`` with v a rational (``p/q`` or integer, in ASCII digits)
+and l a rational or ``inf``, e.g. ``5:2``, ``3/2:inf``, ``-3:1/2``.
 
 Polynomial: sum of ``v:l*x^e`` terms; ``*`` and ``^1`` are optional and
 a bare ``x^e`` carries the unit coefficient ``0:1``.  Univariate
@@ -79,7 +79,8 @@ class _Scanner:
 
     def digits(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # not str.isdigit, which also accepts digits such as "¹"
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos - start > MAX_LITERAL_DIGITS:
             self.pos = start
@@ -127,7 +128,7 @@ def _term(sc: _Scanner):
     """One term: (coefficient, [(index or None, exponent), ...])."""
     coeff = None
     ch = sc.peek()
-    if ch.isdigit() or ch == "-":
+    if "0" <= ch <= "9" or ch == "-":
         coeff = _scalar(sc)
         sc.take("*")
     factors = []
@@ -199,31 +200,22 @@ def _format_power(name: str, exp) -> str:
 
 
 def format_poly(f) -> str:
-    """Canonical text of a polynomial, highest exponents first."""
+    """Canonical text of a polynomial, highest exponents first; ``0``, the
+    formal zero polynomial, which is not part of the grammar, without terms."""
     if isinstance(f, MultiPoly):
-        parts = []
-        for exps, coeff in sorted(f.terms(), key=lambda t: t[0], reverse=True):
-            vars_part = "*".join(
-                _format_power(f"x{i + 1}", e) for i, e in enumerate(exps) if e != 0
-            )
-            if not vars_part:
-                parts.append(format_scalar(coeff))
-            elif coeff == ONE:
-                parts.append(vars_part)
-            else:
-                parts.append(f"{format_scalar(coeff)}*{vars_part}")
-        return " + ".join(parts) if parts else "0"
-    if f.is_zero:
-        return "0"  # the formal zero polynomial; not part of the grammar
+        terms, names = f.terms(), [f"x{i + 1}" for i in range(f.arity)]
+    else:
+        terms, names = [((e,), c) for e, c in f.terms()], ["x"]
     parts = []
-    for exp, coeff in sorted(f.terms(), reverse=True):
-        if exp == 0:
+    for exps, coeff in sorted(terms, key=lambda t: t[0], reverse=True):
+        vars_part = "*".join(_format_power(name, e) for name, e in zip(names, exps) if e != 0)
+        if not vars_part:
             parts.append(format_scalar(coeff))
         elif coeff == ONE:
-            parts.append(_format_power("x", exp))
+            parts.append(vars_part)
         else:
-            parts.append(f"{format_scalar(coeff)}*{_format_power('x', exp)}")
-    return " + ".join(parts)
+            parts.append(f"{format_scalar(coeff)}*{vars_part}")
+    return " + ".join(parts) or "0"
 
 
 def to_multipoly(f, arity: int = 1) -> MultiPoly:

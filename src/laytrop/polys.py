@@ -1,10 +1,14 @@
 """Sparse univariate layered polynomials.
 
 Coefficients are stored as a map exponent -> LayeredScalar with no
-BOTTOM entries; the empty map is the zero polynomial.  The essential and
-full canonical forms are computed from the upper concave hull of the
-points (exponent, coefficient value), exactly, by cross-multiplication
-of ints: the values are scaled once over their common denominator.  A polynomial carries a ``form`` tag ("essential",
+BOTTOM entries; the empty map is the zero polynomial.  One coefficient
+hull, the upper concave hull of the points (exponent, coefficient
+value), is behind the essential and full canonical forms, the slopes,
+corner roots and homogeneous parts, and ``factor.separable_factor``: its
+corners are the essential monomials and its edges the corner roots,
+each of multiplicity its length.  ``_hull_classify`` finds it exactly,
+by cross-multiplication of ints: the values are scaled once over their
+common denominator.  A polynomial carries a ``form`` tag ("essential",
 "full" or None); consumers that require a form check the tag instead of
 assuming it.
 """
@@ -270,28 +274,23 @@ def _require_full(f: LayeredPoly):
 
 
 def slopes(f: LayeredPoly):
-    """Corner-root values of a full-form polynomial, grouped into runs.
+    """Corner-root values of a full-form polynomial, one run per hull edge.
 
     Returns [(slope, (start, end)), ...] where positions count down from
     the leading coefficient (position p is exponent degree - p) and the
-    slope of positions (p, p+1) is the value difference
-    value(exp d-p-1) - value(exp d-p).  Runs of constant slope are the
-    homogeneous parts; the list starts at the top part, so the slopes
-    weakly decrease along it.
+    edge from position start to position end has the slope
+    (value(exp degree - end) - value(exp degree - start)) / (end - start),
+    the value drop per exponent step.  The runs are the edges between
+    consecutive corners of the coefficient hull (``hull_vertices``), so
+    they are the homogeneous parts; the list starts at the top part, so
+    the slopes strictly decrease along it.
     """
     _require_full(f)
-    if f.is_zero or len(f.coeffs) == 1:
-        return []
-    exps = sorted(f.coeffs, reverse=True)
-    values = [f.coeffs[e].value for e in exps]
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
+    corners = sorted(hull_vertices(f), reverse=True)
     runs = []
-    start = 0
-    for i in range(1, len(diffs)):
-        if diffs[i] != diffs[start]:
-            runs.append((diffs[start], (start, i)))
-            start = i
-    runs.append((diffs[start], (start, len(diffs))))
+    for hi, lo in zip(corners, corners[1:]):
+        slope = Fraction(f.coeffs[lo].value - f.coeffs[hi].value, hi - lo)
+        runs.append((slope, (corners[0] - hi, corners[0] - lo)))
     return runs
 
 

@@ -368,11 +368,16 @@ def bounded_pow(l: Fraction, e: int) -> Fraction:
     """The exact rational power l ** e (any integer e).
 
     Raises OutOfRange when its numerator or denominator would need more
-    than MAX_LAYER_BITS bits.  A b-bit part has a power of at least
-    (b - 1) * |e| + 1 bits, so such powers are refused before any work;
-    the rest cost at most 2 * MAX_LAYER_BITS bits and are checked exactly.
+    than MAX_LAYER_BITS bits.  A b-bit part has a power of at most
+    b * |e| bits, so within that bound the power is returned unchecked,
+    and of at least (b - 1) * |e| + 1 bits, so beyond the other one it is
+    refused before any work; the powers between cost at most
+    2 * MAX_LAYER_BITS bits and are checked exactly.
     """
-    if (_bits(l) - 1) * abs(e) < MAX_LAYER_BITS:
+    bits = _bits(l)
+    if bits * abs(e) <= MAX_LAYER_BITS:
+        return l ** e
+    if (bits - 1) * abs(e) < MAX_LAYER_BITS:
         out = l ** e
         if _bits(out) <= MAX_LAYER_BITS:
             return out

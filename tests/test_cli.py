@@ -459,6 +459,10 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
         (["conjecture-search", "--max-degree", str(cli.MAX_SEARCH_DEGREE + 1), "--limit", "1"], 3),
         (["conjecture-search", "--max-layer", str(cli.MAX_SEARCH_LAYER + 1), "--limit", "1"], 3),
         (["conjecture-search", "--limit", str(cli.MAX_SEARCH_LIMIT + 1)], 3),
+        (["factor", "\u00b9"], 2),
+        (["eval", "x\u00b9", "--at", "0:1"], 2),
+        (["eval", "\u0664:1", "--at", "0:1"], 2),
+        (["eval", "x", "--at", "0:\u0663"], 2),
     ],
     ids=[
         "constant-eval",
@@ -480,6 +484,10 @@ def test_big_numbers_end_in_bounded_time_without_traceback(argv, expected):
         "conjecture-search-degree",
         "conjecture-search-layer",
         "conjecture-search-limit",
+        "superscript-digit-value",
+        "superscript-digit-variable-index",
+        "non-ascii-digit-value",
+        "non-ascii-digit-layer",
     ],
 )
 def test_refused_at_once_without_traceback(argv, code):

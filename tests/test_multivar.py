@@ -36,6 +36,23 @@ def test_constant_monomials_are_checked():
         list(lt.grid_scan(f, [(-2, -1, 1)], [1], lt.UNIT))
 
 
+def test_coordinate_layer_is_checked_before_the_coefficient_layer():
+    """A monomial's power is taken before its coefficient multiplies in."""
+    f = lt.multipoly(1, {(1,): sc(0, F(1, 2))})
+    with pytest.raises(lt.InvalidLayer, match="layer 5/3 is not valid"):
+        lt.mp_eval(f, pt((0, F(5, 3))), lt.NAT)
+    with pytest.raises(lt.InvalidLayer, match="layer 5/3 is not valid"):
+        list(lt.grid_scan(f, [(0, 1, 1)], [F(5, 3)], lt.NAT))
+
+
+def test_unread_coordinate_layer_is_not_checked():
+    """No monomial reads x2, so its layer outside the sort is accepted."""
+    f = lt.multipoly(2, {(1, 0): sc(0, 2), (0, 0): sc(1, 1)})
+    assert lt.mp_eval(f, pt((3, 1), (0, F(5, 3))), lt.NAT) == sc(3, 2)
+    rows = list(lt.grid_scan(f, [(0, 1, 1), (0, 0, 1)], [1, F(5, 3)], lt.NAT))
+    assert [(row.value, row.theta) for row in rows] == [(1, 1), (1, 3)]
+
+
 def test_constant_monomial_layer_is_a_fraction():
     """mp_eval gives a constant's layer in the universal encoding, as p_eval does."""
     coeffs = {(0,): lt.LayeredScalar(F(0), 5), (1,): lt.ONE}

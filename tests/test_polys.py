@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
@@ -296,3 +296,119 @@ def test_integer_folds_match_fraction_oracles(case):
     assert full == outcome(_full_oracle, kept)
     if isinstance(full, lt.LayeredPoly):
         assert full.form == "full"
+
+
+# -- the readers of the coefficient hull against _status_oracle ---------------
+
+
+def _runs_oracle(full):
+    """(slope, (start, end)) per pair of consecutive corners of a full form.
+
+    The corners are those of ``_status_oracle``; positions count down from
+    the top exponent.  Every unit step inside a run drops by its slope, so
+    the run is one edge and its length the root's multiplicity.
+    """
+    status = _status_oracle(full)
+    corners = sorted((e for e, st_ in status.items() if st_ == "vertex"), reverse=True)
+    runs = []
+    for hi, lo in zip(corners, corners[1:]):
+        slope = F(full.coeffs[lo].value - full.coeffs[hi].value) / (hi - lo)
+        for e in range(lo, hi):
+            assert status[e] in ("vertex", "edge")
+            assert full.coeffs[e].value - full.coeffs[e + 1].value == slope
+        runs.append((slope, (corners[0] - hi, corners[0] - lo)))
+    return runs
+
+
+def _separable_oracle(f, sort):
+    """The linear factors x + <v(e-1) - v(e)>^{l(e-1)/l(e)}, top first, when
+    every exponent from 0 to the degree is a corner of a monic f."""
+    if f.is_zero:
+        raise lt.NotSeparable("the zero polynomial has no linear factorization")
+    if f.coeffs[f.degree].value != 0:
+        raise lt.NotMonic("separable_factor needs a monic polynomial")
+    if f.min_exp != 0:
+        raise lt.NotSeparable("divisible by the variable; no linear factorization over R")
+    status = _status_oracle(f)
+    if sorted(e for e, st_ in status.items() if st_ == "vertex") != list(range(f.degree + 1)):
+        raise lt.NotSeparable("slope runs longer than 1: repeated corner root")
+    work = lt.POSQ if sort == lt.NAT else sort
+    out = []
+    for e in range(f.degree, 0, -1):
+        hi, lo = f.coeffs[e], f.coeffs[e - 1]
+        k = lt.sorts.layer_div(lo.layer, hi.layer, work)
+        out.append(lt.poly({1: lt.ONE, 0: lt.LayeredScalar(lo.value - hi.value, k)}))
+    return out
+
+
+def _raised(fn, *args):
+    """The result, or the class and message of the refusal."""
+    try:
+        return fn(*args)
+    except lt.LaytropError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def _hull_case(draw):
+    """A sort and a polynomial around a concave chain of roots.
+
+    The roots come from a pool of at most three values, so they repeat
+    (multiple corner roots, with edge terms inside their runs, of layer 0
+    at times); a term may be left out or put below the chain.  Some
+    polynomials keep every term on a strictly concave chain of a monic
+    lead (separable), some are a lone power of x, and some are divided by
+    a power of x.
+    """
+    sort = draw(st.sampled_from(ALL_SORTS))
+    rng = draw(st.randoms(use_true_random=False))
+    layers = st.sampled_from(["zero", "bad", "valid", "valid", "valid"])
+
+    def layer():
+        kind = draw(layers)
+        if kind == "zero":
+            return F(0)
+        return rng.choice(_BAD_LAYERS) if kind == "bad" else rand_layer(rng, sort)
+
+    degree = draw(st.integers(0, 7))
+    shape = draw(st.sampled_from(["chain", "chain", "separable", "power"]))
+    fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 3))
+    if shape == "separable":
+        roots = draw(st.lists(st.integers(-30, 30), min_size=degree, max_size=degree, unique=True))
+        value = F(0)
+    else:
+        pool = draw(st.lists(fractions, min_size=1, max_size=3))
+        roots = draw(st.lists(st.sampled_from(pool), min_size=degree, max_size=degree))
+        value = draw(st.sampled_from([F(0), draw(fractions)]))
+    coeffs = {degree: lt.LayeredScalar(value, rand_layer(rng, sort) if shape == "separable" else layer())}
+    for e, root in zip(range(degree - 1, -1, -1), sorted(roots, reverse=True)):
+        value += root
+        term = "on" if shape == "separable" else draw(st.sampled_from(["on", "on", "on", "out", "below"]))
+        if term == "below":
+            coeffs[e] = lt.LayeredScalar(value - draw(st.integers(1, 6)) / F(2), layer())
+        elif term == "on" or e == 0:
+            coeffs[e] = lt.LayeredScalar(value, rand_layer(rng, sort) if shape == "separable" else layer())
+    if shape == "power":
+        coeffs = {degree: coeffs[degree]}
+    shift = draw(st.sampled_from([0, 0, 1, 3]))
+    return sort, lt.poly({e + shift: c for e, c in coeffs.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hull_case())
+def test_hull_readers_match_status_oracle(case):
+    """slopes, corner_roots, homogeneous_parts and separable_factor read the
+    corners of the coefficient hull; the oracles read ``_status_oracle``."""
+    sort, f = case
+    status = _status_oracle(f)
+    full = _full_oracle({e: c for e, c in f.coeffs.items() if _keeps(status[e], c)})
+    assert lt.full_form(f) == full
+    runs = _runs_oracle(full)
+    assert lt.slopes(full) == runs
+    assert lt.corner_roots(f) == [(slope, end - start) for slope, (start, end) in runs]
+    top = max(full.coeffs, default=0)
+    assert lt.homogeneous_parts(full) == [
+        lt.poly({e: c for e, c in full.coeffs.items() if top - end <= e <= top - start})
+        for _, (start, end) in runs
+    ]
+    assert _raised(lt.separable_factor, f, sort) == _raised(_separable_oracle, f, sort)
