@@ -10,11 +10,12 @@ each of multiplicity its length.  ``_hull_classify`` finds it exactly,
 by cross-multiplication of ints: the values are scaled once over their
 common denominator.  A polynomial carries a ``form`` tag ("essential",
 "full" or None); consumers that require a form check the tag instead of
-assuming it.
+assuming it, and a full form also for a gap between its exponents.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -111,24 +112,33 @@ def term_product(left, right, sort: Sort, add_exps) -> dict:
 
     ``add_exps`` adds two exponents (ints, or vectors in ``mp_mul``).
     Each coefficient layer is checked once, the right operand's first,
-    then the loop runs on ``sort.add`` and ``sort.mul``; an empty operand
-    gives {} unchecked.
+    and an empty operand gives {} unchecked.  The values of both
+    operands are scaled once to ints over their common denominator D
+    (``integer_scale``), so a pair's value is an int sum; each exponent
+    keeps its best value and the layer pairs that tie on it.  Only those
+    pairs are multiplied and added, with ``sort.mul`` and ``sort.add`` in
+    the order the pairs came, and one ``Fraction`` is built per term.
     """
     if not left or not right:
         return {}
-    add, mul = sort.add, sort.mul
     right = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in right]
-    out = {}  # exponent -> (value, layer)
-    for e1, c1 in left:
-        v1, l1 = c1.value, sorts.require_layer(c1.layer, sort)
+    left = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in left]
+    scale, ints = integer_scale([v for _, v, _ in left + right])
+    right = [(e, v, l) for (e, _, l), v in zip(right, ints[len(left):])]
+    out = {}  # exponent -> (best int value, [tied (layer, layer) pairs])
+    for (e1, _, l1), v1 in zip(left, ints):
         for e2, v2, l2 in right:
-            exp, v, l = add_exps(e1, e2), v1 + v2, mul(l1, l2)
+            exp, v = add_exps(e1, e2), v1 + v2
             old = out.get(exp)
             if old is None or v > old[0]:
-                out[exp] = v, l
+                out[exp] = v, [(l1, l2)]
             elif v == old[0]:
-                out[exp] = v, add(old[1], l)
-    return {exp: LayeredScalar(v, l) for exp, (v, l) in out.items()}
+                old[1].append((l1, l2))
+    add, mul = sort.add, sort.mul
+    return {
+        exp: LayeredScalar(Fraction(v, scale), functools.reduce(add, (mul(k, l) for k, l in pairs)))
+        for exp, (v, pairs) in out.items()
+    }
 
 
 def p_pow(f: LayeredPoly, n: int, sort: Sort) -> LayeredPoly:
@@ -142,17 +152,22 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     """Evaluate f at x; the zero polynomial evaluates to BOTTOM.
 
     The nu-maximum of the monomial values, with the layers of the tied
-    monomials added.  Each coefficient layer is checked once, and x's
-    layer once, at the first positive exponent (a constant accepts any
-    x); terms run in ascending exponent order, each power before its
-    coefficient's check, so a bad input raises what ``ls_pow`` and
-    ``ls_mul`` would.
+    monomials added.  The values are scaled once by the least common
+    multiple D of the denominators of the coefficient values and of x's
+    value (x's only where a positive exponent reads it), so the loop
+    adds, compares and ties Python ints and one ``Fraction`` is built at
+    the end.  D is positive, so every order and tie of the values holds
+    for the ints.
 
-    The values are scaled once by the least common multiple D of the
-    denominators of the coefficient values and of x's value (x's only
-    where a positive exponent reads it), so the loop adds, compares and
-    ties Python ints and one ``Fraction`` is built at the end.  D is
-    positive, so every order and tie of the values holds for the ints.
+    Values come first and layers last: one pass over the terms, in
+    ascending exponent order, finds the best value and the tied
+    (coefficient layer, exponent) pairs, and only the tied pairs are
+    then raised, multiplied and added in term order.  The pass checks
+    each coefficient layer once, and x's layer once, at the first
+    positive exponent (a constant accepts any x).  A power that
+    ``Sort.pow`` could refuse (an exponent beyond ``Sort.pow_limit``) is
+    taken in the pass, before its coefficient's check, tied or not, so a
+    bad input raises what ``ls_pow`` and ``ls_mul`` would.
     """
     coeffs = f.coeffs
     if not coeffs:
@@ -163,18 +178,21 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
         values.append(x.value)
     scale, ints = integer_scale(values)
     xv = ints[-1] if reads_x else 0
-    add, mul = sort.add, sort.mul
-    best = layer = xl = None
+    best = xl = None
+    limit = 0  # only exponent 0 comes before x's layer is read
     for (e, c), v in zip(coeffs.items(), ints):
         if e and xl is None:
             xl = sorts.require_layer(x.layer, sort)
-        power = sort.pow(xl, e)
+            limit = sort.pow_limit(xl)
+        if e > limit:
+            sort.pow(xl, e)
         cl = sorts.require_layer(c.layer, sort)
         v += xv * e
         if best is None or v > best:
-            best, layer = v, mul(cl, power)
+            best, tied = v, [(cl, e)]
         elif v == best:
-            layer = add(layer, mul(cl, power))
+            tied.append((cl, e))
+    layer = functools.reduce(sort.add, (sort.mul(cl, sort.pow(xl, e)) for cl, e in tied))
     return LayeredScalar(Fraction(best, scale), layer)
 
 
@@ -269,8 +287,12 @@ def full_form(f: LayeredPoly) -> LayeredPoly:
 
 
 def _require_full(f: LayeredPoly):
+    """NotFullForm unless f is tagged full and has no gap: a full form has
+    a coefficient at every exponent from its lowest to its highest."""
     if f.form != "full":
         raise NotFullForm("operation requires a polynomial flagged as full form")
+    if f.coeffs and len(f.coeffs) != f.degree - f.min_exp + 1:
+        raise NotFullForm("a polynomial flagged as full form has a gap between its exponents")
 
 
 def slopes(f: LayeredPoly):

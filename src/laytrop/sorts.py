@@ -40,8 +40,10 @@ check a monomial's layer at the first row that reaches it) and
 ``eval_sort`` do so once per layer and call, and their inner loops then
 work on the unchecked ``sort.add``, ``sort.mul`` and ``sort.pow``, under
 which the valid layers (with 0) are closed.  Values carry no sort:
-``p_eval``, the coefficient hull and the raster fold scale them once to
-ints over one common denominator and compare those ints.  An input a
+``p_eval``, ``p_mul`` and ``mp_mul``, the coefficient hull and the
+raster fold scale them once to ints over one common denominator and
+compare those ints; ``p_eval`` and the products then compute layers
+only for the nu-maximal terms, the ones whose values tie.  An input a
 kernel never reads is not checked: ``p_eval`` of a constant accepts any
 point.
 
@@ -153,6 +155,16 @@ class Sort:
         if self.q and l > 1:  # l is never INF here: q is None under super
             n = min(n, -(-q_bits // (_bits(l) - 1)))
         return self.collapse(l ** n)
+
+    def pow_limit(self, l):
+        """An exponent bound for a checked layer l (0 included): ``pow``
+        cannot raise for an integer 0 <= n <= the bound.
+
+        Only ``bounded_pow`` refuses an integer power, and it computes
+        every power of at most MAX_LAYER_BITS bits at once; where the
+        collapse keeps powers short the bound is INF.
+        """
+        return MAX_LAYER_BITS // _bits(l) if self.exact else INF
 
 
 UNIT = Sort("unit", member=lambda l: l == 1, collapse=lambda x: _ONE if x else x)

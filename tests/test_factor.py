@@ -121,6 +121,35 @@ def test_linear_multiplicity():
     assert lt.linear_multiplicity(lt.poly({1: lt.ONE, 0: sc(2, 7)}), 7) == 1
 
 
+def test_linear_multiplicity_matches_sympy():
+    """linear_multiplicity (psi_a, then synthetic division) against the
+    root multiplicities of psi_a(f) that sympy's factorization over Q finds,
+    on seeded primaries built from repeated linear factors (x + <a>^l)."""
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    rng = random.Random(17)
+    layers = [F(1), F(2), F(3), F(1, 2), F(5, 3)]
+    repeated = 0
+    for _ in range(120):
+        root = F(rng.randint(-4, 4), rng.randint(1, 2))
+        f = lt.poly({0: lt.ONE})
+        for l in rng.choices(layers, k=rng.randint(0, 4)):
+            f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: lt.LayeredScalar(root, l)}), lt.POSQ)
+        if f.degree == 0 or rng.random() < 0.4:
+            f = lt.p_mul(f, rand_primary(rng, lt.POSQ, root), lt.POSQ)
+        psi = lt.psi_a(f)
+        classical = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(psi)], X)
+        want = {}
+        for factor, mult in classical.factor_list()[1]:
+            if factor.degree() == 1:
+                a1, a0 = factor.all_coeffs()
+                want[F(int(sympy.numer(-a0 / a1)), int(sympy.denom(-a0 / a1)))] = mult
+        for l in layers + [F(7)]:
+            assert lt.linear_multiplicity(f, l) == want.get(-l, 0), (f, l)
+        repeated += max(want.values(), default=0) >= 2
+    assert repeated >= 20
+
+
 def test_linear_divides_via_zero_layer():
     double = lt.poly({2: lt.ONE, 1: sc(2, 2), 0: sc(4, 1)})
     assert lt.linear_divides_via_zero_layer(double, 1, lt.RAT)

@@ -183,6 +183,59 @@ def test_order_of_refusals_is_kept():
         assert outcome(oracle_eval_sort, bad_unit, b, lt.NAT) is expected
 
 
+def test_a_losing_huge_power_is_still_refused():
+    """x**3 loses to the constant 100, yet its layer power is refused."""
+    f = lt.poly({0: lt.scalar(100, 1), 3: lt.ONE})
+    x = lt.LayeredScalar(0, HUGE)
+    assert outcome(lt.p_eval, f, x, lt.NAT) is lt.OutOfRange
+    assert outcome(oracle_p_eval, f, x, lt.NAT) is lt.OutOfRange
+
+
+def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
+    """Sort.pow runs for the tied terms, and beyond ``pow_limit`` for a
+    losing term too, where it might refuse."""
+    powers = []
+    pow_ = sorts.Sort.pow
+
+    def counting(self, l, n):
+        powers.append(n)
+        return pow_(self, l, n)
+
+    monkeypatch.setattr(sorts.Sort, "pow", counting)
+    # at <1>^2 the terms have the values 3, 3, 2, 3: exponents 0, 1 and 3 tie
+    f = lt.poly({0: lt.scalar(3, 1), 1: lt.scalar(2, 2), 2: lt.scalar(0, 1), 3: lt.scalar(0, 3)})
+    x = lt.scalar(1, 2)
+    assert lt.p_eval(f, x, lt.POSQ) == lt.scalar(3, 1 + 2 * 2 + 3 * 8)
+    assert powers == [0, 1, 3]
+    # a 127-bit layer: 127 * 130 bits pass MAX_LAYER_BITS, so the losing x**130
+    # is taken (2**16380 fits, so it is not refused) before the tied constant
+    big = F(2**126)
+    assert sorts.NAT.pow_limit(big) == sorts.MAX_LAYER_BITS // 127 < 130
+    g = lt.poly({0: lt.scalar(1000, 1), 130: lt.ONE})
+    for sort, y in ((lt.NAT, lt.LayeredScalar(0, big)), (lt.SUPER, lt.LayeredScalar(0, lt.INF))):
+        assert oracle_p_eval(g, y, sort) == lt.scalar(1000, 1)
+        powers.clear()
+        assert lt.p_eval(g, y, sort) == lt.scalar(1000, 1)
+        assert powers == ([130, 0] if sort == lt.NAT else [0])
+
+
+@pytest.mark.parametrize("sort", [lt.truncated(3), lt.SUPER], ids=str)
+def test_three_pairs_tie_on_one_exponent(sort):
+    """x^2 of f * f comes from the pairs (0, 2), (1, 1) and (2, 0), all of value 0."""
+    top = lt.INF if sort == lt.SUPER else F(2)
+    terms = [(0, lt.LayeredScalar(F(1, 2), F(1))), (1, lt.LayeredScalar(F(0), top)),
+             (2, lt.LayeredScalar(F(-1, 2), F(1)))]
+    f = lt.poly(dict(terms))
+    got = lt.p_mul(f, f, sort)
+    assert got == oracle_p_mul(f, f, sort)
+    # 1 + top * top + 1, collapsed: 3 under trunc:3, inf under super
+    assert got.coeffs[2] == lt.LayeredScalar(F(0), F(3) if sort != lt.SUPER else lt.INF)
+    g = lt.multipoly(2, [((F(e), F(e)), c) for e, c in terms])
+    got = lt.mp_mul(g, g, sort)
+    assert got == oracle_mp_mul(g, g, sort)
+    assert dict(got.terms())[F(2), F(2)] == lt.LayeredScalar(F(0), F(3) if sort != lt.SUPER else lt.INF)
+
+
 def test_unread_layers_are_not_checked():
     bad = lt.LayeredScalar(0, 5)
     const = lt.poly({0: lt.scalar(3, 1)})

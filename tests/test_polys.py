@@ -87,6 +87,17 @@ def test_form_flags():
         lt.slopes(f)
 
 
+def test_full_tag_with_a_gap_is_refused():
+    """A hand-tagged full form missing an exponent raised a bare KeyError."""
+    gapped = lt.poly({0: sc(0, 1), 3: sc(5, 1), 4: lt.ONE}, form="full")
+    for reader in (lt.slopes, lt.homogeneous_parts):
+        with pytest.raises(lt.NotFullForm, match="gap"):
+            reader(gapped)
+    shifted = lt.poly({2: sc(1, 1), 3: lt.ONE}, form="full")  # no gap above x^2
+    assert lt.slopes(shifted) == [(F(1), (0, 1))]
+    assert lt.slopes(lt.poly({}, form="full")) == []
+
+
 def test_slopes():
     assert lt.slopes(lt.full_form(P("x^2 + 2:1*x + 3:1"))) == [
         (F(2), (0, 1)),
