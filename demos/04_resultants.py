@@ -8,13 +8,14 @@ holds up to nu-equivalence -- the demo reproduces the counterexample.
 """
 
 import laytrop as lt
+from laytrop.resultants import dense_rows
 
 f = lt.parse_poly("x^2 + 5:1*x + 7:1")
 g = lt.parse_poly("x^2 + 4:1*x + 6:1")
 print("f =", lt.format_poly(f), "   g =", lt.format_poly(g))
 m = lt.sylvester(f, g, lt.NAT)
-for row in m.entries:
-    print("  ", "  ".join("_" if e is lt.BOTTOM else lt.format_scalar(e) for e in row))
+for row in dense_rows(m, None):  # m stores each row as its band of real entries
+    print("  ", "  ".join("_" if e is None else lt.format_scalar(e) for e in row))
 print("resultant:", lt.resultant(f, g, lt.NAT))
 print("(factors (x+5)(x+2) and (x+4)(x+2): <2>^2 * 5 * 4 * 5 = <16>^2)")
 

@@ -138,7 +138,8 @@ def _cmd_resultant(args, sort):
         except DomainError:
             pass
     record["sylvester"] = None if syl is None else [
-        [None if e is BOTTOM else format_scalar(e) for e in row] for row in syl.entries
+        [None if e is None else format_scalar(e) for e in row]
+        for row in resultants.dense_rows(syl, None)
     ]
     record["layer_sylvester"] = None if layer_matrix is None else [
         [format_value(e) for e in row] for row in layer_matrix.entries

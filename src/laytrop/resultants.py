@@ -9,6 +9,9 @@ sorts, the merge is exact.  Inclusion-exclusion shortcuts (Ryser's
 formula) need subtraction and are unsound here.  The naive full
 enumeration is kept as the oracle.
 
+A matrix row is a band ``(columns, scalars)``, ``BOTTOM`` left out; the
+Sylvester rows of f share one tuple of its coefficients, as do g's.
+
 For two primary polynomials with the same root, the resultant is
 determined by the classical permanent of the layer Sylvester matrix:
 value m*n*a at that layer.
@@ -30,11 +33,11 @@ from .errors import (
 )
 from .factor import is_primary
 from .polys import LayeredPoly, full_form
-from .scalars import BOTTOM, LayeredScalar, ls_add, ls_mul, ls_pow
+from .scalars import BOTTOM, ONE, LayeredScalar, ls_add, ls_mul, ls_pow
 from .sorts import SUPER, UNIT, Sort
 
 # A Sylvester matrix of more than this many rows (m + n for degrees m and
-# n) is refused before any row is built: its rows hold (m + n)**2 cells.
+# n) is refused before any row is built, to keep the permanent in check.
 MAX_SYLVESTER_SIZE = 2 ** 12
 
 # ``layered_permanent`` raises OutOfRange once one row's table of column
@@ -47,7 +50,7 @@ MAX_PERMANENT_STATES = 2 ** 17
 class LayeredMatrix(NamedTuple):
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples; entries LayeredScalar or BOTTOM
+    entries: tuple  # per row, a band (columns, scalars) in column order; no BOTTOM
 
 
 class LayerMatrix(NamedTuple):
@@ -56,31 +59,37 @@ class LayerMatrix(NamedTuple):
 
 
 def layered_matrix(rows) -> LayeredMatrix:
-    entries = tuple(tuple(row) for row in rows)
-    n = len(entries)
-    m = len(entries[0]) if entries else 0
-    if any(len(row) != m for row in entries):
+    """The matrix of dense rows of LayeredScalar or BOTTOM cells."""
+    rows = [tuple(row) for row in rows]
+    m = len(rows[0]) if rows else 0
+    if any(len(row) != m for row in rows):
         raise ValueError("ragged matrix")
-    return LayeredMatrix(n, m, entries)
+    columns = [tuple(j for j, e in enumerate(row) if e is not BOTTOM) for row in rows]
+    entries = tuple((js, tuple(row[j] for j in js)) for row, js in zip(rows, columns))
+    return LayeredMatrix(len(rows), m, entries)
+
+
+def dense_rows(matrix: LayeredMatrix, empty):
+    """Each row of ``matrix`` in full, ``empty`` in the cells it leaves out."""
+    for columns, scalars in matrix.entries:
+        cells = dict(zip(columns, scalars))
+        yield tuple(cells.get(j, empty) for j in range(matrix.cols))
 
 
 def layered_permanent_naive(matrix: LayeredMatrix, sort: Sort):
     """Oracle: plain sum over all permutations."""
     if matrix.rows != matrix.cols:
         raise NotSquare("permanent needs a square matrix")
-    n = matrix.rows
+    rows = [dict(zip(*band)) for band in matrix.entries]
     total = BOTTOM
-    for perm in permutations(range(n)):
-        term = None
-        for i in range(n):
-            e = matrix.entries[i][perm[i]]
-            if e is BOTTOM:
-                term = None
+    for perm in permutations(range(matrix.rows)):
+        term = ONE  # the empty product, of the one permutation of no rows
+        for i, (row, j) in enumerate(zip(rows, perm)):
+            if j not in row:
                 break
-            term = e if term is None else ls_mul(term, e, sort)
-        if term is None:
-            continue
-        total = term if total is BOTTOM else ls_add(total, term, sort)
+            term = row[j] if i == 0 else ls_mul(term, row[j], sort)
+        else:
+            total = term if total is BOTTOM else ls_add(total, term, sort)
     return total
 
 
@@ -96,16 +105,15 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     sort; no subtraction is used, so layer 0 and ``INF`` need no care.
     The work is the number of reachable column masks, at most C(n, i)
     after row i, whatever the values.  A row whose table would hold more
-    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.
+    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.  The bands are
+    read as stored: only real entries are checked and extended.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("permanent needs a square matrix")
     rows = []
-    for row in matrix.entries:
+    for columns, scalars in matrix.entries:
         cells = []
-        for j, e in enumerate(row):
-            if e is BOTTOM:
-                continue
+        for j, e in zip(columns, scalars):
             sorts.require_layer(e.layer, sort)
             cells.append((1 << j, e.value, e.layer))
         if not cells:
@@ -146,11 +154,14 @@ def sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredMatrix:
     """The (m+n) x (m+n) staircase of full-form coefficients.
 
     Inputs are normalized to full form first; absent exponents (below a
-    power of the variable dividing the input) stay BOTTOM.  A size above
-    ``MAX_SYLVESTER_SIZE`` raises OutOfRange.
+    power of the variable dividing the input) are BOTTOM and lie outside
+    every band.  A size above ``MAX_SYLVESTER_SIZE`` raises OutOfRange.
     """
-    f = full_form(f)
-    g = full_form(g)
+    return _staircase(full_form(f), full_form(g))
+
+
+def _staircase(f: LayeredPoly, g: LayeredPoly) -> LayeredMatrix:
+    """``sylvester`` of two full forms: row r of p has columns r + e."""
     if f.is_zero or g.is_zero or f.degree < 1 or g.degree < 1:
         raise DegreeZero("sylvester needs two polynomials of degree >= 1")
     m, n = f.degree, g.degree
@@ -159,18 +170,11 @@ def sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredMatrix:
         raise OutOfRange(
             f"a Sylvester matrix of size {size} exceeds the limit of {MAX_SYLVESTER_SIZE}"
         )
-    rows = []
-    for r in range(n):
-        row = [BOTTOM] * size
-        for e, c in f.terms():
-            row[r + e] = c
-        rows.append(row)
-    for r in range(m):
-        row = [BOTTOM] * size
-        for e, c in g.terms():
-            row[r + e] = c
-        rows.append(row)
-    return layered_matrix(rows)
+    entries = []
+    for p, count in ((f, n), (g, m)):
+        scalars = tuple(p.coeffs.values())  # one per exponent: a full form has no gap
+        entries += [(range(r + p.min_exp, r + p.degree + 1), scalars) for r in range(count)]
+    return LayeredMatrix(size, size, tuple(entries))
 
 
 def resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort):
@@ -189,43 +193,42 @@ def layer_sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayerMatrix:
 
     Both inputs must be monic and primary with nu-equivalent roots.
     """
-    a = is_primary(full_form(f))
-    b = is_primary(full_form(g))
+    return _primary_pair(f, g, "layer Sylvester matrix needs an equal-root primary pair")[1]
+
+
+def _primary_pair(f: LayeredPoly, g: LayeredPoly, message: str):
+    """Root and layer matrix of an equal-root primary pair; NotPrimaryPair(message) if not."""
+    f = full_form(f)
+    a = is_primary(f)
+    g = full_form(g)
+    b = is_primary(g)
     if a is None or b is None or a != b:
-        raise NotPrimaryPair("layer Sylvester matrix needs an equal-root primary pair")
-    matrix = sylvester(f, g, sort)
-    if any(
-        e is not BOTTOM and sorts.is_inf(e.layer)
-        for row in matrix.entries
-        for e in row
-    ):
+        raise NotPrimaryPair(message)
+    matrix = _staircase(f, g)
+    if any(sorts.is_inf(c.layer) for p in (f, g) for c in p.coeffs.values()):
         raise NotPrimaryPair("layer matrix needs finite layers")
-    entries = tuple(
-        tuple(
-            Fraction(0) if e is BOTTOM else Fraction(e.layer)
-            for e in row
-        )
-        for row in matrix.entries
-    )
-    return LayerMatrix(matrix.rows, entries)
+    empty = LayeredScalar(Fraction(0), Fraction(0))  # an empty cell has layer 0
+    entries = tuple(tuple(Fraction(e.layer) for e in row) for row in dense_rows(matrix, empty))
+    return a, LayerMatrix(matrix.rows, entries)
 
 
 def layer_permanent(matrix: LayerMatrix) -> Fraction:
     """Classical permanent over Q, by the layered permanent under ``RAT``.
 
     Every nonzero entry e becomes the scalar of value 0 and layer e, and
-    every 0 becomes BOTTOM.  All transversals then tie, so the layered
-    sum adds their layer products: the classical permanent.  BOTTOM (no
-    transversal) is 0.
+    every 0 is left out (BOTTOM).  All transversals then tie, so the
+    layered sum adds their layer products: the classical permanent.
+    BOTTOM (no transversal) is 0.
     """
     entries = matrix.entries
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise NotSquare("permanent needs a square matrix")
-    tied = layered_matrix(
-        [BOTTOM if e == 0 else LayeredScalar(Fraction(0), Fraction(e)) for e in row]
-        for row in entries
-    )
+    tied = []
+    for row in entries:
+        columns = tuple(j for j, e in enumerate(row) if e != 0)
+        tied.append((columns, tuple(LayeredScalar(Fraction(0), Fraction(row[j])) for j in columns)))
+    tied = LayeredMatrix(n, n, tuple(tied))
     per = layered_permanent(tied, sorts.RAT)
     return Fraction(0) if per is BOTTOM else per.layer
 
@@ -249,10 +252,5 @@ def primary_pair_resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> Layere
         raise PreconditionViolated(
             "the layer-permanent closed form needs ordinary layer arithmetic"
         )
-    a = is_primary(full_form(f))
-    b = is_primary(full_form(g))
-    if a is None or b is None or a != b:
-        raise NotPrimaryPair("closed form needs an equal-root primary pair")
-    m, n = f.degree, g.degree
-    layer = sort.collapse(layer_permanent(layer_sylvester(f, g, sort)))
-    return LayeredScalar(Fraction(m * n) * a, layer)
+    a, matrix = _primary_pair(f, g, "closed form needs an equal-root primary pair")
+    return LayeredScalar(Fraction(f.degree * g.degree) * a, sort.collapse(layer_permanent(matrix)))

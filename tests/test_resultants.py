@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import laytrop as lt
+from laytrop import resultants
 from conftest import ALL_SORTS, rand_layer, rand_poly, rand_primary, rand_scalar
 
 sc = lt.scalar
@@ -29,24 +30,59 @@ def test_layered_permanent_examples():
     assert lt.layered_permanent(allbottom, lt.NAT) is lt.BOTTOM
     with pytest.raises(lt.NotSquare):
         lt.layered_permanent(lt.layered_matrix([[lt.ONE, lt.ONE]]), lt.NAT)
+    # the 0x0 matrix has one permutation, whose empty product is the unit
+    empty = lt.layered_matrix([])
+    assert lt.layered_permanent_naive(empty, lt.NAT) == lt.layered_permanent(empty, lt.NAT) == lt.ONE
+    assert lt.layer_permanent(lt.LayerMatrix(0, ())) == 1
+
+
+def bands(m):
+    """Each row's band as (column tuple, scalar tuple); BOTTOM cells are outside it."""
+    return tuple((tuple(columns), scalars) for columns, scalars in m.entries)
 
 
 def test_sylvester_shapes():
     m = lt.sylvester(P("x + 3:1"), P("x + 5:1"), lt.NAT)
     assert (m.rows, m.cols) == (2, 2)
-    assert m.entries == ((sc(3, 1), lt.ONE), (sc(5, 1), lt.ONE))
+    assert bands(m) == (((0, 1), (sc(3, 1), lt.ONE)), ((0, 1), (sc(5, 1), lt.ONE)))
     m = lt.sylvester(P("x^2 + 1:1*x + 2:1"), P("x + 1:1"), lt.NAT)
     assert (m.rows, m.cols) == (3, 3)
     f = P("x^2 + 5:1*x + 7:1")
     g = P("x^2 + 4:1*x + 6:1")
     m = lt.sylvester(f, g, lt.NAT)
     assert (m.rows, m.cols) == (4, 4)
-    assert m.entries[0] == (sc(7, 1), sc(5, 1), lt.ONE, lt.BOTTOM)
-    assert m.entries[1] == (lt.BOTTOM, sc(7, 1), sc(5, 1), lt.ONE)
-    assert m.entries[2] == (sc(6, 1), sc(4, 1), lt.ONE, lt.BOTTOM)
-    assert m.entries[3] == (lt.BOTTOM, sc(6, 1), sc(4, 1), lt.ONE)
+    assert bands(m)[0] == ((0, 1, 2), (sc(7, 1), sc(5, 1), lt.ONE))
+    assert bands(m)[1] == ((1, 2, 3), (sc(7, 1), sc(5, 1), lt.ONE))
+    assert bands(m)[2] == ((0, 1, 2), (sc(6, 1), sc(4, 1), lt.ONE))
+    assert bands(m)[3] == ((1, 2, 3), (sc(6, 1), sc(4, 1), lt.ONE))
+    # the rows of one polynomial share its coefficient tuple
+    assert m.entries[0][1] is m.entries[1][1] and m.entries[2][1] is m.entries[3][1]
+    assert list(resultants.dense_rows(m, lt.BOTTOM)) == [
+        (sc(7, 1), sc(5, 1), lt.ONE, lt.BOTTOM),
+        (lt.BOTTOM, sc(7, 1), sc(5, 1), lt.ONE),
+        (sc(6, 1), sc(4, 1), lt.ONE, lt.BOTTOM),
+        (lt.BOTTOM, sc(6, 1), sc(4, 1), lt.ONE),
+    ]
     with pytest.raises(lt.DegreeZero):
         lt.sylvester(P("3:1"), g, lt.NAT)
+    # one band per row: 8001 entries, not 4001**2 cells
+    m = lt.sylvester(P("x^4000"), P("x + 1:1"), lt.NAT)
+    assert (m.rows, m.cols) == (4001, 4001)
+    assert [len(columns) for columns, _ in m.entries] == [1] + [2] * 4000
+    assert bands(m)[0] == ((4000,), (lt.ONE,))
+    assert bands(m)[4000] == ((3999, 4000), (sc(1, 1), lt.ONE))
+    # x^2 and x^3 leave columns 0 and 1 empty, so no transversal exists
+    m = lt.sylvester(P("x^2"), P("x^3"), lt.NAT)
+    assert {j for columns, _ in m.entries for j in columns} == {2, 3, 4}
+    assert lt.resultant(P("x^2"), P("x^3"), lt.NAT) is lt.BOTTOM
+    # a layer-0 full-form coefficient is a real entry, not BOTTOM
+    m = lt.sylvester(P("x^2 + 2:1"), P("x + 1:1"), lt.NAT)
+    assert bands(m)[0] == ((0, 1, 2), (sc(2, 1), lt.LayeredScalar(F(1), F(0)), lt.ONE))
+    assert bands(m)[1] == ((0, 1), (sc(1, 1), lt.ONE))
+    assert bands(m)[2] == ((1, 2), (sc(1, 1), lt.ONE))
+    # layered_matrix takes dense rows and leaves BOTTOM out of the bands
+    m = lt.layered_matrix([[lt.ONE, lt.BOTTOM], [lt.BOTTOM, lt.BOTTOM]])
+    assert bands(m) == (((0,), (lt.ONE,)), ((), ()))
 
 
 def test_resultant_worked_example():
