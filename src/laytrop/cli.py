@@ -126,17 +126,10 @@ def _cmd_roots(args, sort):
 def _cmd_resultant(args, sort):
     f = _parse_univar(args.f, sort)
     g = _parse_univar(args.g, sort)
-    record, lines = _scalar_result(resultants.resultant(f, g, sort))
     if not args.explain:
-        return record, lines
-    syl = layer_matrix = layer_perm = None
-    if not f.is_zero and not g.is_zero and f.degree >= 1 and g.degree >= 1:
-        syl = resultants.sylvester(f, g, sort)
-        try:
-            layer_matrix = resultants.layer_sylvester(f, g, sort)
-            layer_perm = resultants.layer_permanent(layer_matrix)
-        except DomainError:
-            pass
+        return _scalar_result(resultants.resultant(f, g, sort))
+    value, syl, layer_matrix, layer_perm = resultants.explain_resultant(f, g, sort)
+    record, lines = _scalar_result(value)
     record["sylvester"] = None if syl is None else [
         [None if e is None else format_scalar(e) for e in row]
         for row in resultants.dense_rows(syl, None)

@@ -7,8 +7,9 @@ value), is behind the essential and full canonical forms, the slopes,
 corner roots and homogeneous parts, and ``factor.separable_factor``: its
 corners are the essential monomials and its edges the corner roots,
 each of multiplicity its length.  ``_hull_classify`` finds it exactly,
-by cross-multiplication of ints: the values are scaled once over their
-common denominator.  A polynomial carries a ``form`` tag ("essential",
+by cross-multiplication of ints: the values are scaled once per
+polynomial over their common denominator (its ``_scaled`` view, which
+``p_eval`` reads too).  A polynomial carries a ``form`` tag ("essential",
 "full" or None); consumers that require a form check the tag instead of
 assuming it, and a full form also for a gap between its exponents.
 """
@@ -31,9 +32,19 @@ MAX_FULL_FORM_TERMS = 2 ** 14
 
 
 class LayeredPoly:
-    """Immutable by convention; equality compares coefficients only."""
+    """Immutable by convention; equality compares coefficients only.
 
-    __slots__ = ("coeffs", "form")
+    Nothing may mutate ``coeffs``: a polynomial keeps two private views
+    of it, each built whole the first time a kernel needs it and then
+    only replaced, never changed in place.  ``_scaled()`` is
+    ``(D, ints)``, the coefficient values as ints over their common
+    denominator D (``integer_scale``), which no sort affects.
+    ``_checked`` is ``(sort, layers)``, the coefficient layers as the
+    last ``p_eval`` that checked them all returned them from
+    ``sorts.require_layer`` under that sort (compared by ``is``), or None.
+    """
+
+    __slots__ = ("coeffs", "form", "_scale", "_checked")
 
     def __init__(self, coeffs, form=None):
         clean = {}
@@ -45,6 +56,14 @@ class LayeredPoly:
             clean[exp] = c
         self.coeffs = dict(sorted(clean.items()))
         self.form = form
+        self._scale = self._checked = None
+
+    def _scaled(self):
+        """(D, ints): the coefficient values in term order, times D."""
+        scaled = self._scale
+        if scaled is None:
+            scaled = self._scale = integer_scale([c.value for c in self.coeffs.values()])
+        return scaled
 
     def __eq__(self, other):
         if not isinstance(other, LayeredPoly):
@@ -152,19 +171,22 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     """Evaluate f at x; the zero polynomial evaluates to BOTTOM.
 
     The nu-maximum of the monomial values, with the layers of the tied
-    monomials added.  The values are scaled once by the least common
-    multiple D of the denominators of the coefficient values and of x's
-    value (x's only where a positive exponent reads it), so the loop
-    adds, compares and ties Python ints and one ``Fraction`` is built at
-    the end.  D is positive, so every order and tie of the values holds
-    for the ints.
+    monomials added.  The coefficient values come as ints over their
+    common denominator D (f's ``_scaled`` view), and x's value is
+    n / d, so the term of exponent e is (D * d)^-1 times the int
+    c * d + e * n * D (x's value is read only where a positive exponent
+    reads it).  The loop adds, compares and ties these ints, and one
+    ``Fraction`` is built at the end; D * d is positive, so every order
+    and tie of the values holds for the ints.
 
     Values come first and layers last: one pass over the terms, in
     ascending exponent order, finds the best value and the tied
     (coefficient layer, exponent) pairs, and only the tied pairs are
-    then raised, multiplied and added in term order.  The pass checks
-    each coefficient layer once, and x's layer once, at the first
-    positive exponent (a constant accepts any x).  A power that
+    then raised, multiplied and added in term order.  The pass checks x's
+    layer once, at the first positive exponent (a constant accepts any
+    x), and each coefficient layer, unless f's ``_checked`` view holds
+    this very sort: those checks passed, and the view gives their
+    layers.  A pass that checks them all records the view.  A power that
     ``Sort.pow`` could refuse (an exponent beyond ``Sort.pow_limit``) is
     taken in the pass, before its coefficient's check, tied or not, so a
     bad input raises what ``ls_pow`` and ``ls_mul`` would.
@@ -172,28 +194,34 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     coeffs = f.coeffs
     if not coeffs:
         return BOTTOM
-    values = [c.value for c in coeffs.values()]
-    reads_x = f.degree > 0
-    if reads_x:
-        values.append(x.value)
-    scale, ints = integer_scale(values)
-    xv = ints[-1] if reads_x else 0
+    scale, ints = f._scaled()
+    xd, xn = 1, 0
+    if f.degree > 0:
+        xv = x.value
+        xd, xn = xv.denominator, xv.numerator * scale
+    checked = f._checked
+    hit = checked is not None and checked[0] is sort
+    fresh = []  # the coefficient layers this pass checks, on a miss
     best = xl = None
     limit = 0  # only exponent 0 comes before x's layer is read
-    for (e, c), v in zip(coeffs.items(), ints):
+    for e, v, cl in zip(coeffs, ints, checked[1] if hit else coeffs.values()):
         if e and xl is None:
             xl = sorts.require_layer(x.layer, sort)
             limit = sort.pow_limit(xl)
         if e > limit:
             sort.pow(xl, e)
-        cl = sorts.require_layer(c.layer, sort)
-        v += xv * e
+        if not hit:
+            cl = sorts.require_layer(cl.layer, sort)
+            fresh.append(cl)
+        v = v * xd + e * xn
         if best is None or v > best:
             best, tied = v, [(cl, e)]
         elif v == best:
             tied.append((cl, e))
+    if not hit:
+        f._checked = (sort, tuple(fresh))
     layer = functools.reduce(sort.add, (sort.mul(cl, sort.pow(xl, e)) for cl, e in tied))
-    return LayeredScalar(Fraction(best, scale), layer)
+    return LayeredScalar(Fraction(best, scale * xd), layer)
 
 
 def _hull_classify(f: LayeredPoly):
@@ -203,9 +231,10 @@ def _hull_classify(f: LayeredPoly):
     Returns status in term order, where status[i] is one of "vertex",
     "edge" (on the envelope but not a corner) or "below".  The values are
     scaled once to ints over their common denominator D: D is positive,
-    so every cross product keeps its sign and every equality holds.
+    so every cross product keeps its sign and every equality holds.  The
+    ints are f's ``_scaled`` view.
     """
-    _, ints = integer_scale([c.value for c in f.coeffs.values()])
+    _, ints = f._scaled()
     points = list(zip(f.coeffs, ints))
     n = len(points)
     if n <= 2:

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from . import sorts
 from .errors import (
     DegreeZero,
+    DomainError,
     NotPrimaryPair,
     NotSquare,
     OutOfRange,
@@ -188,6 +189,31 @@ def resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort):
     return layered_permanent(sylvester(f, g, sort), sort)
 
 
+def explain_resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort):
+    """(``resultant``, its Sylvester matrix, the layer Sylvester matrix,
+    its layer permanent), with None for a matrix there is none of.
+
+    Each full form and the staircase are built once.  The resultant
+    raises what ``resultant`` raises.  The layer matrix exists for an
+    equal-root primary pair with finite layers; where it does not, or
+    its permanent is refused, the last two are None.
+    """
+    if f.is_zero or g.is_zero or f.degree < 1 or g.degree < 1:
+        return resultant(f, g, sort), None, None, None
+    f, g = full_form(f), full_form(g)
+    matrix = _staircase(f, g)
+    value = layered_permanent(matrix, sort)
+    layers = perm = None
+    try:
+        root = is_primary(f)
+        if root is not None and root == is_primary(g):
+            layers = _layer_matrix(f, g, matrix)
+            perm = layer_permanent(layers)
+    except DomainError:
+        pass
+    return value, matrix, layers, perm
+
+
 def layer_sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayerMatrix:
     """Layers of the Sylvester matrix of two primary polynomials.
 
@@ -204,12 +230,16 @@ def _primary_pair(f: LayeredPoly, g: LayeredPoly, message: str):
     b = is_primary(g)
     if a is None or b is None or a != b:
         raise NotPrimaryPair(message)
-    matrix = _staircase(f, g)
+    return a, _layer_matrix(f, g, _staircase(f, g))
+
+
+def _layer_matrix(f: LayeredPoly, g: LayeredPoly, matrix: LayeredMatrix) -> LayerMatrix:
+    """The layers of ``matrix``, the staircase of the full forms f and g."""
     if any(sorts.is_inf(c.layer) for p in (f, g) for c in p.coeffs.values()):
         raise NotPrimaryPair("layer matrix needs finite layers")
     empty = LayeredScalar(Fraction(0), Fraction(0))  # an empty cell has layer 0
     entries = tuple(tuple(Fraction(e.layer) for e in row) for row in dense_rows(matrix, empty))
-    return a, LayerMatrix(matrix.rows, entries)
+    return LayerMatrix(matrix.rows, entries)
 
 
 def layer_permanent(matrix: LayerMatrix) -> Fraction:

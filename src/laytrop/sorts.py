@@ -39,10 +39,12 @@ instead each public operation (``layer_add``, ``ls_mul``, ...) runs
 check a monomial's layer at the first row that reaches it) and
 ``eval_sort`` do so once per layer and call, and their inner loops then
 work on the unchecked ``sort.add``, ``sort.mul`` and ``sort.pow``, under
-which the valid layers (with 0) are closed.  Values carry no sort:
-``p_eval``, ``p_mul`` and ``mp_mul``, the coefficient hull and the
-raster fold scale them once to ints over one common denominator and
-compare those ints; ``p_eval`` and the products then compute layers
+which the valid layers (with 0) are closed; ``p_eval`` checks a
+polynomial's coefficient layers once per sort object, and keeps the
+checked layers on the polynomial.  Values carry no sort: ``p_eval``,
+``p_mul`` and ``mp_mul``, the coefficient hull and the raster fold
+scale them once to ints over one common denominator and compare those
+ints; ``p_eval`` and the products then compute layers
 only for the nu-maximal terms, the ones whose values tie.  An input a
 kernel never reads is not checked: ``p_eval`` of a constant accepts any
 point.
@@ -239,7 +241,8 @@ def layer_valid(layer, sort: Sort) -> bool:
 
 def require_layer(layer, sort: Sort) -> Layer:
     """The layer in its universal encoding; InvalidLayer unless it is 0 or a member."""
-    layer = as_layer(layer)
+    if type(layer) is not Fraction:  # almost every layer already is one
+        layer = as_layer(layer)
     if not sort.member(layer) and layer != 0:
         raise InvalidLayer(f"layer {format_layer(layer)} is not valid under sort {sort}")
     return layer

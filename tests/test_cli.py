@@ -75,6 +75,18 @@ def test_resultant_explain_text(capsys):
     }
 
 
+def test_resultant_explain_builds_each_matrix_once(capsys, monkeypatch):
+    """One full form per input and one staircase serve the resultant, the
+    printed Sylvester matrix and the layer Sylvester matrix."""
+    built = []
+    for name in ("full_form", "_staircase"):
+        fn = getattr(resultants, name)
+        monkeypatch.setattr(resultants, name, lambda *a, fn=fn, name=name: built.append(name) or fn(*a))
+    code, out, _ = run_cli(capsys, "resultant", "x^2+1:1*x+2:1", "x+1:1", "--explain")
+    assert code == 0 and out.endswith("layer permanent: 3\n2:3\n")
+    assert sorted(built) == ["_staircase", "full_form", "full_form"]
+
+
 def test_factor_text_variable_power_and_promotion(capsys):
     code, out, _ = run_cli(capsys, "factor", "2:2*x^2 + 3:1*x")
     assert code == 0

@@ -279,6 +279,80 @@ def test_p_eval_checks_each_layer_once(monkeypatch):
     assert len(checked) == 1
 
 
+# -- one polynomial object, many calls: the views p_eval keeps on it ----------
+
+
+def evaluate_in_turn(f, calls):
+    """p_eval of the one object f at each (x, sort) in turn, each call
+    checked against the oracle; returns the outcomes."""
+    outcomes = []
+    for x, sort in calls:
+        got = outcome(lt.p_eval, f, x, sort)
+        assert got == outcome(oracle_p_eval, f, x, sort), (f, x, sort)
+        outcomes.append(got)
+    return outcomes
+
+
+def test_a_view_of_posq_layers_does_not_pass_them_under_nat():
+    """1/2 is a posq layer but no nat one: nat refuses it after posq passed it."""
+    f = lt.poly({0: lt.scalar(1, F(1, 2)), 2: lt.scalar(0, 3)})
+    x = lt.scalar(F(1, 2), 2)  # both terms have the value 1
+    got = evaluate_in_turn(f, [(x, s) for s in (lt.POSQ, lt.POSQ, lt.NAT, lt.POSQ, lt.NAT, lt.RAT, lt.NAT)])
+    assert got[0] == lt.scalar(1, F(1, 2) + 3 * 4)
+    assert [g is lt.InvalidLayer for g in got] == [False, False, True, False, True, False, True]
+
+
+def test_two_equal_truncated_sorts_are_two_keys():
+    t1, t2 = lt.truncated(4), lt.truncated(4)
+    assert t1 == t2 and t1 is not t2
+    x = lt.scalar(1, 3)
+    ok = lt.poly({0: lt.scalar(2, 4), 1: lt.scalar(1, 2), 3: lt.scalar(-1, 1)})
+    got = evaluate_in_turn(ok, [(x, t1), (x, t2), (x, t1), (x, t2)])
+    assert got == [lt.scalar(2, 4)] * 4  # 4 + 2 * 3 + 27 = 37, capped at 4
+    five = lt.poly({0: lt.scalar(2, 5), 1: lt.scalar(1, 2)})  # 5 is a nat layer, not a trunc:4 one
+    got = evaluate_in_turn(five, [(x, lt.NAT), (x, t1), (x, lt.NAT), (x, t2), (x, t1)])
+    assert got == [lt.scalar(2, 5 + 6), lt.InvalidLayer, lt.scalar(2, 11), lt.InvalidLayer, lt.InvalidLayer]
+
+
+def test_int_layers_and_values():
+    f = lt.poly({0: lt.LayeredScalar(3, 2), 1: lt.LayeredScalar(-1, 1), 2: lt.LayeredScalar(-2, 3)})
+    x = lt.LayeredScalar(2, 3)  # the values 3, 1 and 2
+    got = evaluate_in_turn(f, [(x, s) for s in (lt.NAT, lt.NAT, lt.UNIT, lt.POSQ, lt.truncated(3), lt.NAT)])
+    assert got[0] == lt.scalar(3, 2) and got[2] is lt.InvalidLayer
+    assert all(type(g.layer) is F for g in got if g is not lt.InvalidLayer)
+
+
+def test_layer_zero_and_inf():
+    f = lt.poly({0: lt.LayeredScalar(F(1), F(0)), 1: lt.LayeredScalar(F(0), lt.INF), 2: lt.LayeredScalar(F(-1), F(1))})
+    points = [lt.LayeredScalar(F(1), F(1)), lt.LayeredScalar(F(1), lt.INF), lt.LayeredScalar(F(1), F(0))]
+    calls = [(x, s) for s in (lt.SUPER, lt.NAT, lt.SUPER, lt.RAT, lt.UNIT, lt.SUPER) for x in points]
+    got = evaluate_in_turn(f, calls)
+    # under super every call passes; inf is no layer of the other sorts
+    assert [g is lt.InvalidLayer for g in got] == [s != lt.SUPER for _, s in calls]
+    assert got[:3] == [lt.LayeredScalar(F(1), lt.INF), lt.LayeredScalar(F(1), lt.INF), lt.LayeredScalar(F(1), F(0))]
+
+
+def test_the_power_guard_runs_after_a_view_hit():
+    """x**3 loses to the constant, yet a 6001-bit x layer is refused on the
+    third call, whose coefficient checks the view of the first two spares."""
+    f = lt.poly({0: lt.scalar(1000, 1), 3: lt.ONE})
+    small, huge = lt.LayeredScalar(F(0), F(2)), lt.LayeredScalar(F(0), HUGE)
+    got = evaluate_in_turn(f, [(small, lt.NAT), (small, lt.NAT), (huge, lt.NAT), (small, lt.NAT)])
+    assert got == [lt.scalar(1000, 1), lt.scalar(1000, 1), lt.OutOfRange, lt.scalar(1000, 1)]
+
+
+def test_a_view_hit_checks_no_coefficient_layer(monkeypatch):
+    f = lt.full_form(lt.parse_poly("x^6 + 3:2*x^4 + 2:1*x + 9:3"))
+    lt.p_eval(f, lt.scalar(1, 2), lt.POSQ)
+    checked = []
+    require = sorts.require_layer
+    monkeypatch.setattr(sorts, "require_layer", lambda l, s: checked.append(l) or require(l, s))
+    lt.p_eval(f, lt.scalar(2, 3), lt.POSQ)
+    assert checked == [F(3)]  # x's layer only
+    lt.p_eval(f, lt.scalar(2, 3), lt.RAT)
+    assert len(checked) == 1 + 1 + len(f.coeffs)
+
+
 # -- the multivariate kernels -------------------------------------------------
 
 EXPONENTS = [0, 0, 1, 2, 3, -1, F(1, 2), F(3, 2), F(-1, 2)]

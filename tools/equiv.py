@@ -1,0 +1,338 @@
+"""A seeded equivalence corpus: the same calls on two revisions of laytrop.
+
+Run from the repository root:
+
+    python3 tools/equiv.py --seed 1 --calls 60000           # print the corpus
+    python3 tools/equiv.py --seed 1 --against HEAD~1        # compare with a revision
+
+The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
+``p_mul``, ``mp_mul``, ``eval_sort``, ``primary_decomposition``,
+``full_form``, ``resultant`` and the CLI's ``run``, under all six sorts.
+Its inputs include layer 0, ``inf``, int layers and values, negative and
+fractional layers, 2^40-sized layers, repeated exponent vectors, arity
+mismatches, exponents up to 500 and malformed CLI arguments.  Each round
+builds a small pool of polynomials and points and calls the kernels on
+it many times, so the same polynomial object meets one sort several
+times in a row and then another sort; the full forms and products it
+computes join the pool.  What a call draws never depends on what an
+earlier call returned, so both sides make the same calls.
+
+Each call writes one line: its index, kernel, sort and outcome.  The
+outcome is an exact rendering of the result (``Fraction`` and int kept
+apart, a polynomial's form tag included), the CLI's exit code with its
+stdout and stderr, or ``!`` and the exception class.
+
+``--against <rev>`` takes that revision's ``src`` from the local git
+objects (``git archive``), runs the corpus on it and on this tree, each in
+a fresh interpreter, and prints the first differing calls and a count by
+kernel; the exit code is 1 when any line differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from fractions import Fraction as F
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SORT_NAMES = ("unit", "super", "trunc:3", "nat", "posq", "q")
+VALUES = (F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3), F(5), F(-7, 4), 3, -2)
+BIG = F(2 ** 40)
+HUGE = F(2 ** 6000 + 1)  # its cube exceeds the layer bit limit
+# layer groups: a polynomial draws its layers from one, so that many are valid under some sort
+LAYER_GROUPS = (
+    (F(1),),
+    (F(1), F(2), F(3)),
+    (F(1), F(2), F(3), F(4), 2, 1),
+    (F(1), F(1, 2), F(3, 2), F(2)),
+    (F(1), "inf"),
+    (F(0), F(1), F(2)),
+    (F(1), F(2), F(-1), F(-3, 2), F(0), "inf", BIG),
+)
+POINT_LAYERS = (F(1), F(1), F(2), F(3), F(1, 2), F(0), F(-1), "inf", 2, BIG, HUGE)
+# (kernel, relative weight) of the calls a round draws after its decompositions
+KERNELS = (
+    ("p_eval", 46),
+    ("p_mul", 10),
+    ("mp_mul", 8),
+    ("eval_sort", 12),
+    ("full_form", 6),
+    ("resultant", 6),
+    ("cli", 6),
+)
+ROUND_CALLS = 240  # calls on one pool of polynomials and points
+
+
+def render(obj) -> str:
+    """An exact, deterministic text of a kernel result."""
+    if hasattr(obj, "coeffs") and hasattr(obj, "form"):  # a LayeredPoly
+        return f"LayeredPoly({render(list(obj.coeffs.items()))}, {obj.form!r})"
+    if isinstance(obj, tuple):
+        inner = ", ".join(render(x) for x in obj)
+        name = type(obj).__name__
+        return f"({inner})" if name == "tuple" else f"{name}({inner})"
+    if isinstance(obj, list):
+        return "[" + ", ".join(render(x) for x in obj) + "]"
+    if isinstance(obj, F) and max(abs(obj.numerator), obj.denominator).bit_length() > 8192:
+        # too long for the interpreter's int-to-decimal limit
+        return f"Fraction({hex(obj.numerator)}, {hex(obj.denominator)})"
+    return repr(obj)
+
+
+def _text(v) -> str:
+    v = F(v)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+class Corpus:
+    def __init__(self, lt, seed: int):
+        self.lt = lt
+        self.rng = random.Random(seed)
+        self.sorts = {name: lt.parse_sort(name) for name in SORT_NAMES}
+
+    # -- inputs ----------------------------------------------------------------
+
+    def layer(self, choice):
+        return self.lt.INF if choice == "inf" else choice
+
+    def value(self):
+        rng = self.rng
+        return rng.choice(VALUES) if rng.random() < 0.6 else F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def terms(self, wide):
+        """(exponent, value, layer) triples of a random univariate
+        polynomial; a wide one may have an exponent up to 500."""
+        rng = self.rng
+        group = rng.choice(LAYER_GROUPS)
+        shape = rng.random()
+        if shape < 0.06:
+            exps = []
+        elif shape < 0.12 and wide:
+            exps = [0, rng.choice((100, 250, 500))]
+        else:
+            deg = rng.randint(0, 6)
+            exps = [e for e in range(deg + 1) if rng.random() < 0.6] or [deg]
+        out = [(e, self.value(), rng.choice(group)) for e in exps]
+        if out and rng.random() < 0.4:  # monic
+            e, _, l = out[-1]
+            out[-1] = (e, F(0), l)
+        return out
+
+    def poly(self, terms):
+        lt = self.lt
+        return lt.poly({e: lt.LayeredScalar(v, self.layer(l)) for e, v, l in terms})
+
+    def poly_text(self, terms) -> str:
+        if not terms:
+            return "0"
+        return " + ".join(
+            f"{_text(v)}:{'inf' if l == 'inf' else _text(l)}*x^{e}" for e, v, l in reversed(terms)
+        )
+
+    def point(self):
+        return self.lt.LayeredScalar(self.value(), self.layer(self.rng.choice(POINT_LAYERS)))
+
+    def multipoly(self, arity):
+        rng = self.rng
+        exps = (F(0), F(1), F(2), F(1, 2), F(-1))
+        group = rng.choice(LAYER_GROUPS)
+        pairs = [
+            (tuple(rng.choice(exps) for _ in range(arity)),
+             self.lt.LayeredScalar(self.value(), self.layer(rng.choice(group))))
+            for _ in range(rng.randint(0, 4))
+        ]
+        if pairs and rng.random() < 0.3:  # a repeated exponent vector
+            pairs.append((pairs[0][0], self.lt.LayeredScalar(self.value(), self.layer(rng.choice(group)))))
+        return self.lt.multipoly(arity, pairs)
+
+    def argv(self, texts, small):
+        """One CLI call over the pool's polynomial texts; some are malformed."""
+        rng = self.rng
+        text = rng.choice(texts)
+        f, g = rng.choice(small), rng.choice(small)
+        point = f"{_text(self.value())}:{rng.choice(('1', '2', '1/2', 'inf', '0', '3'))}"
+        command = rng.choice(
+            ("eval", "factor", "roots", "resultant", "resultant --explain", "derivative",
+             "integrate", "discriminant", "separable", "layermap", "truncate", "conjecture-search")
+        )
+        args, options = [text], []
+        if command == "eval":
+            options = [f"--at={point}"]
+        elif command.startswith("resultant"):
+            args = [f, g]
+            options = command.split()[1:]
+            command = "resultant"
+        elif command in ("discriminant", "separable"):
+            args = [f]
+        elif command == "layermap":
+            args = [rng.choice(("x1^2 + 1:1*x1*x2 + 2:1", f))]
+            options = [f"--region={rng.choice(('-2:2:1', '-1:1:1/2,-1:1:1'))}",
+                       f"--layers={rng.choice(('1', '1,2'))}"]
+        elif command == "truncate":
+            args = [rng.choice(("5", "2", "inf", "1/2", "-1"))]
+            options = ["--q", str(rng.randint(1, 4))]
+        elif command == "conjecture-search":
+            args = []
+            options = ["--max-degree", "1", "--max-layer", "2", "--limit", str(rng.randint(1, 6))]
+        options += ["--sort", rng.choice(SORT_NAMES)]
+        if rng.random() < 0.5:
+            options.append("--json")
+        # an argument with a leading minus sign follows "--", or argparse reads it as an option
+        argv = [command] + options + (["--"] if any(a.startswith("-") for a in args) else []) + args
+        if rng.random() < 0.08:  # one character replaced
+            i = rng.randrange(len(argv))
+            word = argv[i]
+            j = rng.randrange(len(word) + 1)
+            argv[i] = word[:j] + rng.choice("x^:*+/-1 é") + word[j + 1:]
+        return argv
+
+    # -- calls -----------------------------------------------------------------
+
+    def calls(self):
+        """Yields (kernel, sort name or CLI arguments, outcome) without end."""
+        lt, rng = self.lt, self.rng
+        names = [k for k, _ in KERNELS]
+        weights = [w for _, w in KERNELS]
+        while True:
+            terms = [self.terms(wide=i > 0) for i in range(8)]
+            polys = [self.poly(t) for t in terms]
+            # the polynomials of degree <= 6, for the resultants (the first is one)
+            small = [i for i, t in enumerate(terms) if not t or t[-1][0] <= 6]
+            texts = [self.poly_text(t) for t in terms]
+            points = [self.point() for _ in range(6)]
+            arity = rng.randint(1, 2)
+            multis = [self.multipoly(arity) for _ in range(3)] + [self.multipoly(arity + 1)]
+            derived = list(polys)  # the pool, and the full forms and products computed from it
+            decomps = []
+            for f in polys:
+                for name in ("posq", "q", "nat"):
+                    out = _outcome(lt.primary_decomposition, f, self.sorts[name])
+                    if not isinstance(out, str):
+                        decomps.append(out)
+                    yield "primary_decomposition", name, out
+            name = rng.choice(SORT_NAMES)
+            for _ in range(ROUND_CALLS):
+                if rng.random() < 0.3:
+                    name = rng.choice(SORT_NAMES)
+                # an equal sort that is not the same object, now and then
+                sort = lt.truncated(3) if name == "trunc:3" and rng.random() < 0.2 else self.sorts[name]
+                kernel = rng.choices(names, weights)[0]
+                if kernel == "p_eval":
+                    f = rng.choice(derived)
+                    out = _outcome(lt.p_eval, f, rng.choice(points), sort)
+                elif kernel == "p_mul":
+                    out = _outcome(lt.p_mul, rng.choice(polys), rng.choice(polys), sort)
+                    derived.append(out if isinstance(out, lt.LayeredPoly) else polys[0])
+                elif kernel == "mp_mul":
+                    out = _outcome(lt.mp_mul, rng.choice(multis), rng.choice(multis), sort)
+                elif kernel == "eval_sort":
+                    pick, b = rng.randrange(1 << 16), self.point()
+                    if decomps:
+                        dec = decomps[pick % len(decomps)]
+                        roots = [pf.root_value for pf in dec.factors] or [F(0)]
+                        # a point at a root half of the time
+                        b = lt.LayeredScalar(roots[pick % len(roots)], b.layer) if pick & 1 else b
+                        out = _outcome(lt.eval_sort, dec, b, sort)
+                    else:
+                        out = "no decomposition"
+                elif kernel == "full_form":
+                    out = _outcome(lt.full_form, rng.choice(polys))
+                    derived.append(out if isinstance(out, lt.LayeredPoly) else polys[0])
+                elif kernel == "resultant":
+                    out = _outcome(lt.resultant, polys[rng.choice(small)], polys[rng.choice(small)], sort)
+                else:
+                    argv = self.argv(texts, [texts[i] for i in small])
+                    yield kernel, " ".join(argv), _cli(argv)
+                    continue
+                yield kernel, name, out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 -- the class is the outcome
+        return f"!{type(err).__name__}"
+
+
+def _cli(argv):
+    from laytrop import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exit_:  # argparse refuses the arguments
+            code = exit_.code
+        except Exception as exc:  # noqa: BLE001 -- a traceback breaks the CLI's contract
+            code = f"!{type(exc).__name__}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def corpus_lines(lt, seed: int, calls: int):
+    """The corpus as text lines, one per call."""
+    for i, (kernel, sort, out) in enumerate(itertools.islice(Corpus(lt, seed).calls(), calls)):
+        text = out if isinstance(out, str) and out.startswith("!") else render(out)
+        yield f"{i}\t{kernel}\t{sort}\t{text}"
+
+
+def _run_side(src: str, seed: int, calls: int):
+    argv = [sys.executable, os.path.abspath(__file__), "--seed", str(seed), "--calls", str(calls), "--src", src]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def compare(rev: str, seed: int, calls: int, show: int) -> int:
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="laytrop-equiv-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(tmp, filter="data")
+            else:
+                tar.extractall(tmp)
+        theirs = _run_side(os.path.join(tmp, "src"), seed, calls)
+    ours = _run_side(os.path.join(ROOT, "src"), seed, calls)
+    differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
+    by_kernel = Counter(b.split("\t")[1] for _, b in differ)
+    print(f"{len(ours)} calls (seed {seed}); {rev}: {len(theirs)} lines; {len(differ)} differ")
+    print("calls by kernel:", dict(sorted(Counter(line.split("\t")[1] for line in ours).items())))
+    if len(theirs) != len(ours):
+        print("the line counts differ")
+    for a, b in differ[:show]:
+        print(f"- {a}\n+ {b}")
+    if differ:
+        print("differing calls by kernel:", dict(sorted(by_kernel.items())))
+    return 1 if differ or len(theirs) != len(ours) else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--calls", type=int, default=60000)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the laytrop source to run")
+    parser.add_argument("--against", metavar="REV", help="compare with this git revision")
+    parser.add_argument("--show", type=int, default=10, help="differing calls to print")
+    args = parser.parse_args(argv)
+    if args.against:
+        return compare(args.against, args.seed, args.calls, args.show)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import laytrop
+
+    out = sys.stdout
+    for line in corpus_lines(laytrop, args.seed, args.calls):
+        out.write(line + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
