@@ -161,6 +161,9 @@ def term_product(left, right, sort: Sort, add_exps) -> dict:
 
 
 def p_pow(f: LayeredPoly, n: int, sort: Sort) -> LayeredPoly:
+    """f to the n, n >= 0; the 0th power is the unit ``<0>^1``."""
+    if n < 0:
+        raise OutOfRange(f"a polynomial has no power {n}")
     out = monomial(0, ONE)
     for _ in range(n):
         out = p_mul(out, f, sort)

@@ -106,25 +106,34 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     sort; no subtraction is used, so layer 0 and ``INF`` need no care.
     The work is the number of reachable column masks, at most C(n, i)
     after row i, whatever the values.  A row whose table would hold more
-    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.  The bands are
-    read as stored: only real entries are checked and extended.
+    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.
+
+    The bands are read as stored.  One pass in row order checks them
+    before any state exists: the first row with no entries gives BOTTOM,
+    a column outside the matrix raises OutOfRange, and every layer is
+    checked, except in a row whose scalars tuple is the previous row's
+    (the rows of one Sylvester polynomial share theirs), which passed.
+    The programme then builds a row's cells only when it reaches that
+    row, so it holds two state tables and one row of cells at a time.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("permanent needs a square matrix")
-    rows = []
+    checked = None
     for columns, scalars in matrix.entries:
-        cells = []
-        for j, e in zip(columns, scalars):
-            sorts.require_layer(e.layer, sort)
-            cells.append((1 << j, e.value, e.layer))
-        if not cells:
+        if not columns:
             return BOTTOM
-        rows.append(cells)
+        if columns[0] < 0 or columns[-1] >= matrix.cols:
+            raise OutOfRange(f"a band leaves the columns 0..{matrix.cols - 1}")
+        if scalars is not checked:
+            for e in scalars:
+                sorts.require_layer(e.layer, sort)
+            checked = scalars
     add, mul = sort.add, sort.mul
     limit = MAX_PERMANENT_STATES
 
     states = {0: (Fraction(0), Fraction(1))}  # used columns -> (value, layer)
-    for cells in rows:
+    for columns, scalars in matrix.entries:
+        cells = [(1 << j, e.value, e.layer) for j, e in zip(columns, scalars)]
         extended = {}
         for used, (value, layer) in states.items():
             for bit, v, l in cells:
@@ -254,11 +263,9 @@ def layer_permanent(matrix: LayerMatrix) -> Fraction:
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise NotSquare("permanent needs a square matrix")
-    tied = []
-    for row in entries:
-        columns = tuple(j for j, e in enumerate(row) if e != 0)
-        tied.append((columns, tuple(LayeredScalar(Fraction(0), Fraction(row[j])) for j in columns)))
-    tied = LayeredMatrix(n, n, tuple(tied))
+    tied = layered_matrix(
+        [BOTTOM if e == 0 else LayeredScalar(Fraction(0), Fraction(e)) for e in row] for row in entries
+    )
     per = layered_permanent(tied, sorts.RAT)
     return Fraction(0) if per is BOTTOM else per.layer
 

@@ -30,6 +30,13 @@ def test_p_mul():
     assert lt.p_mul(lt.monomial(0, lt.ONE), f, lt.NAT) == f
 
 
+def test_p_pow_refuses_a_negative_power():
+    f = P("x + 2:1")
+    assert lt.p_pow(f, 0, lt.NAT) == lt.monomial(0, lt.ONE)
+    with pytest.raises(lt.OutOfRange):
+        lt.p_pow(f, -1, lt.NAT)
+
+
 def test_p_eval():
     sq = lt.p_pow(P("x + 2:1"), 2, lt.NAT)
     assert lt.p_eval(sq, sc(2, 1), lt.NAT) == sc(4, 4)  # layer 2^m, m = 2

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +13,11 @@ from hypothesis import strategies as st
 import laytrop as lt
 from laytrop import resultants
 from conftest import ALL_SORTS, rand_layer, rand_poly, rand_primary, rand_scalar
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 sc = lt.scalar
 P = lt.parse_poly
@@ -223,6 +231,72 @@ def test_permanent_state_bound(monkeypatch):
         lt.layered_permanent(dense, lt.NAT)
     with pytest.raises(lt.OutOfRange):
         lt.resultant(P("x^2 + 1:1*x + 2:1"), P("x^2 + 1:2*x + 2:3"), lt.NAT)
+
+
+def test_band_column_outside_the_matrix_is_out_of_range():
+    # a band is in column order, so its first and last columns bound it
+    wide = lt.LayeredMatrix(2, 2, (((0, 5), (lt.ONE, lt.ONE)), ((1,), (lt.ONE,))))
+    with pytest.raises(lt.OutOfRange):
+        lt.layered_permanent(wide, lt.NAT)
+    negative = lt.LayeredMatrix(2, 2, (((0, 1), (lt.ONE, lt.ONE)), ((-1, 0), (lt.ONE, lt.ONE))))
+    with pytest.raises(lt.OutOfRange):
+        lt.layered_permanent(negative, lt.NAT)
+
+
+def test_permanent_checks_each_shared_band_once(monkeypatch):
+    """The rows of one Sylvester polynomial share its coefficient tuple,
+    so each of its full-form coefficients is checked once: 7 + 7 for a
+    pair of degree 6, not once per row (84)."""
+    calls = []
+    require = lt.sorts.require_layer
+
+    def counting(layer, sort):
+        calls.append(layer)
+        return require(layer, sort)
+
+    syl = lt.sylvester(P("x^6 + 1:1"), P("x^6 + 2:1"), lt.NAT)
+    expected = lt.layered_permanent(syl, lt.NAT)
+    monkeypatch.setattr(lt.sorts, "require_layer", counting)
+    assert lt.layered_permanent(syl, lt.NAT) == expected
+    assert len(calls) == 14
+
+
+def test_permanent_refusal_order(monkeypatch):
+    # an invalid layer in g's band comes before the state bound, which
+    # this pair (C(6, 3) = 20 masks after row 3) passes
+    monkeypatch.setattr(lt.resultants, "MAX_PERMANENT_STATES", 5)
+    with pytest.raises(lt.InvalidLayer):
+        lt.resultant(P("x^3 + 1:1"), P("x^3 + 2:1/2"), lt.NAT)
+    with pytest.raises(lt.OutOfRange):
+        lt.resultant(P("x^3 + 1:1"), P("x^3 + 2:1"), lt.NAT)
+    # the first empty row gives BOTTOM before later rows are checked;
+    # an invalid layer before it still raises
+    bad = [sc(0, F(1, 2)), lt.ONE, lt.ONE]
+    empty = [lt.BOTTOM] * 3
+    full = [lt.ONE] * 3
+    assert lt.layered_permanent(lt.layered_matrix([full, empty, bad]), lt.NAT) is lt.BOTTOM
+    with pytest.raises(lt.InvalidLayer):
+        lt.layered_permanent(lt.layered_matrix([full, bad, empty]), lt.NAT)
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_cli_refuses_the_largest_dense_pair_in_bounded_memory():
+    """The largest pair the Sylvester bound admits (size 4096) is refused
+    by the state bound, with exit 3 within the 60 s timeout, under a
+    1 GiB address-space limit on the child alone."""
+    gib = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [sys.executable, "-m", "laytrop.cli", "resultant", "x^2048 + 1:1", "x^2048 + 2:1"]
+    proc = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 def test_reduction():

@@ -7,14 +7,18 @@ Run from the repository root:
 
 The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
 ``p_mul``, ``mp_mul``, ``eval_sort``, ``primary_decomposition``,
-``full_form``, ``resultant`` and the CLI's ``run``, under all six sorts.
-Its inputs include layer 0, ``inf``, int layers and values, negative and
-fractional layers, 2^40-sized layers, repeated exponent vectors, arity
-mismatches, exponents up to 500 and malformed CLI arguments.  Each round
-builds a small pool of polynomials and points and calls the kernels on
-it many times, so the same polynomial object meets one sort several
-times in a row and then another sort; the full forms and products it
-computes join the pool.  What a call draws never depends on what an
+``full_form``, ``resultant``, ``layered_permanent``, ``layer_permanent``
+of ``layer_sylvester``, ``discriminant`` and the CLI's ``run``, under all
+six sorts.  Its inputs include layer 0, ``inf``, int layers and values,
+negative and fractional layers, 2^40-sized layers, repeated exponent
+vectors, arity mismatches, exponents up to 500 and malformed CLI
+arguments.  The permanent runs on the Sylvester matrices of the pool's
+pairs and on hand-built matrices whose rows may share one scalars tuple,
+be empty, or carry layer 0, ``inf`` or a layer the sort refuses in a
+later row.  Each round builds a small pool of polynomials and points
+and calls the kernels on it many times, so the same polynomial object
+meets one sort several times in a row and then another sort; the full
+forms and products it computes join the pool.  What a call draws never depends on what an
 earlier call returned, so both sides make the same calls.
 
 Each call writes one line: its index, kernel, sort and outcome.  The
@@ -68,6 +72,9 @@ KERNELS = (
     ("eval_sort", 12),
     ("full_form", 6),
     ("resultant", 6),
+    ("layered_permanent", 6),
+    ("layer_permanent", 3),
+    ("discriminant", 3),
     ("cli", 6),
 )
 ROUND_CALLS = 240  # calls on one pool of polynomials and points
@@ -154,6 +161,40 @@ class Corpus:
         if pairs and rng.random() < 0.3:  # a repeated exponent vector
             pairs.append((pairs[0][0], self.lt.LayeredScalar(self.value(), self.layer(rng.choice(group)))))
         return self.lt.multipoly(arity, pairs)
+
+    def matrix(self):
+        """A hand-built LayeredMatrix of at most 5 rows, its columns in
+        range.  Some rows share one scalars tuple object, some are empty,
+        and each other row draws its own layer group."""
+        rng, lt = self.rng, self.lt
+
+        def scalars(k):
+            group = rng.choice(LAYER_GROUPS)
+            return tuple(lt.LayeredScalar(F(rng.randint(-2, 2)), self.layer(rng.choice(group))) for _ in range(k))
+
+        n = rng.randint(0, 5)
+        cols = n if rng.random() < 0.95 else n + 1
+        shared = scalars(rng.randint(1, max(cols, 1)))
+        entries = []
+        for _ in range(n):
+            u = rng.random()
+            if u < 0.08:
+                entries.append(((), ()))
+            elif u < 0.5 and len(shared) <= cols:
+                start = rng.randint(0, cols - len(shared))
+                entries.append((range(start, start + len(shared)), shared))
+            else:
+                columns = tuple(j for j in range(cols) if rng.random() < 0.7)
+                entries.append((columns, scalars(len(columns))))
+        return lt.LayeredMatrix(n, cols, tuple(entries))
+
+    def primary_pair(self):
+        """Powers of two monic linear polynomials with one root: an
+        equal-root primary pair of degrees 1 to 3."""
+        rng, lt = self.rng, self.lt
+        root = self.value()
+        linears = [lt.poly({1: lt.ONE, 0: lt.LayeredScalar(root, F(rng.randint(1, 3)))}) for _ in range(2)]
+        return [lt.p_pow(p, rng.randint(1, 3), self.sorts["nat"]) for p in linears]
 
     def argv(self, texts, small):
         """One CLI call over the pool's polynomial texts; some are malformed."""
@@ -250,6 +291,20 @@ class Corpus:
                     derived.append(out if isinstance(out, lt.LayeredPoly) else polys[0])
                 elif kernel == "resultant":
                     out = _outcome(lt.resultant, polys[rng.choice(small)], polys[rng.choice(small)], sort)
+                elif kernel == "layered_permanent":
+                    if rng.random() < 0.5:
+                        f, g = polys[rng.choice(small)], polys[rng.choice(small)]
+                        out = _outcome(lambda: lt.layered_permanent(lt.sylvester(f, g, sort), sort))
+                    else:
+                        out = _outcome(lt.layered_permanent, self.matrix(), sort)
+                elif kernel == "layer_permanent":
+                    if rng.random() < 0.5:
+                        f, g = self.primary_pair()
+                    else:
+                        f, g = polys[rng.choice(small)], polys[rng.choice(small)]
+                    out = _outcome(lambda: lt.layer_permanent(lt.layer_sylvester(f, g, sort)))
+                elif kernel == "discriminant":
+                    out = _outcome(lt.discriminant, polys[rng.choice(small)], sort)
                 else:
                     argv = self.argv(texts, [texts[i] for i in small])
                     yield kernel, " ".join(argv), _cli(argv)
