@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
 from .polys import LayeredPoly, full_form, hull_vertices, monomial, p_eval, p_mul, p_shift, poly, slopes
-from .scalars import ONE, LayeredScalar, ls_mul, s
+from .scalars import ONE, LayeredScalar, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
 
@@ -71,15 +71,34 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     The factor list is ordered by strictly decreasing root value, and the
     reconstruction product is checked against the full form before
     returning.
+
+    After the lead's layer is inverted, every coefficient layer is
+    checked, in term order and each before the inverse's, as a per-term
+    ``ls_mul`` by the inverse lead did; so a bad layer below the hull
+    raises InvalidLayer before ``full_form(f)`` can raise OutOfRange.
+    That full form is built once: the monic copy is it divided by the
+    lead and by x**min_exp (values minus the lead's, which keeps the
+    hull, and layers times its inverse on the unchecked ``sort.mul``),
+    and the reconstruction check compares with it.
     """
     if f.is_zero:
         raise PreconditionViolated("cannot decompose the zero polynomial")
     work_sort = POSQ if sort == NAT else sort
     u = f.min_exp
-    base = p_shift(f, -u) if u else f
-    lead = base.coeffs[base.degree]
-    inv_lead = LayeredScalar(-lead.value, sorts.layer_div(Fraction(1), lead.layer, work_sort))
-    monic = full_form(poly({e: ls_mul(c, inv_lead, work_sort) for e, c in base.terms()}))
+    lead = f.coeffs[f.degree]
+    inv_layer = sorts.layer_div(Fraction(1), lead.layer, work_sort)
+    for c in f.coeffs.values():
+        sorts.require_layer(c.layer, work_sort)
+        sorts.require_layer(inv_layer, work_sort)
+    full = full_form(f)
+    mul = work_sort.mul
+    monic = LayeredPoly(
+        {
+            e - u: LayeredScalar(c.value - lead.value, mul(c.layer, inv_layer))
+            for e, c in full.coeffs.items()
+        },
+        form="full",
+    )
 
     d = monic.degree
     factors = []
@@ -106,7 +125,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
         ]
         promoted = not all(l == 0 or layer_valid(l, NAT) for l in layers)
     decomp = PrimaryDecomposition(lead, tuple(factors), u, promoted)
-    if decomp.product(work_sort) != full_form(f):
+    if decomp.product(work_sort) != full:
         raise AssertionError("primary decomposition failed its reconstruction check")
     return decomp
 

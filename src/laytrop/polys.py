@@ -185,7 +185,10 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     Values come first and layers last: one pass over the terms, in
     ascending exponent order, finds the best value and the tied
     (coefficient layer, exponent) pairs, and only the tied pairs are
-    then raised, multiplied and added in term order.  The pass checks x's
+    then raised, multiplied and added in term order.  A single tied term
+    of exponent 0, or at a point of layer 1, answers with its checked
+    coefficient layer: x**0 and 1**e are 1, and a checked layer times 1
+    is itself under every sort (layer 0 included).  The pass checks x's
     layer once, at the first positive exponent (a constant accepts any
     x), and each coefficient layer, unless f's ``_checked`` view holds
     this very sort: those checks passed, and the view gives their
@@ -223,7 +226,11 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
             tied.append((cl, e))
     if not hit:
         f._checked = (sort, tuple(fresh))
-    layer = functools.reduce(sort.add, (sort.mul(cl, sort.pow(xl, e)) for cl, e in tied))
+    if len(tied) == 1:
+        cl, e = tied[0]
+        layer = cl if e == 0 or xl == 1 else sort.mul(cl, sort.pow(xl, e))
+    else:
+        layer = functools.reduce(sort.add, (sort.mul(cl, sort.pow(xl, e)) for cl, e in tied))
     return LayeredScalar(Fraction(best, scale * xd), layer)
 
 

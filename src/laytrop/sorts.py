@@ -19,7 +19,9 @@ Every other layer rule is derived from these two parts:
   clamped where every further power collapses to the same layer, so the
   exact power stays short.  Any other rational exponent gives the exact
   power (a root, then a power), not collapsed, since it is no n-fold
-  product; it must be 0 or a member of the sort;
+  product; it must be 0 or a member of the sort.  Every rational power
+  of layer 1 is 1 (a member of every sort), so it costs no arithmetic;
+  an exponent that is no rational still raises;
 * ``layer_valid`` and ``require_layer``: the membership test;
 * ``truncate_layer``: the collapse of ``truncated(q)`` on its own;
 * ``infinite_layer``: l + 1 collapses to l (never where the collapse is
@@ -139,17 +141,23 @@ class Sort:
         Any other n gives the exact power (an integer root, then
         ``bounded_pow``).  A root is not an n-fold product, so it is not
         collapsed: InvalidLayer unless it is 0 or a member of the sort.
+
+        Layer 1 is a member of every sort and every rational power of it
+        is 1, so l = 1 returns 1 at once, but only after n is normalized:
+        an n that is no rational (None, text) still raises.
         """
         if n == 0:
             return _ONE
         if not isinstance(n, int) or n < 0:
             n = Fraction(n)
-            if n.denominator != 1 or n < 0:
-                out = _exact_pow(l, n)
-                if out != 0 and not self.member(out):
-                    raise InvalidLayer(f"layer {format_layer(l)} ** {n} leaves sort {self}")
-                return out
-            n = n.numerator
+        if l == 1:
+            return _ONE
+        if n.denominator != 1 or n < 0:
+            out = _exact_pow(l, n)
+            if out != 0 and not self.member(out):
+                raise InvalidLayer(f"layer {format_layer(l)} ** {n} leaves sort {self}")
+            return out
+        n = n.numerator
         if self.exact:
             return bounded_pow(l, n)
         q_bits = (self.q or 1).bit_length()

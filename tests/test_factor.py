@@ -5,6 +5,7 @@ import pytest
 
 import laytrop as lt
 from conftest import ALL_SORTS, probe_points, rand_poly, rand_primary
+from laytrop import factor
 
 sc = lt.scalar
 P = lt.parse_poly
@@ -255,3 +256,46 @@ def test_decomposition_needs_divisible_layers():
     f = lt.poly({2: lt.ONE, 1: sc(3, lt.INF), 0: sc(4, 1)})
     with pytest.raises(lt.LayerNotDivisible):
         lt.primary_decomposition(f, lt.truncated(3))
+
+
+def test_decomposition_builds_one_full_form(monkeypatch):
+    """The monic copy, its slopes and the reconstruction check share one full form."""
+    built = []
+    full_form = factor.full_form
+    monkeypatch.setattr(factor, "full_form", lambda f: built.append(f) or full_form(f))
+    # divisible by x, with a gap at x^2 and x^4 and a term below the hull at x^3
+    f = lt.poly({6: sc(1, 2), 5: sc(3, 2), 3: sc(-20, 1), 1: sc(4, 2)})
+    assert lt.hull_vertices(f) == {1, 5, 6}
+    for sort in (lt.POSQ, lt.NAT, lt.RAT):
+        built.clear()
+        d = lt.primary_decomposition(f, sort)
+        assert built == [f]
+        assert d.product(lt.POSQ if sort == lt.NAT else sort) == full_form(f)
+
+
+@pytest.mark.parametrize("top", [2, 20000], ids=["narrow", "wider-than-a-full-form"])
+def test_a_bad_layer_below_the_hull_is_refused_first(top):
+    """Layer 2 under unit and -1 under posq and nat sit below the hull, which the
+    full form drops; they are refused before the full form is built, so before
+    a span past MAX_FULL_FORM_TERMS raises OutOfRange."""
+    for sort, bad in ((lt.UNIT, F(2)), (lt.POSQ, F(-1)), (lt.NAT, F(-1))):
+        f = lt.poly({top: sc(0, 1), 1: sc(-10**6, bad), 0: sc(4, 1)})
+        assert lt.hull_vertices(f) == {0, top}
+        with pytest.raises(lt.InvalidLayer):
+            lt.primary_decomposition(f, sort)
+        good = lt.poly({top: sc(0, 1), 1: sc(-10**6, 1), 0: sc(4, 1)})
+        if top > lt.polys.MAX_FULL_FORM_TERMS:
+            with pytest.raises(lt.OutOfRange):
+                lt.primary_decomposition(good, sort)
+        else:
+            lt.primary_decomposition(good, sort)
+
+
+@pytest.mark.parametrize("sort", [lt.POSQ, lt.NAT, lt.RAT], ids=str)
+def test_a_layer_zero_hull_corner_is_not_invertible(sort):
+    lead_zero = lt.poly({2: sc(0, 0), 1: sc(2, 1), 0: sc(3, 1)})
+    corner_zero = lt.poly({2: sc(0, 1), 1: sc(2, 0), 0: sc(3, 1)})  # the corner of x^2 + 2*x + 3
+    assert lt.hull_vertices(corner_zero) == {0, 1, 2}
+    for f in (lead_zero, corner_zero):
+        with pytest.raises(lt.NonInvertibleLayer):
+            lt.primary_decomposition(f, sort)

@@ -193,7 +193,8 @@ def test_a_losing_huge_power_is_still_refused():
 
 def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
     """Sort.pow runs for the tied terms, and beyond ``pow_limit`` for a
-    losing term too, where it might refuse."""
+    losing term too, where it might refuse; a single tied constant takes
+    no power."""
     powers = []
     pow_ = sorts.Sort.pow
 
@@ -208,7 +209,7 @@ def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
     assert lt.p_eval(f, x, lt.POSQ) == lt.scalar(3, 1 + 2 * 2 + 3 * 8)
     assert powers == [0, 1, 3]
     # a 127-bit layer: 127 * 130 bits pass MAX_LAYER_BITS, so the losing x**130
-    # is taken (2**16380 fits, so it is not refused) before the tied constant
+    # is taken (2**16380 fits, so it is not refused); the tied constant is raised to nothing
     big = F(2**126)
     assert sorts.NAT.pow_limit(big) == sorts.MAX_LAYER_BITS // 127 < 130
     g = lt.poly({0: lt.scalar(1000, 1), 130: lt.ONE})
@@ -216,7 +217,53 @@ def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
         assert oracle_p_eval(g, y, sort) == lt.scalar(1000, 1)
         powers.clear()
         assert lt.p_eval(g, y, sort) == lt.scalar(1000, 1)
-        assert powers == ([130, 0] if sort == lt.NAT else [0])
+        assert powers == ([130] if sort == lt.NAT else [])
+
+
+# single ties at exponent 0 and at x layer 1 answer with the coefficient layer
+IDENTITY_POLYS = [
+    lt.poly({0: lt.scalar(5, 2)}),  # a constant
+    lt.poly({0: lt.scalar(100, 3), 4: lt.scalar(0, 2)}),  # the constant wins alone
+    lt.poly({0: lt.scalar(2, 2), 1: lt.scalar(1, 3)}),  # two terms that tie at value 1
+    lt.poly({0: lt.scalar(0, 3), 1: lt.scalar(0, 2), 2: lt.scalar(-1, 1)}),  # x^1 wins alone at 1
+    lt.poly({0: lt.LayeredScalar(F(9), F(0)), 2: lt.scalar(0, 1)}),  # a layer-0 constant
+    lt.poly({0: lt.LayeredScalar(F(9), lt.INF), 3: lt.scalar(0, 1)}),  # an inf constant
+    lt.poly({1: lt.LayeredScalar(F(0), F(0)), 2: lt.LayeredScalar(F(0), lt.INF)}),  # no constant
+    lt.poly({0: lt.scalar(100, 1), 3: lt.ONE}),  # x**3 loses, and is refused at HUGE
+]
+IDENTITY_VALUES = [F(0), F(1), F(-3), F(1, 2), F(20)]
+IDENTITY_POINT_LAYERS = [F(1), 1, F(2), 2, F(0), lt.INF, HUGE]
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_p_eval_identity_paths_match_stepwise_sum(sort):
+    """Every polynomial object meets each point twice, so the coefficient
+    checks run on a view miss and are skipped on a hit."""
+    kinds = set()
+    for f in IDENTITY_POLYS:
+        for layer in IDENTITY_POINT_LAYERS:
+            for v in IDENTITY_VALUES:
+                x = lt.LayeredScalar(v, layer)
+                got = evaluate_in_turn(f, [(x, sort), (x, sort)])
+                kinds.update(g if isinstance(g, type) else "ok" for g in got)
+    assert "ok" in kinds and lt.InvalidLayer in kinds
+    x = lt.LayeredScalar(F(0), HUGE)
+    assert (outcome(lt.p_eval, IDENTITY_POLYS[-1], x, sort) is lt.OutOfRange) == sort.exact
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_every_power_of_layer_one_is_one(sort):
+    for n in (0, 7, -3, F(1, 2), F(-3, 2), F(7), 0.5):
+        for got in (sort.pow(F(1), n), lt.layer_pow_int(F(1), n, sort), lt.layer_pow_int(1, n, sort),
+                    lt.ls_pow(lt.scalar(2, 1), n, sort).layer):
+            assert got == 1 and type(got) is F, (n, got)
+    # the exponent is normalized before layer 1 answers: one that is no rational raises
+    with pytest.raises(TypeError):
+        sort.pow(F(1), None)
+    with pytest.raises(ValueError):
+        lt.layer_pow_int(1, "x", sort)
+    with pytest.raises(TypeError):
+        lt.layer_pow_int(F(1), None, sort)
 
 
 @pytest.mark.parametrize("sort", [lt.truncated(3), lt.SUPER], ids=str)

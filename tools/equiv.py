@@ -8,8 +8,11 @@ Run from the repository root:
 The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
 ``p_mul``, ``mp_mul``, ``eval_sort``, ``primary_decomposition``,
 ``full_form``, ``resultant``, ``layered_permanent``, ``layer_permanent``
-of ``layer_sylvester``, ``discriminant`` and the CLI's ``run``, under all
-six sorts.  Its inputs include layer 0, ``inf``, int layers and values,
+of ``layer_sylvester``, ``discriminant``, ``layer_pow_int``, ``ls_pow``
+and the CLI's ``run``, under all six sorts.  The layer powers take
+exponents 0, negative, fractional, float, ``None`` and text, so a layer
+rule that answers before the exponent is normalized shows as a
+difference.  Its inputs include layer 0, ``inf``, int layers and values,
 negative and fractional layers, 2^40-sized layers, repeated exponent
 vectors, arity mismatches, exponents up to 500 and malformed CLI
 arguments.  The permanent runs on the Sylvester matrices of the pool's
@@ -63,7 +66,11 @@ LAYER_GROUPS = (
     (F(0), F(1), F(2)),
     (F(1), F(2), F(-1), F(-3, 2), F(0), "inf", BIG),
 )
-POINT_LAYERS = (F(1), F(1), F(2), F(3), F(1, 2), F(0), F(-1), "inf", 2, BIG, HUGE)
+POINT_LAYERS = (F(1), F(1), 1, F(2), F(3), F(1, 2), F(0), F(-1), "inf", 2, BIG, HUGE)
+# exponents of the layer powers: ``Sort.pow`` normalizes each (0, negative,
+# fractional, float) or refuses it (None, text) before it reads the layer
+POW_EXPONENTS = (0, 1, 2, 7, 130, 20000, -1, -3, F(1, 2), F(-3, 2), F(2, 3), F(4), 0.5, 2.0, -1.5, 0.0,
+                 None, "x")
 # (kernel, relative weight) of the calls a round draws after its decompositions
 KERNELS = (
     ("p_eval", 46),
@@ -75,6 +82,8 @@ KERNELS = (
     ("layered_permanent", 6),
     ("layer_permanent", 3),
     ("discriminant", 3),
+    ("layer_pow_int", 4),
+    ("ls_pow", 4),
     ("cli", 6),
 )
 ROUND_CALLS = 240  # calls on one pool of polynomials and points
@@ -305,6 +314,11 @@ class Corpus:
                     out = _outcome(lambda: lt.layer_permanent(lt.layer_sylvester(f, g, sort)))
                 elif kernel == "discriminant":
                     out = _outcome(lt.discriminant, polys[rng.choice(small)], sort)
+                elif kernel == "layer_pow_int":
+                    layer = self.layer(rng.choice(POINT_LAYERS))
+                    out = _outcome(lt.layer_pow_int, layer, rng.choice(POW_EXPONENTS), sort)
+                elif kernel == "ls_pow":
+                    out = _outcome(lt.ls_pow, self.point(), rng.choice(POW_EXPONENTS), sort)
                 else:
                     argv = self.argv(texts, [texts[i] for i in small])
                     yield kernel, " ".join(argv), _cli(argv)
