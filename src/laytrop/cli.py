@@ -9,17 +9,19 @@ A subcommand is one row of ``COMMANDS``.  Its handler prints nothing: it
 returns the formatted result twice, as a JSON record and as text lines,
 and ``run`` prints one of them.  So a refused call prints nothing on
 stdout, even when it is refused while its result is being formatted.
+
+A process runs one subcommand, so each handler imports the kernels
+beyond parsing and univariate arithmetic (``factor``, ``resultants``,
+``calculus``, ``multivar``) itself, and only ``--json`` loads ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from itertools import islice, product
 
-from . import calculus, factor, multivar, resultants
 from .errors import (
     DomainError,
     LayerNotDivisible,
@@ -27,7 +29,6 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .multivar import MultiPoly
 from .parsing import (
     format_poly,
     format_scalar,
@@ -72,7 +73,7 @@ def _suggest_posq(kernel, f, sort):
 
 def _parse_univar(text, sort) -> LayeredPoly:
     f = parse_poly(text, sort)
-    if isinstance(f, MultiPoly):
+    if not isinstance(f, LayeredPoly):
         raise PreconditionViolated("this command needs a univariate polynomial")
     return f
 
@@ -80,7 +81,9 @@ def _parse_univar(text, sort) -> LayeredPoly:
 def _cmd_eval(args, sort):
     f = parse_poly(args.poly, sort)
     coords = [parse_scalar(t) for t in args.at.split(",")]
-    if isinstance(f, MultiPoly):
+    if not isinstance(f, LayeredPoly):
+        from . import multivar
+
         return _scalar_result(multivar.mp_eval(f, tuple(coords), sort))
     if len(coords) != 1:
         raise PreconditionViolated("univariate evaluation takes one coordinate")
@@ -93,6 +96,8 @@ def _cmd_truncate(args, sort):
 
 
 def _cmd_factor(args, sort):
+    from . import factor
+
     decomp = _suggest_posq(factor.primary_decomposition, _parse_univar(args.poly, sort), sort)
     factors = [
         {"root": format_value(pf.root_value), "degree": pf.degree, "poly": _poly_record(pf.poly)}
@@ -124,6 +129,8 @@ def _cmd_roots(args, sort):
 
 
 def _cmd_resultant(args, sort):
+    from . import resultants
+
     f = _parse_univar(args.f, sort)
     g = _parse_univar(args.g, sort)
     if not args.explain:
@@ -150,18 +157,26 @@ def _cmd_resultant(args, sort):
 
 
 def _cmd_derivative(args, sort):
+    from . import calculus
+
     return _poly_result(calculus.derivative(_parse_univar(args.poly, sort), sort))
 
 
 def _cmd_integrate(args, sort):
+    from . import calculus
+
     return _poly_result(_suggest_posq(calculus.antiderivative, _parse_univar(args.poly, sort), sort))
 
 
 def _cmd_discriminant(args, sort):
+    from . import calculus
+
     return _scalar_result(calculus.discriminant(_parse_univar(args.poly, sort), sort))
 
 
 def _cmd_separable(args, sort):
+    from . import calculus
+
     f = _parse_univar(args.poly, sort)
     disc = calculus.separable_discriminant(f, sort)
     flag = calculus.has_separable_layer(disc, f.degree)
@@ -187,6 +202,8 @@ def _parse_region(text):
 
 
 def _cmd_layermap(args, sort):
+    from . import multivar
+
     region = _parse_region(args.region)
     layers = [parse_layer(t) for t in args.layers.split(",")]
     f = parse_poly(args.poly, sort)
@@ -236,6 +253,8 @@ MAX_SEARCH_LIMIT = 5000
 
 
 def _cmd_conjecture_search(args, sort):
+    from . import resultants
+
     for flag, given, bound in (
         ("--max-degree", args.max_degree, MAX_SEARCH_DEGREE),
         ("--max-layer", args.max_layer, MAX_SEARCH_LAYER),
@@ -359,6 +378,8 @@ def run(argv) -> int:
         print(f"precondition violated: {err}", file=sys.stderr)
         return 4
     if args.json:
+        import json
+
         print(json.dumps({**record, "sort": str(sort)}, sort_keys=True))
     else:
         print("\n".join(lines))

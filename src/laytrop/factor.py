@@ -73,9 +73,10 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     returning.
 
     After the lead's layer is inverted, every coefficient layer is
-    checked, in term order and each before the inverse's, as a per-term
-    ``ls_mul`` by the inverse lead did; so a bad layer below the hull
-    raises InvalidLayer before ``full_form(f)`` can raise OutOfRange.
+    checked in term order, as a per-term ``ls_mul`` by the inverse lead
+    did (``layer_div`` returns the inverse as a member of the sort, so
+    its check could never fail); so a bad layer below the hull raises
+    InvalidLayer before ``full_form(f)`` can raise OutOfRange.
     That full form is built once: the monic copy is it divided by the
     lead and by x**min_exp (values minus the lead's, which keeps the
     hull, and layers times its inverse on the unchecked ``sort.mul``),
@@ -89,7 +90,6 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     inv_layer = sorts.layer_div(Fraction(1), lead.layer, work_sort)
     for c in f.coeffs.values():
         sorts.require_layer(c.layer, work_sort)
-        sorts.require_layer(inv_layer, work_sort)
     full = full_form(f)
     mul = work_sort.mul
     monic = LayeredPoly(

@@ -13,12 +13,15 @@ exact and ``parse(format(x)) == x`` bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .multivar import MultiPoly, multipoly
 from .polys import LayeredPoly
 from .scalars import ONE, LayeredScalar, ls_add
 from .sorts import INF, NAT, Sort, format_layer, format_value
+
+if TYPE_CHECKING:
+    from .multivar import MultiPoly
 
 # A number literal (numerator or denominator) may have at most this many
 # digits, below the interpreter's default limit of 4300 for converting
@@ -174,6 +177,8 @@ def parse_poly(text: str, sort: Sort = NAT):
     if None in indices and len(indices) > 1:
         sc.fail("cannot mix 'x' with indexed variables")
     if indices and None not in indices:
+        from .multivar import multipoly
+
         arity = max(indices)
         out = {}
         for coeff, factors in terms:
@@ -202,10 +207,10 @@ def _format_power(name: str, exp) -> str:
 def format_poly(f) -> str:
     """Canonical text of a polynomial, highest exponents first; ``0``, the
     formal zero polynomial, which is not part of the grammar, without terms."""
-    if isinstance(f, MultiPoly):
-        terms, names = f.terms(), [f"x{i + 1}" for i in range(f.arity)]
-    else:
+    if isinstance(f, LayeredPoly):
         terms, names = [((e,), c) for e, c in f.terms()], ["x"]
+    else:
+        terms, names = f.terms(), [f"x{i + 1}" for i in range(f.arity)]
     parts = []
     for exps, coeff in sorted(terms, key=lambda t: t[0], reverse=True):
         vars_part = "*".join(_format_power(name, e) for name, e in zip(names, exps) if e != 0)
@@ -220,6 +225,8 @@ def format_poly(f) -> str:
 
 def to_multipoly(f, arity: int = 1) -> MultiPoly:
     """View a univariate polynomial as a MultiPoly in x1."""
+    from .multivar import MultiPoly, multipoly
+
     if isinstance(f, MultiPoly):
         return f
     pad = (Fraction(0),) * (arity - 1)

@@ -341,12 +341,58 @@ def test_resultant_without_transversal_is_bottom(capsys):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+# what every CLI process loads of the package: the front end, parsing and univariate arithmetic
+CLI_BASE = ["cli", "errors", "parsing", "polys", "scalars", "sorts"]
+
+
+def _loaded_after(code):
+    """The laytrop submodules, and which of json, dataclasses and inspect,
+    that a fresh interpreter holds after running ``code``."""
+    probe = code + (
+        "\nimport sys\nprint(' '.join(sorted(m.removeprefix('laytrop.') for m in sys.modules"
+        " if m.startswith('laytrop.') or m in ('json', 'dataclasses', 'inspect'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Records are NamedTuples, so starting the CLI does not pay for dataclasses."""
+    """Records are NamedTuples, so starting the CLI does not pay for dataclasses;
+    nor does it import a kernel that only some subcommands call."""
     env = dict(os.environ, PYTHONPATH=SRC)
     code = "import sys, laytrop.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert _loaded_after("import laytrop.cli") == CLI_BASE
+
+
+_CALCULUS = ["calculus", "factor", "resultants"]  # resultants reads factor.is_primary
+
+
+@pytest.mark.parametrize(
+    "argv, kernels",
+    [
+        (["truncate", "5", "--q", "2"], []),
+        (["eval", "x + 1:1", "--at", "2:1"], []),
+        (["eval", "x + 1:1", "--at", "2:1", "--json"], ["json"]),
+        (["eval", "x1 + x2", "--at", "1:1,2:1"], ["multivar"]),
+        (["layermap", "x1 + x2", "--region=0:1:1,0:1:1", "--layers", "1,1"], ["multivar"]),
+        (["roots", "x^2 + 1:1*x"], []),
+        (["factor", "x^2 + 1:1*x + 2:1", "--sort", "posq"], ["factor"]),
+        (["resultant", "x + 1:1", "x + 2:1", "--explain"], ["factor", "resultants"]),
+        (["conjecture-search", "--limit", "3"], ["factor", "resultants"]),
+        (["derivative", "x^2 + 1:1"], _CALCULUS),
+        (["integrate", "x + 1:1", "--sort", "posq"], _CALCULUS),
+        (["discriminant", "x^2 + 3:1*x + 2:1", "--sort", "posq"], _CALCULUS),
+        (["separable", "x^2 + 3:1*x + 2:1", "--sort", "posq"], _CALCULUS),
+    ],
+)
+def test_each_subcommand_loads_only_its_kernels(argv, kernels):
+    """A subcommand imports the kernels it calls and no other, and only --json loads json."""
+    loaded = _loaded_after(f"from laytrop import cli\nassert cli.run({argv!r}) == 0")
+    assert loaded == sorted(CLI_BASE + kernels)
 
 
 @pytest.mark.parametrize(

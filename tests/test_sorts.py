@@ -56,6 +56,24 @@ def test_layer_div_zero_dividend_and_divisor(sort):
         lt.layer_div(0, 0, sort)
 
 
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_layer_div_returns_a_member(sort):
+    """A quotient passes the sort's layer check, so the kernels that divide
+    (the inverse lead of a primary decomposition) need not check it again."""
+    layers = (0, 1, 2, F(1), F(2), F(3), F(1, 2), F(-1), F(-3, 2), lt.INF)
+    valid = [l for l in layers if l == 0 or lt.layer_valid(l, sort)]
+    quotients = 0
+    for k in valid:
+        for l in valid:
+            try:
+                x = lt.layer_div(k, l, sort)
+            except (lt.NonInvertibleLayer, lt.LayerNotDivisible):
+                continue
+            quotients += 1
+            assert lt.sorts.require_layer(x, sort) == x, (k, l)
+    assert quotients >= 2 or sort.kind == "trunc"
+
+
 def test_layer_cmp():
     assert lt.layer_cmp(2, 3) == -1
     assert lt.layer_cmp(lt.INF, 5) == 1
