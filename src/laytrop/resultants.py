@@ -5,9 +5,12 @@ addition, so every nu-maximal transversal contributes its layer.  It is
 computed by a dynamic programme over rows and sets of used columns that
 merges partial transversals with the sort's own layered sum; since
 layered multiplication distributes over layered addition under all six
-sorts, the merge is exact.  Inclusion-exclusion shortcuts (Ryser's
-formula) need subtraction and are unsound here.  The naive full
-enumeration is kept as the oracle.
+sorts, the merge is exact.  The programme adds and compares Python
+ints: the entries' values are scaled once per matrix to one positive
+common denominator D, which keeps every order and tie exact, and one
+``Fraction`` is built for the result.  Inclusion-exclusion shortcuts
+(Ryser's formula) need subtraction and are unsound here.  The naive
+full enumeration is kept as the oracle.
 
 A matrix row is a band ``(columns, scalars)``, ``BOTTOM`` left out; the
 Sylvester rows of f share one tuple of its coefficients, as do g's.
@@ -19,6 +22,7 @@ value m*n*a at that layer.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
@@ -34,7 +38,7 @@ from .errors import (
 )
 from .factor import is_primary
 from .polys import LayeredPoly, full_form
-from .scalars import BOTTOM, ONE, LayeredScalar, ls_add, ls_mul, ls_pow
+from .scalars import BOTTOM, ONE, LayeredScalar, integer_scale, ls_add, ls_mul, ls_pow
 from .sorts import SUPER, UNIT, Sort
 
 # A Sylvester matrix of more than this many rows (m + n for degrees m and
@@ -108,32 +112,53 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     after row i, whatever the values.  A row whose table would hold more
     than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.
 
+    The values are Python ints over one denominator D per matrix:
+    ``integer_scale`` runs once, over the scalars of each run of rows
+    that share a tuple, so a partial transversal's value is an int sum,
+    read over D.  D is positive, so every order and tie between partial
+    sums holds for the ints exactly as for the rationals, and the layers
+    are multiplied and added where the rational sums would have them.
+    One ``Fraction`` is built, for the result.
+
     The bands are read as stored.  One pass in row order checks them
-    before any state exists: the first row with no entries gives BOTTOM,
-    a column outside the matrix raises OutOfRange, and every layer is
-    checked, except in a row whose scalars tuple is the previous row's
-    (the rows of one Sylvester polynomial share theirs), which passed.
-    The programme then builds a row's cells only when it reaches that
-    row, so it holds two state tables and one row of cells at a time.
+    before any state exists, and the values are scaled after it.  Within
+    a row: a band with more or fewer scalars than columns raises
+    ValueError; a row with no entries gives BOTTOM; a column outside the
+    matrix raises OutOfRange, and columns that do not strictly increase
+    raise ValueError; then every layer is checked, except in a row whose
+    scalars tuple is the previous row's (the rows of one Sylvester
+    polynomial share theirs), which passed.  The programme then builds a
+    row's cells only when it reaches that row, so it holds two state
+    tables and one row of cells at a time.
     """
     if matrix.rows != matrix.cols:
         raise NotSquare("permanent needs a square matrix")
-    checked = None
+    cols = matrix.cols
+    runs = []  # the scalars tuple of each run of rows that share one
     for columns, scalars in matrix.entries:
+        if len(columns) != len(scalars):
+            raise ValueError("a band needs one scalar per column")
         if not columns:
             return BOTTOM
-        if columns[0] < 0 or columns[-1] >= matrix.cols:
-            raise OutOfRange(f"a band leaves the columns 0..{matrix.cols - 1}")
-        if scalars is not checked:
+        if min(columns) < 0 or max(columns) >= cols:
+            raise OutOfRange(f"a band leaves the columns 0..{cols - 1}")
+        if not all(map(operator.lt, columns, columns[1:])):
+            raise ValueError("a band's columns must strictly increase")
+        if not runs or scalars is not runs[-1]:
             for e in scalars:
                 sorts.require_layer(e.layer, sort)
-            checked = scalars
+            runs.append(scalars)
+    scale, ints = integer_scale(e.value for run in runs for e in run)
     add, mul = sort.add, sort.mul
     limit = MAX_PERMANENT_STATES
 
-    states = {0: (Fraction(0), Fraction(1))}  # used columns -> (value, layer)
+    run, start = None, 0  # the current run's scalars, and its first value in ints
+    states = {0: (0, Fraction(1))}  # used columns -> (value * D, layer)
     for columns, scalars in matrix.entries:
-        cells = [(1 << j, e.value, e.layer) for j, e in zip(columns, scalars)]
+        if scalars is not run:
+            run, values = scalars, ints[start:start + len(scalars)]
+            start += len(scalars)
+        cells = [(1 << j, v, e.layer) for j, v, e in zip(columns, values, scalars)]
         extended = {}
         for used, (value, layer) in states.items():
             for bit, v, l in cells:
@@ -157,7 +182,7 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
             return BOTTOM
         states = extended
     (value, layer), = states.values()  # the single mask of all columns
-    return LayeredScalar(value, layer)
+    return LayeredScalar(Fraction(value, scale), layer)
 
 
 def sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredMatrix:

@@ -139,3 +139,15 @@ def test_discriminant_layer_is_root_independent():
                 f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
             layers.add(lt.discriminant(f, lt.POSQ).layer)
         assert layers == {lt.separable_sort(m)}
+
+
+def test_discriminant_layers_pinned_to_degree_seven():
+    # (2m - 1)!! for m = 6, 7, from three seeded separable polynomials each
+    assert [lt.separable_sort(m) for m in (6, 7)] == [10395, 135135]
+    rng = random.Random(23)
+    for m, want in ((6, 10395), (7, 135135)):
+        for _ in range(3):
+            f = lt.monomial(0, lt.ONE)
+            for r in sorted(rng.sample(range(1, 200), m)):
+                f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+            assert lt.discriminant(f, lt.POSQ).layer == want

@@ -234,13 +234,37 @@ def test_permanent_state_bound(monkeypatch):
 
 
 def test_band_column_outside_the_matrix_is_out_of_range():
-    # a band is in column order, so its first and last columns bound it
+    # a column past either edge of the matrix
     wide = lt.LayeredMatrix(2, 2, (((0, 5), (lt.ONE, lt.ONE)), ((1,), (lt.ONE,))))
     with pytest.raises(lt.OutOfRange):
         lt.layered_permanent(wide, lt.NAT)
     negative = lt.LayeredMatrix(2, 2, (((0, 1), (lt.ONE, lt.ONE)), ((-1, 0), (lt.ONE, lt.ONE))))
     with pytest.raises(lt.OutOfRange):
         lt.layered_permanent(negative, lt.NAT)
+
+
+def test_malformed_bands_are_refused():
+    """Every column of a band is checked, not only its ends: a repeated
+    column is not counted twice, a negative interior column is out of
+    range, and a band with too few scalars is not cut short."""
+    a, b = sc(0, 1), sc(0, 2)
+    repeated = lt.LayeredMatrix(2, 2, (((0, 0), (a, b)), ((1,), (a,))))
+    with pytest.raises(ValueError, match="strictly increase"):
+        lt.layered_permanent(repeated, lt.NAT)
+    interior = lt.LayeredMatrix(3, 3, (((1, -1, 1), (a, a, a)), ((0,), (a,)), ((2,), (a,))))
+    with pytest.raises(lt.OutOfRange):
+        lt.layered_permanent(interior, lt.NAT)
+    short = lt.LayeredMatrix(2, 2, (((0, 1), (a,)), ((0, 1), (a, b))))
+    with pytest.raises(ValueError, match="one scalar per column"):
+        lt.layered_permanent(short, lt.NAT)
+    # in row order: an empty row before a malformed band gives BOTTOM,
+    # and a malformed band before a bad layer raises its own error
+    empty_first = lt.LayeredMatrix(2, 2, (((), ()), ((0, 0), (a, b))))
+    assert lt.layered_permanent(empty_first, lt.NAT) is lt.BOTTOM
+    bad_layer = sc(0, F(1, 2))
+    later_bad = lt.LayeredMatrix(2, 2, (((0, 0), (a, b)), ((0, 1), (bad_layer, a))))
+    with pytest.raises(ValueError, match="strictly increase"):
+        lt.layered_permanent(later_bad, lt.NAT)
 
 
 def test_permanent_checks_each_shared_band_once(monkeypatch):
@@ -471,6 +495,59 @@ def test_permanent_matches_naive_all_sorts():
                 rows.append(row)
             m = lt.layered_matrix(rows)
             assert lt.layered_permanent(m, sort) == lt.layered_permanent_naive(m, sort)
+
+
+# values over several denominators at once, 2^31 - 1 (a prime) among
+# them; sums such as 1/2 + 1/3 = 5/6 + 0 and 1/7 + 6/7 = 1 + 0 tie only
+# as exact rationals
+BIG_PRIME = 2 ** 31 - 1
+MIXED_VALUES = (
+    F(0), F(1), F(-1), F(1, 2), F(1, 3), F(5, 6), F(-1, 2), F(1, 7), F(6, 7), F(3, 11), F(8, 11),
+    F(1, BIG_PRIME), F(BIG_PRIME - 1, BIG_PRIME), F(-5, BIG_PRIME), 2, -3,
+)
+
+
+def test_permanent_int_scaling_matches_naive_all_sorts():
+    rng = random.Random(53)
+    for sort in ALL_SORTS:
+
+        def entry():
+            layer = F(0) if rng.random() < 0.1 else rand_layer(rng, sort)
+            return lt.LayeredScalar(rng.choice(MIXED_VALUES), layer)
+
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            shared = tuple(entry() for _ in range(rng.randint(1, n)))
+            entries = []
+            for _ in range(n):
+                if rng.random() < 0.4:  # a shared scalars tuple, as a Sylvester row
+                    start = rng.randint(0, n - len(shared))
+                    entries.append((range(start, start + len(shared)), shared))
+                else:
+                    columns = tuple(j for j in range(n) if rng.random() < 0.7)
+                    entries.append((columns, tuple(entry() for _ in columns)))
+            m = lt.LayeredMatrix(n, n, tuple(entries))
+            got = lt.layered_permanent(m, sort)
+            assert got == lt.layered_permanent_naive(m, sort), (sort, m)
+            if got is not lt.BOTTOM:
+                assert type(got.value) is F
+
+
+def test_permanent_ties_exact_rationals():
+    # the two transversals tie at 5/6 = 1/2 + 1/3 = 5/6 + 0, so their layers add
+    m = lt.layered_matrix([[sc(F(1, 2), 1), sc(F(5, 6), 2)], [sc(0, 3), sc(F(1, 3), 1)]])
+    assert lt.layered_permanent(m, lt.NAT) == lt.layered_permanent_naive(m, lt.NAT) == sc(F(5, 6), 7)
+    # one part in 2^31 - 1 breaks the tie
+    nudged = lt.layered_matrix([[sc(F(1, 2), 1), sc(F(5, 6), 2)],
+                                [sc(F(1, BIG_PRIME), 3), sc(F(1, 3), 1)]])
+    assert lt.layered_permanent(nudged, lt.NAT) == sc(F(5, 6) + F(1, BIG_PRIME), 6)
+
+
+def test_permanent_value_is_a_fraction():
+    empty = lt.layered_permanent(lt.LayeredMatrix(0, 0, ()), lt.NAT)
+    assert empty == lt.ONE and type(empty.value) is F
+    three = lt.layered_permanent(lt.LayeredMatrix(1, 1, (((0,), (lt.LayeredScalar(3, F(2)),)),)), lt.NAT)
+    assert three == sc(3, 2) and type(three.value) is F
 
 
 def test_discriminant_sylvester_matches_naive():

@@ -17,9 +17,12 @@ negative and fractional layers, 2^40-sized layers, repeated exponent
 vectors, arity mismatches, exponents up to 500 and malformed CLI
 arguments.  The permanent runs on the Sylvester matrices of the pool's
 pairs and on hand-built matrices whose rows may share one scalars tuple,
-be empty, or carry layer 0, ``inf`` or a layer the sort refuses in a
-later row.  Each round builds a small pool of polynomials and points
-and calls the kernels on it many times, so the same polynomial object
+be empty, carry layer 0, ``inf`` or a layer the sort refuses in a later
+row, draw their values over a denominator of their own (1, 7, 11 or
+2^31 - 1, so one matrix may mix several primes), or be malformed: a
+repeated column, a negative interior column or a scalar short.  Each
+round builds a small pool of polynomials and points and calls the
+kernels on it many times, so the same polynomial object
 meets one sort several times in a row and then another sort; the full
 forms and products it computes join the pool.  What a call draws never depends on what an
 earlier call returned, so both sides make the same calls.
@@ -66,6 +69,8 @@ LAYER_GROUPS = (
     (F(0), F(1), F(2)),
     (F(1), F(2), F(-1), F(-3, 2), F(0), "inf", BIG),
 )
+# denominators of a hand-built matrix row's values
+ROW_DENOMINATORS = (1, 7, 11, 2 ** 31 - 1)
 POINT_LAYERS = (F(1), F(1), 1, F(2), F(3), F(1, 2), F(0), F(-1), "inf", 2, BIG, HUGE)
 # exponents of the layer powers: ``Sort.pow`` normalizes each (0, negative,
 # fractional, float) or refuses it (None, text) before it reads the layer
@@ -172,14 +177,18 @@ class Corpus:
         return self.lt.multipoly(arity, pairs)
 
     def matrix(self):
-        """A hand-built LayeredMatrix of at most 5 rows, its columns in
-        range.  Some rows share one scalars tuple object, some are empty,
-        and each other row draws its own layer group."""
+        """A hand-built LayeredMatrix of at most 5 rows, its columns
+        mostly in range.  Some rows share one scalars tuple object, some
+        are empty, a few are malformed, and each other row draws its own
+        layer group and denominator."""
         rng, lt = self.rng, self.lt
 
         def scalars(k):
             group = rng.choice(LAYER_GROUPS)
-            return tuple(lt.LayeredScalar(F(rng.randint(-2, 2)), self.layer(rng.choice(group))) for _ in range(k))
+            den = rng.choice(ROW_DENOMINATORS)
+            # an int part and a small offset over den, so values still tie often
+            return tuple(lt.LayeredScalar(F(rng.randint(-2, 2)) + F(rng.randint(-1, 1), den),
+                                          self.layer(rng.choice(group))) for _ in range(k))
 
         n = rng.randint(0, 5)
         cols = n if rng.random() < 0.95 else n + 1
@@ -189,6 +198,10 @@ class Corpus:
             u = rng.random()
             if u < 0.08:
                 entries.append(((), ()))
+            elif u < 0.12:  # a repeated column, a negative interior column, or a scalar short
+                j = rng.randrange(cols)
+                columns, k = rng.choice((((j, j), 2), ((j, -1, j), 3), ((j, j + 1), 1)))
+                entries.append((columns, scalars(k)))
             elif u < 0.5 and len(shared) <= cols:
                 start = rng.randint(0, cols - len(shared))
                 entries.append((range(start, start + len(shared)), shared))
