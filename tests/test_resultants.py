@@ -246,25 +246,37 @@ def test_band_column_outside_the_matrix_is_out_of_range():
 def test_malformed_bands_are_refused():
     """Every column of a band is checked, not only its ends: a repeated
     column is not counted twice, a negative interior column is out of
-    range, and a band with too few scalars is not cut short."""
+    range, and a band with too few scalars is not cut short.  The
+    engine, the naive oracle and ``dense_rows`` read bands alike."""
+    readers = (
+        lambda m: lt.layered_permanent(m, lt.NAT),
+        lambda m: lt.layered_permanent_naive(m, lt.NAT),
+        lambda m: list(resultants.dense_rows(m, lt.BOTTOM)),
+    )
     a, b = sc(0, 1), sc(0, 2)
     repeated = lt.LayeredMatrix(2, 2, (((0, 0), (a, b)), ((1,), (a,))))
-    with pytest.raises(ValueError, match="strictly increase"):
-        lt.layered_permanent(repeated, lt.NAT)
     interior = lt.LayeredMatrix(3, 3, (((1, -1, 1), (a, a, a)), ((0,), (a,)), ((2,), (a,))))
-    with pytest.raises(lt.OutOfRange):
-        lt.layered_permanent(interior, lt.NAT)
     short = lt.LayeredMatrix(2, 2, (((0, 1), (a,)), ((0, 1), (a, b))))
-    with pytest.raises(ValueError, match="one scalar per column"):
-        lt.layered_permanent(short, lt.NAT)
-    # in row order: an empty row before a malformed band gives BOTTOM,
-    # and a malformed band before a bad layer raises its own error
     empty_first = lt.LayeredMatrix(2, 2, (((), ()), ((0, 0), (a, b))))
-    assert lt.layered_permanent(empty_first, lt.NAT) is lt.BOTTOM
     bad_layer = sc(0, F(1, 2))
     later_bad = lt.LayeredMatrix(2, 2, (((0, 0), (a, b)), ((0, 1), (bad_layer, a))))
+    for read in readers:
+        with pytest.raises(ValueError, match="strictly increase"):
+            read(repeated)
+        with pytest.raises(lt.OutOfRange):
+            read(interior)
+        with pytest.raises(ValueError, match="one scalar per column"):
+            read(short)
+        # in row order: a malformed band before a bad layer raises its own error
+        with pytest.raises(ValueError, match="strictly increase"):
+            read(later_bad)
+    # an empty row before a malformed band gives BOTTOM, and a row of empty cells
+    assert lt.layered_permanent(empty_first, lt.NAT) is lt.BOTTOM
+    assert lt.layered_permanent_naive(empty_first, lt.NAT) is lt.BOTTOM
+    rows = resultants.dense_rows(empty_first, lt.BOTTOM)
+    assert next(rows) == (lt.BOTTOM, lt.BOTTOM)
     with pytest.raises(ValueError, match="strictly increase"):
-        lt.layered_permanent(later_bad, lt.NAT)
+        next(rows)
 
 
 def test_permanent_checks_each_shared_band_once(monkeypatch):
@@ -342,6 +354,25 @@ def test_primary_pair_formula():
             direct = lt.resultant(f, g, sort)
             closed = lt.primary_pair_resultant(f, g, sort)
             assert direct == closed
+
+
+def test_primary_pair_formula_unit_and_super():
+    """The closed form serves the capped sorts too; an ``inf`` layer has
+    no classical layer matrix and is refused as not a primary pair."""
+    rng = random.Random(23)
+    for sort in (lt.UNIT, lt.SUPER):
+        checked = 0
+        while checked < 60:
+            root = F(rng.randint(-4, 4))
+            f = rand_primary(rng, sort, root, max_deg=3)
+            g = rand_primary(rng, sort, root, max_deg=3)
+            if any(lt.is_inf(c.layer) for p in (f, g) for c in p.coeffs.values()):
+                continue
+            assert lt.primary_pair_resultant(f, g, sort) == lt.resultant(f, g, sort)
+            checked += 1
+    f, g = P("x + 1:inf"), P("x^2 + 2:1")
+    with pytest.raises(lt.NotPrimaryPair):
+        lt.primary_pair_resultant(f, g, lt.SUPER)
 
 
 def test_resultant_counterexample_reproduction():

@@ -8,7 +8,7 @@ Run from the repository root:
 The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
 ``p_mul``, ``mp_mul``, ``eval_sort``, ``primary_decomposition``,
 ``full_form``, ``resultant``, ``layered_permanent``, ``layer_permanent``
-of ``layer_sylvester``, ``discriminant``, ``layer_pow_int``, ``ls_pow``
+of ``layer_sylvester``, ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``
 and the CLI's ``run``, under all six sorts.  The layer powers take
 exponents 0, negative, fractional, float, ``None`` and text, so a layer
 rule that answers before the exponent is normalized shows as a
@@ -86,6 +86,7 @@ KERNELS = (
     ("resultant", 6),
     ("layered_permanent", 6),
     ("layer_permanent", 3),
+    ("primary_pair_resultant", 3),
     ("discriminant", 3),
     ("layer_pow_int", 4),
     ("ls_pow", 4),
@@ -325,6 +326,12 @@ class Corpus:
                     else:
                         f, g = polys[rng.choice(small)], polys[rng.choice(small)]
                     out = _outcome(lambda: lt.layer_permanent(lt.layer_sylvester(f, g, sort)))
+                elif kernel == "primary_pair_resultant":
+                    if rng.random() < 0.5:
+                        f, g = self.primary_pair()
+                    else:
+                        f, g = polys[rng.choice(small)], polys[rng.choice(small)]
+                    out = _outcome(lt.primary_pair_resultant, f, g, sort)
                 elif kernel == "discriminant":
                     out = _outcome(lt.discriminant, polys[rng.choice(small)], sort)
                 elif kernel == "layer_pow_int":
