@@ -19,6 +19,13 @@ then adds, compares and ties Python ints, and only its maximum is divided
 by D.  This is exact, not an approximation: a positive D keeps every order
 and equality, so the ties, and with them layers, corner supports and
 components, are those of the exact rational values.
+
+A raster does less than one full evaluation per point.  Which monomials
+tie at the maximum is constant on each cell of a polyhedral subdivision,
+so a grid meets few tie sets: the layer, corner support and component
+of each are computed once, the first time it occurs.  And along the last
+axis the values step: at the successor of the previous fold they are
+the previous ints plus one int per monomial.
 """
 
 from __future__ import annotations
@@ -95,8 +102,8 @@ def _monomial_layer(exps, coeff, point, sort: Sort):
 
 def mp_eval(F: MultiPoly, point, sort: Sort):
     """The layered sum of the monomial values; BOTTOM without monomials."""
-    fold = _at_point(F, point, sort)[1]
-    return BOTTOM if fold is None else LayeredScalar(fold[0], fold[1])
+    affine, fold = _at_point(F, point, sort)
+    return BOTTOM if fold is None else LayeredScalar(fold[0], affine.layer(fold[1]))
 
 
 def theta(F: MultiPoly, point, sort: Sort):
@@ -119,7 +126,7 @@ def theta_min(Fs, point, sort: Sort):
     return out
 
 
-class _Affine(NamedTuple):
+class _Affine:
     """A polynomial whose coordinate layers are fixed, on a lattice.
 
     The lattice is origin + k * steps for integer indices k.  Every
@@ -133,41 +140,81 @@ class _Affine(NamedTuple):
     ``corner_set`` and ``component`` are those of the values.  ``mp_eval``,
     the rasters and the pointwise queries all read this one fold; a
     pointwise query folds a one-point lattice at index 0.
+
+    A raster walks the lattice in order, so two habits of a walk cost
+    less here.  A fold at the successor of the previous fold on the last
+    axis adds the last-axis steps b_last to the previous values instead
+    of evaluating every form.  And the layer, corner support and
+    component depend only on the tie set, of which a grid meets few:
+    ``facts`` computes them the first time a tie set occurs and keeps
+    them.  A pointwise query reads only the fact it needs and keeps none.
     """
 
-    exps: list  # distinct exponent vectors, in term order
-    forms: list  # (a, (b_j, ...)) per monomial, both times D
-    scale: int  # D
-    layers: list  # the monomial layers, each checked by ``_monomial_layer``
-    add: object  # the sort's unchecked layer sum, ``sort.add``
+    __slots__ = ("exps", "forms", "row_steps", "scale", "layers", "add", "known", "prev_index", "prev_values")
+
+    def __init__(self, exps, forms, scale, layers, add):
+        self.exps = exps  # distinct exponent vectors, in term order
+        self.forms = forms  # (a, (b_j, ...)) per monomial, both times D
+        self.row_steps = [b[-1] for _, b in forms if b]  # b_last per monomial; none at arity 0
+        self.scale = scale  # D
+        self.layers = layers  # the monomial layers, each checked by ``_monomial_layer``
+        self.add = add  # the sort's unchecked layer sum, ``sort.add``
+        self.known = {}  # tie set -> ``facts``
+        self.prev_index = self.prev_values = None  # of the previous fold
 
     def fold(self, index):
-        """``ls_sum`` of the monomials at the lattice index.
+        """The maximum value at the lattice index and its tie set.
 
-        Returns (value, layer, ties): the maximum value, its layer and
-        the indices of the monomials tied at it, in term order; None
-        when there are no monomials.  Tied layers are added in term
-        order with ``sort.add``: ``_monomial_layer`` checked them
-        and the sort is closed under its sum, so nothing ``ls_sum``
-        would refuse is accepted.
+        Returns (value, ties), ties being the index of the one monomial at
+        the maximum or the tuple of the tied indices in term order; None
+        when there are no monomials.
         """
-        values = [a + sum(map(operator.mul, b, index)) for a, b in self.forms]
+        prev = self.prev_index
+        if prev and index[-1] - prev[-1] == 1 and index[:-1] == prev[:-1]:
+            values = list(map(operator.add, self.prev_values, self.row_steps))
+        else:
+            values = [a + sum(map(operator.mul, b, index)) for a, b in self.forms]
+        self.prev_index, self.prev_values = index, values
         if not values:
             return None
         best = max(values)
-        ties = [i for i, v in enumerate(values) if v == best]
-        layer = functools.reduce(self.add, [self.layers[i] for i in ties])
-        return Fraction(best, self.scale), layer, ties
+        if values.count(best) == 1:
+            ties = values.index(best)
+        else:
+            ties = tuple(i for i, v in enumerate(values) if v == best)
+        return Fraction(best, self.scale), ties
+
+    def layer(self, ties):
+        """The layer of the sum of the tied monomials.  They are added in
+        term order with ``sort.add``: ``_monomial_layer`` checked them and
+        the sort is closed under its sum, so nothing ``ls_sum`` would
+        refuse is accepted."""
+        return functools.reduce(self.add, [self.layers[i] for i in _tied(ties)])
 
     def corner_set(self, ties):
         """Exponent vectors of positive-layer monomials tied at the maximum;
         a list without repeats, since ``_affine`` merged equal vectors."""
-        return [self.exps[i] for i in ties if sorts.is_inf(self.layers[i]) or self.layers[i] > 0]
+        return [self.exps[i] for i in _tied(ties) if sorts.is_inf(self.layers[i]) or self.layers[i] > 0]
 
     def component(self, ties, layer):
         """The one tied monomial whose layer is the layer of the sum, or None."""
-        hits = [self.exps[i] for i in ties if self.layers[i] == layer]
+        hits = [self.exps[i] for i in _tied(ties) if self.layers[i] == layer]
         return hits[0] if len(hits) == 1 else None
+
+    def facts(self, ties):
+        """(layer, corner support size, component) of a tie set, computed
+        the first time it occurs: each is a function of the tie set and
+        of the layers ``_affine`` checked."""
+        known = self.known.get(ties)
+        if known is None:
+            layer = self.layer(ties)
+            known = self.known[ties] = (layer, len(self.corner_set(ties)), self.component(ties, layer))
+        return known
+
+
+def _tied(ties):
+    """The monomial indices of a tie set; ``fold`` gives a single tie as an int."""
+    return (ties,) if isinstance(ties, int) else ties
 
 
 def _affine(F: MultiPoly, origin, steps, sort: Sort) -> _Affine:
@@ -209,7 +256,7 @@ def _at_point(F: MultiPoly, point, sort: Sort):
 def corner_support(F: MultiPoly, point, sort: Sort):
     """Exponent vectors of positive-layer monomials nu-tied with the value."""
     affine, fold = _at_point(F, point, sort)
-    return set() if fold is None else set(affine.corner_set(fold[2]))
+    return set() if fold is None else set(affine.corner_set(fold[1]))
 
 
 def is_corner_root(F: MultiPoly, point, sort: Sort) -> bool:
@@ -230,7 +277,10 @@ def component_index(F: MultiPoly, point, sort: Sort):
     have no component.
     """
     affine, fold = _at_point(F, point, sort)
-    return None if fold is None else affine.component(fold[2], fold[1])
+    if fold is None:
+        return None
+    ties = fold[1]
+    return affine.component(ties, affine.layer(ties))
 
 
 class GridRow(NamedTuple):
@@ -270,7 +320,7 @@ def _folds(Fs, region, coord_layers, sort: Sort):
     monomial layers are fixed, and checked, the first time a point reaches
     it, so a layer error raises at the first row that reaches it.
     """
-    if any(len(region) != F.arity or len(coord_layers) != F.arity for F in Fs):
+    if len(region) != len(coord_layers) or any(len(region) != F.arity for F in Fs):
         raise ArityMismatch("region and layer vectors must match the polynomial arity")
     layers = [as_layer(l) for l in coord_layers]
     origin, steps, lattice = _grid(region)
@@ -288,8 +338,8 @@ def _folds(Fs, region, coord_layers, sort: Sort):
 def _row(values, affine, fold) -> GridRow:
     if fold is None:
         raise PreconditionViolated("cannot rasterize the empty polynomial")
-    value, layer, ties = fold
-    return GridRow(values, value, layer, len(affine.corner_set(ties)), affine.component(ties, layer))
+    value, ties = fold
+    return GridRow(values, value, *affine.facts(ties))
 
 
 def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
@@ -298,11 +348,13 @@ def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
     ``region`` is one (lo, hi, step) triple per axis; ``coord_layers``
     fixes the layer of each coordinate.  Rows stream in lexicographic
     order of the coordinate values.  Each monomial's layer is fixed once
-    and its value is an affine form in the point, so every row comes
-    from one exact evaluation; it equals ``mp_eval``, ``corner_support``
-    and ``component_index`` at that point.  Arity, step and size errors
-    raise at the call (regions of more than ``MAX_GRID_POINTS`` points
-    raise ``OutOfRange``); a layer error raises at the first row.
+    and its value is an affine form in the point, stepped along the last
+    axis, and the layer, corner support and component of a tie set are
+    found once, so every row is exact; it equals ``mp_eval``,
+    ``corner_support`` and ``component_index`` at that point.  Arity,
+    step and size errors raise at the call (regions of more than
+    ``MAX_GRID_POINTS`` points raise ``OutOfRange``); a layer error
+    raises at the first row.
     """
     stream = _folds([F], region, coord_layers, sort)
     return (_row(values, *next(folds)) for values, folds in stream)
@@ -312,7 +364,8 @@ def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
     """Stream the lattice points where every generator has a corner root.
 
     An empty generator list gives the whole grid (empty intersection
-    convention).  Arity, step and size errors raise at the call.  The
+    convention), and its region and layer vector must still agree in
+    length.  Arity, step and size errors raise at the call.  The
     generators are tried in order at each point and the first one without
     a corner root ends the test there, so a generator's monomial layers
     are fixed, and a layer error raised, the first time a point reaches it.
@@ -320,5 +373,5 @@ def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
     return (
         values
         for values, folds in _folds(Fs, region, coord_layers, sort)
-        if all(fold is not None and len(affine.corner_set(fold[2])) >= 2 for affine, fold in folds)
+        if all(fold is not None and affine.facts(fold[1])[1] >= 2 for affine, fold in folds)
     )

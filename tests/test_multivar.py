@@ -456,6 +456,19 @@ def test_corner_locus_checks_arity():
         lt.corner_locus_on_grid([LINE, P("x1 + 0:1")], [(0, 1, 1), (0, 1, 1)], [1, 1], lt.NAT)
 
 
+def test_corner_locus_without_generators_checks_arity():
+    """With no generator to compare against, the region and the layer
+    vector must still agree in length."""
+    with pytest.raises(lt.ArityMismatch):
+        lt.corner_locus_on_grid([], [(0, 1, 1), (0, 1, 1)], [1], lt.NAT)
+    with pytest.raises(lt.ArityMismatch):
+        lt.corner_locus_on_grid([], [(0, 1, 1)], [1, 1], lt.NAT)
+    assert list(lt.corner_locus_on_grid([], [(0, 1, 1), (0, 0, 1)], [1, 1], lt.NAT)) == [
+        (F(0), F(0)),
+        (F(1), F(0)),
+    ]
+
+
 def test_grid_point_limit(monkeypatch):
     huge = [(0, 10**6 - 1, 1), (0, 10**6 - 1, 1)]  # 10^12 points
     tracemalloc.start()
@@ -497,15 +510,99 @@ def test_corner_locus_fixes_layers_at_first_reach():
 
 def test_grid_scan_streams_its_rows():
     """Consuming a streamed raster keeps no rows: on 61x61 points the peak
-    is about 13 KB, against about 750 KB for the list of rows."""
+    is about 20 KB, against about 750 KB for the list of rows.  The facts
+    kept per tie set stay as few as the tie sets: the 8-monomial
+    polynomial meets 22 of them, not the 3721 points, and peaks at about
+    28 KB."""
     region = [(-30, 30, 1), (-30, 30, 1)]
-    peaks = []
-    for consume in (lambda rows: sum(1 for _ in rows), list):
-        tracemalloc.start()
-        try:
-            consume(lt.grid_scan(LINE, region, [1, 1], lt.NAT))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    streamed, listed = peaks
-    assert streamed < 100_000 < listed
+    eight = lt.multipoly(2, {
+        (e1, e2): sc(c, l)
+        for e1, e2, c, l in [(0, 0, 0, 1), (1, 0, 2, 2), (0, 1, -1, 1), (2, 0, -5, 3),
+                             (1, 1, 1, 1), (0, 2, -4, 2), (3, 1, -20, 1), (1, 3, -18, 3)]
+    })
+    for f in (LINE, eight):
+        peaks = []
+        for consume in (lambda rows: sum(1 for _ in rows), list):
+            tracemalloc.start()
+            try:
+                consume(lt.grid_scan(f, region, [1, 1], lt.NAT))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        streamed, listed = peaks
+        assert streamed < 100_000 < listed
+
+
+# -- the two shortcuts of a lattice walk: a step along the last axis, and the
+# facts of a tie set computed once; each against the pointwise definition ----
+
+
+def test_locus_generator_skipped_at_some_points():
+    """The second generator is folded only where the first has a corner
+    root, so its previous fold need not be the lattice predecessor: its
+    values are then evaluated in full, not stepped."""
+    one = lt.ONE
+    region = [(-2, 2, 1), (-2, 2, 1)]
+    # on the diagonal: the previous fold at (k-1, k-1) is one step back on
+    # the last axis, but in another row
+    diagonal = P("x1 + x2")
+    edge = lt.multipoly(2, {(1, 0): one, (0, 0): one})  # a corner root where x1 = 0
+    assert not lt.is_corner_root(diagonal, pt((0, 1), (1, 1)), lt.NAT)
+    for Fs, want in (([diagonal, edge], [(F(0), F(0))]), ([diagonal, LINE], [(F(k), F(k)) for k in range(3)])):
+        assert list(lt.corner_locus_on_grid(Fs, region, [1, 1], lt.NAT)) == want
+        assert want == _pointwise_locus(Fs, region, [1, 1], lt.NAT)
+    # in one row: (x2 + 0)(x2 + 2) has corner roots at x2 = 0 and x2 = 2, so
+    # the second generator's previous fold is two steps back
+    roots = lt.multipoly(2, {(0, 2): one, (0, 1): sc(2, 1), (0, 0): sc(2, 1)})
+    at_two = lt.multipoly(2, {(0, 1): one, (0, 0): sc(2, 1)})
+    region = [(0, 0, 1), (-1, 3, 1)]
+    assert list(lt.corner_locus_on_grid([roots, at_two], region, [1, 1], lt.NAT)) == [(F(0), F(2))]
+    assert _pointwise_locus([roots, at_two], region, [1, 1], lt.NAT) == [(F(0), F(2))]
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_raster_last_axis_of_one_point(sort):
+    """Every point starts a row, so no fold steps."""
+    rng = random.Random(f"one-point-axis-{sort}")
+    raised = 0
+    for arity in (1, 2, 3) * 5:
+        region = [(rng.randint(-2, 0), 2, F(1, 2)) for _ in range(arity - 1)] + [(1, 1, 1)]
+        layers = [rng.choice(COORD_LAYERS[str(sort)]) for _ in range(arity)]
+        Fs = [_rand_raster_poly(rng, sort, arity) for _ in range(2)]
+        raised += _raster_matches_pointwise(Fs, region, layers, sort)
+    assert raised < 15
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_raster_arity_zero_one_and_three(sort):
+    """A constant at arity 0, whose one point starts its one row, and
+    random rasters of arity 1 and 3."""
+    rng = random.Random(f"arity-{sort}")
+    constant = lt.multipoly(0, {(): sc(2, 1)})
+    assert [tuple(row) for row in lt.grid_scan(constant, [], [], sort)] == _pointwise_rows(constant, [], [], sort)
+    assert list(lt.corner_locus_on_grid([], [], [], sort)) == [()]
+    assert list(lt.corner_locus_on_grid([constant], [], [], sort)) == []
+    raised = 0
+    for arity in (1, 3) * 15:
+        region = [(rng.randint(-2, 0), rng.randint(0, 2), F(1, rng.choice((1, 2, 3)))) for _ in range(arity)]
+        layers = [rng.choice(COORD_LAYERS[str(sort)]) for _ in range(arity)]
+        Fs = [_rand_raster_poly(rng, sort, arity) for _ in range(rng.choice((1, 2)))]
+        raised += _raster_matches_pointwise(Fs, region, layers, sort)
+    assert raised < 30
+
+
+def test_tie_set_recurs_at_different_values():
+    """x1 and 0:2*x2 tie on the whole diagonal, at value k and with the layer
+    sum 3 each time; the facts of that tie set, found at its first point,
+    serve every later one."""
+    f = P("x1 + 0:2*x2 + -5:1")
+    region = [(-2, 2, 1), (-2, 2, 1)]
+    rows = list(lt.grid_scan(f, region, [1, 1], lt.NAT))
+    assert rows == [lt.GridRow(*row) for row in _pointwise_rows(f, region, [1, 1], lt.NAT)]
+    diagonal = [row for row in rows if row.point[0] == row.point[1]]
+    assert [row.value for row in diagonal] == [F(k) for k in range(-2, 3)]
+    assert {(row.theta, row.csupp, row.component) for row in diagonal} == {(3, 2, None)}
+    # a single tie recurs too, at the values of x1 where x1 > x2
+    above = [row for row in rows if row.point[0] > row.point[1]]
+    assert {(row.theta, row.csupp, row.component) for row in above} == {(1, 1, (1, 0))}
+    assert len({row.value for row in above}) == 4

@@ -8,8 +8,10 @@ Run from the repository root:
 The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
 ``p_mul``, ``mp_mul``, ``eval_sort``, ``primary_decomposition``,
 ``full_form``, ``resultant``, ``layered_permanent``, ``layer_permanent``
-of ``layer_sylvester``, ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``
-and the CLI's ``run``, under all six sorts.  The layer powers take
+of ``layer_sylvester``, ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``,
+the rasters ``grid_scan`` and ``corner_locus_on_grid``, the pointwise
+``mp_eval``, ``corner_support`` and ``component_index``, and the CLI's
+``run``, under all six sorts.  The layer powers take
 exponents 0, negative, fractional, float, ``None`` and text, so a layer
 rule that answers before the exponent is normalized shows as a
 difference.  Its inputs include layer 0, ``inf``, int layers and values,
@@ -20,7 +22,15 @@ pairs and on hand-built matrices whose rows may share one scalars tuple,
 be empty, carry layer 0, ``inf`` or a layer the sort refuses in a later
 row, draw their values over a denominator of their own (1, 7, 11 or
 2^31 - 1, so one matrix may mix several primes), or be malformed: a
-repeated column, a negative interior column or a scalar short.  Each
+repeated column, a negative interior column or a scalar short.  The
+multivariate calls run on the pool's multipolys of arity 1 to 3, over
+regions whose axes have up to five points, one or none (now and then
+one axis for all, a square grid), with coordinate layers that may be 0,
+``inf`` or outside the sort.  A corner locus has zero, one or two
+generators, each now and then a tropical hyperplane, whose corner roots
+fill the diagonal of a square grid: the second generator is then folded
+at some points only, and its invalid layer raises at a later row, the
+first that reaches it.  Each
 round builds a small pool of polynomials and points and calls the
 kernels on it many times, so the same polynomial object
 meets one sort several times in a row and then another sort; the full
@@ -29,7 +39,9 @@ earlier call returned, so both sides make the same calls.
 
 Each call writes one line: its index, kernel, sort and outcome.  The
 outcome is an exact rendering of the result (``Fraction`` and int kept
-apart, a polynomial's form tag included), the CLI's exit code with its
+apart, a polynomial's form tag included, a set sorted), a raster's rows
+as it yielded them, then ``'!'`` and the exception class if it raised
+while streaming, the CLI's exit code with its
 stdout and stderr, or ``!`` and the exception class.
 
 ``--against <rev>`` takes that revision's ``src`` from the local git
@@ -90,6 +102,11 @@ KERNELS = (
     ("discriminant", 3),
     ("layer_pow_int", 4),
     ("ls_pow", 4),
+    ("grid_scan", 3),
+    ("corner_locus_on_grid", 3),
+    ("mp_eval", 3),
+    ("corner_support", 2),
+    ("component_index", 2),
     ("cli", 6),
 )
 ROUND_CALLS = 240  # calls on one pool of polynomials and points
@@ -105,6 +122,8 @@ def render(obj) -> str:
         return f"({inner})" if name == "tuple" else f"{name}({inner})"
     if isinstance(obj, list):
         return "[" + ", ".join(render(x) for x in obj) + "]"
+    if isinstance(obj, (set, frozenset)):
+        return "{" + ", ".join(sorted(render(x) for x in obj)) + "}"
     if isinstance(obj, F) and max(abs(obj.numerator), obj.denominator).bit_length() > 8192:
         # too long for the interpreter's int-to-decimal limit
         return f"Fraction({hex(obj.numerator)}, {hex(obj.denominator)})"
@@ -176,6 +195,40 @@ class Corpus:
         if pairs and rng.random() < 0.3:  # a repeated exponent vector
             pairs.append((pairs[0][0], self.lt.LayeredScalar(self.value(), self.layer(rng.choice(group)))))
         return self.lt.multipoly(arity, pairs)
+
+    def hyperplane(self, arity):
+        """x_1 + ... + x_n + c, all of layer 1: its corner roots lie where
+        two of the terms tie at the maximum, such as on the diagonal of a
+        square grid."""
+        lt = self.lt
+        vectors = [tuple(F(int(i == j)) for i in range(arity)) for j in range(arity + 1)]
+        values = [F(0)] * arity + [self.value()]
+        return lt.multipoly(arity, [(e, lt.LayeredScalar(v, F(1))) for e, v in zip(vectors, values)])
+
+    def region(self, arity):
+        """One (lo, hi, step) triple per axis, of up to five points, one
+        or none; now and then a step that is not positive, and now and
+        then one axis for all, a square grid."""
+        rng = self.rng
+        out = []
+        for _ in range(arity):
+            step = rng.choice((F(1), F(1, 2), F(2, 3), 1))
+            if rng.random() < 0.02:
+                step = rng.choice((F(0), F(-1)))
+            lo = self.value()
+            out.append((lo, lo + (rng.choice((0, 1, 1, 2, 3, 4, 5)) - 1) * step, step))
+        return out[:1] * arity if rng.random() < 0.4 else out
+
+    def coord_layers(self, arity):
+        """Layers of the coordinates: most often 1 or 2, else any point layer."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            return [rng.choice((F(1), F(1), F(2), 1)) for _ in range(arity)]
+        return [self.layer(rng.choice(POINT_LAYERS)) for _ in range(arity)]
+
+    def arity_of(self, f):
+        """f's arity, and now and then one off it."""
+        return max(0, f.arity + self.rng.choice((-1, 1))) if self.rng.random() < 0.04 else f.arity
 
     def matrix(self):
         """A hand-built LayeredMatrix of at most 5 rows, its columns
@@ -339,6 +392,22 @@ class Corpus:
                     out = _outcome(lt.layer_pow_int, layer, rng.choice(POW_EXPONENTS), sort)
                 elif kernel == "ls_pow":
                     out = _outcome(lt.ls_pow, self.point(), rng.choice(POW_EXPONENTS), sort)
+                elif kernel == "grid_scan":
+                    f = rng.choice(multis)
+                    region, layers = self.region(self.arity_of(f)), self.coord_layers(f.arity)
+                    out = _outcome(_streamed, lt.grid_scan, f, region, layers, sort)
+                elif kernel == "corner_locus_on_grid":
+                    f = rng.choice(multis)
+                    fs = [f, rng.choice([g for g in multis if g.arity == f.arity])]
+                    fs = [self.hyperplane(f.arity) if rng.random() < 0.5 else g for g in fs]
+                    count = rng.choice((0, 1, 1, 2, 2, 2))
+                    region, layers = self.region(self.arity_of(f)), self.coord_layers(self.arity_of(f))
+                    out = _outcome(_streamed, lt.corner_locus_on_grid, fs[:count], region, layers, sort)
+                elif kernel in ("mp_eval", "corner_support", "component_index"):
+                    f = rng.choice(multis)
+                    n = self.arity_of(f)
+                    point = tuple(lt.LayeredScalar(self.value(), l) for l in self.coord_layers(n))
+                    out = _outcome(getattr(lt, kernel), f, point, sort)
                 else:
                     argv = self.argv(texts, [texts[i] for i in small])
                     yield kernel, " ".join(argv), _cli(argv)
@@ -351,6 +420,19 @@ def _outcome(fn, *args):
         return fn(*args)
     except Exception as err:  # noqa: BLE001 -- the class is the outcome
         return f"!{type(err).__name__}"
+
+
+def _streamed(raster, *args):
+    """The rows a raster yields, then ``!`` and the exception class if it
+    raises while streaming; an error at the call propagates."""
+    rows = []
+    stream = raster(*args)
+    try:
+        for row in stream:
+            rows.append(row)
+    except Exception as err:  # noqa: BLE001 -- the class is the outcome
+        rows.append(f"!{type(err).__name__}")
+    return rows
 
 
 def _cli(argv):
