@@ -18,14 +18,17 @@ scaled once by the least common multiple D of their denominators.  The fold
 then adds, compares and ties Python ints, and only its maximum is divided
 by D.  This is exact, not an approximation: a positive D keeps every order
 and equality, so the ties, and with them layers, corner supports and
-components, are those of the exact rational values.
+components, are those of the exact rational values.  A point is the
+zero-dimensional lattice: it has no steps, and its forms are constants.
 
-A raster does less than one full evaluation per point.  Which monomials
-tie at the maximum is constant on each cell of a polyhedral subdivision,
-so a grid meets few tie sets: the layer, corner support and component
-of each are computed once, the first time it occurs.  And along the last
-axis the values step: at the successor of the previous fold they are
-the previous ints plus one int per monomial.
+What a fold's tie set means, its layer, corner support and component, is
+read by one method, ``describe``, which serves the pointwise queries and
+the rasters alike.  A raster does less than one full evaluation per
+point.  Which monomials tie at the maximum is constant on each cell of a
+polyhedral subdivision, so a grid meets few tie sets: each is described
+once, the first time it occurs.  And along the last axis the values
+step: at the successor of the previous fold they are the previous ints
+plus one int per monomial.
 """
 
 from __future__ import annotations
@@ -57,7 +60,15 @@ class MultiPoly(NamedTuple):
 
 
 def multipoly(arity: int, monomials) -> MultiPoly:
-    items = dict(monomials).items() if isinstance(monomials, dict) else monomials
+    """A MultiPoly from a dict or a list of (exponent vector, coefficient).
+
+    A list may repeat an exponent vector, and such terms are kept, sorted
+    by exponent vector.  So ``==`` compares term lists: a list-built
+    MultiPoly need not equal its merged form.  Every query and raster
+    answers as the merged polynomial, whose repeated terms are replaced by
+    their layered sum; ``parse_poly`` and ``mp_mul`` merge under their sort.
+    """
+    items = monomials.items() if isinstance(monomials, dict) else monomials
     cleaned = []
     for exps, coeff in items:
         exps = tuple(Fraction(e) for e in exps)
@@ -74,13 +85,6 @@ def mp_mul(F: MultiPoly, G: MultiPoly, sort: Sort) -> MultiPoly:
         raise ArityMismatch("arities differ")
     terms = term_product(F.terms(), G.terms(), sort, lambda a, b: tuple(map(operator.add, a, b)))
     return multipoly(F.arity, terms)
-
-
-def _check_point(F: MultiPoly, point):
-    if len(point) != F.arity:
-        raise ArityMismatch(
-            f"point of arity {len(point)} against polynomial of arity {F.arity}"
-        )
 
 
 def _monomial_layer(exps, coeff, point, sort: Sort):
@@ -102,8 +106,8 @@ def _monomial_layer(exps, coeff, point, sort: Sort):
 
 def mp_eval(F: MultiPoly, point, sort: Sort):
     """The layered sum of the monomial values; BOTTOM without monomials."""
-    affine, fold = _at_point(F, point, sort)
-    return BOTTOM if fold is None else LayeredScalar(fold[0], affine.layer(fold[1]))
+    at = _at_point(F, point, sort)
+    return BOTTOM if at is None else LayeredScalar(at[0], at[1])
 
 
 def theta(F: MultiPoly, point, sort: Sort):
@@ -118,47 +122,69 @@ def theta_min(Fs, point, sort: Sort):
     """Pointwise minimum of the layering maps of finitely many generators."""
     if not Fs:
         raise PreconditionViolated("theta_min needs at least one generator")
-    layers = [theta(F, point, sort) for F in Fs]
-    out = layers[0]
-    for layer in layers[1:]:
-        if sorts.layer_cmp(layer, out) < 0:
-            out = layer
-    return out
+    return min([theta(F, point, sort) for F in Fs])
 
 
 class _Affine:
     """A polynomial whose coordinate layers are fixed, on a lattice.
 
-    The lattice is origin + k * steps for integer indices k.  Every
-    monomial then has a constant layer, and its value c + sum_j e_j * x_j
-    is an affine form a + sum_j k_j * b_j in the indices, with a its value
-    at the origin and b_j = e_j * step_j.  All these forms are scaled once
-    by the least common multiple D of their denominators, so ``fold``
-    adds, compares and ties Python ints and divides by D once per point.
-    This is exact: D is positive, so every order and equality of the
-    values holds for the ints, and the tie set, the layer sum,
-    ``corner_set`` and ``component`` are those of the values.  ``mp_eval``,
-    the rasters and the pointwise queries all read this one fold; a
-    pointwise query folds a one-point lattice at index 0.
+    The lattice is origin + k * steps for integer indices k; a point is
+    the zero-dimensional lattice, with no steps and the one index ().
+    Every monomial then has a constant layer, and its value
+    c + sum_j e_j * x_j is an affine form a + sum_j k_j * b_j in the
+    indices, with a its value at the origin and b_j = e_j * step_j.  All
+    these forms are scaled once by the least common multiple D of their
+    denominators, so ``fold`` adds, compares and ties Python ints and
+    divides by D once per point.  This is exact: D is positive, so every
+    order and equality of the values holds for the ints, and the tie set
+    and what ``describe`` reads from it, the layer sum, the corner support
+    and the component, are those of the values.  ``mp_eval``, the rasters
+    and the pointwise queries all read this one fold and this one
+    ``describe``.
 
     A raster walks the lattice in order, so two habits of a walk cost
     less here.  A fold at the successor of the previous fold on the last
     axis adds the last-axis steps b_last to the previous values instead
     of evaluating every form.  And the layer, corner support and
     component depend only on the tie set, of which a grid meets few:
-    ``facts`` computes them the first time a tie set occurs and keeps
-    them.  A pointwise query reads only the fact it needs and keeps none.
+    ``facts`` describes a tie set the first time it occurs and keeps the
+    answer.  A pointwise query folds once and keeps nothing.
     """
 
     __slots__ = ("exps", "forms", "row_steps", "scale", "layers", "add", "known", "prev_index", "prev_values")
 
-    def __init__(self, exps, forms, scale, layers, add):
-        self.exps = exps  # distinct exponent vectors, in term order
-        self.forms = forms  # (a, (b_j, ...)) per monomial, both times D
-        self.row_steps = [b[-1] for _, b in forms if b]  # b_last per monomial; none at arity 0
-        self.scale = scale  # D
-        self.layers = layers  # the monomial layers, each checked by ``_monomial_layer``
-        self.add = add  # the sort's unchecked layer sum, ``sort.add``
+    def __init__(self, F: MultiPoly, origin, steps, sort: Sort):
+        """Fix the monomial layers of F on the lattice origin + k * steps.
+
+        ``_monomial_layer`` checks every term at the origin, in term
+        order, with the same checks and stepwise truncation caps at a grid
+        as at a point, so an invalid input raises here wherever it is
+        evaluated.  Terms with one exponent vector then merge as their
+        layered sum: the larger value wins and equal values add their
+        layers.  By distributivity of the sort that is the monomial of the
+        layered sum of their coefficients, so F answers as the polynomial
+        with merged terms does.  The merged values at the origin and their
+        steps are scaled by one ``integer_scale``.
+        """
+        at = [x.value for x in origin]
+        merged = {}  # exponent vector -> (value at the origin, layer), in term order
+        for e, c in F.terms():
+            layer = _monomial_layer(e, c, origin, sort)
+            value = c.value + sum(map(operator.mul, e, at))
+            old = merged.get(e)
+            if old is None or value > old[0]:
+                merged[e] = (value, layer)
+            elif value == old[0]:
+                merged[e] = (value, sort.add(old[1], layer))
+        rows = [[value, *(x * h for x, h in zip(e, steps))] for e, (value, _) in merged.items()]
+        self.scale, ints = integer_scale(itertools.chain.from_iterable(rows))  # D, and the rows times D
+        width = len(steps) + 1
+        # (a, (b_j, ...)) per monomial, both times D
+        self.forms = [(ints[i], tuple(ints[i + 1 : i + width])) for i in range(0, len(ints), width)]
+        self.row_steps = [b[-1] for _, b in self.forms if b]  # b_last per monomial; none without steps
+        self.exps = list(merged)  # distinct exponent vectors, in term order
+        self.layers = [layer for _, layer in merged.values()]  # each checked by ``_monomial_layer``
+        self.add = sort.add  # the sort's unchecked layer sum
         self.known = {}  # tie set -> ``facts``
         self.prev_index = self.prev_values = None  # of the previous fold
 
@@ -184,79 +210,50 @@ class _Affine:
             ties = tuple(i for i, v in enumerate(values) if v == best)
         return Fraction(best, self.scale), ties
 
-    def layer(self, ties):
-        """The layer of the sum of the tied monomials.  They are added in
-        term order with ``sort.add``: ``_monomial_layer`` checked them and
-        the sort is closed under its sum, so nothing ``ls_sum`` would
-        refuse is accepted."""
-        return functools.reduce(self.add, [self.layers[i] for i in _tied(ties)])
+    def describe(self, ties):
+        """(layer, corner support, component) of a tie set from ``fold``.
 
-    def corner_set(self, ties):
-        """Exponent vectors of positive-layer monomials tied at the maximum;
-        a list without repeats, since ``_affine`` merged equal vectors."""
-        return [self.exps[i] for i in _tied(ties) if sorts.is_inf(self.layers[i]) or self.layers[i] > 0]
-
-    def component(self, ties, layer):
-        """The one tied monomial whose layer is the layer of the sum, or None."""
-        hits = [self.exps[i] for i in _tied(ties) if self.layers[i] == layer]
-        return hits[0] if len(hits) == 1 else None
+        The layer is the sum of the tied monomials' layers, added in term
+        order with ``sort.add``: ``_monomial_layer`` checked them and the
+        sort is closed under its sum, so nothing ``ls_sum`` would refuse is
+        accepted.  The corner support lists the exponent vectors of the
+        tied positive-layer monomials, without repeats since ``__init__``
+        merged equal vectors.  The component is the one tied monomial whose
+        layer is the layer of the sum, or None.
+        """
+        tied = [ties] if isinstance(ties, int) else ties
+        layers = [self.layers[i] for i in tied]
+        layer = functools.reduce(self.add, layers)
+        corners = [self.exps[i] for i, l in zip(tied, layers) if sorts.is_inf(l) or l > 0]
+        hits = [self.exps[i] for i, l in zip(tied, layers) if l == layer]
+        return layer, corners, hits[0] if len(hits) == 1 else None
 
     def facts(self, ties):
-        """(layer, corner support size, component) of a tie set, computed
-        the first time it occurs: each is a function of the tie set and
-        of the layers ``_affine`` checked."""
+        """(layer, corner support size, component) of a tie set, described
+        the first time it occurs: each is a function of the tie set and of
+        the layers ``__init__`` checked."""
         known = self.known.get(ties)
         if known is None:
-            layer = self.layer(ties)
-            known = self.known[ties] = (layer, len(self.corner_set(ties)), self.component(ties, layer))
+            layer, corners, component = self.describe(ties)
+            known = self.known[ties] = (layer, len(corners), component)
         return known
 
 
-def _tied(ties):
-    """The monomial indices of a tie set; ``fold`` gives a single tie as an int."""
-    return (ties,) if isinstance(ties, int) else ties
-
-
-def _affine(F: MultiPoly, origin, steps, sort: Sort) -> _Affine:
-    """Fix the monomial layers of F on the lattice origin + k * steps.
-
-    ``_monomial_layer`` checks every term at the origin, in term order,
-    with the same checks and stepwise truncation caps as a pointwise
-    evaluation, so an invalid input raises here as it would there.  Terms
-    with one exponent vector then merge as their layered sum: the larger
-    value wins and equal values add their layers.  By distributivity of
-    the sort that is the monomial of the layered sum of their
-    coefficients, so F answers as the polynomial with merged terms does.
-    """
-    at = [x.value for x in origin]
-    merged = {}  # exponent vector -> (value at the origin, layer), in term order
-    for e, c in F.terms():
-        layer = _monomial_layer(e, c, origin, sort)
-        value = c.value + sum(map(operator.mul, e, at))
-        old = merged.get(e)
-        if old is None or value > old[0]:
-            merged[e] = (value, layer)
-        elif value == old[0]:
-            merged[e] = (value, sort.add(old[1], layer))
-    rows = [[value, *(x * h for x, h in zip(e, steps))] for e, (value, _) in merged.items()]
-    scale, ints = integer_scale(itertools.chain.from_iterable(rows))
-    width = len(steps) + 1
-    forms = [(ints[i], tuple(ints[i + 1 : i + width])) for i in range(0, len(ints), width)]
-    return _Affine(list(merged), forms, scale, [layer for _, layer in merged.values()], sort.add)
-
-
 def _at_point(F: MultiPoly, point, sort: Sort):
-    """(affine, fold) of F at one point: index 0 of a one-point lattice."""
-    _check_point(F, point)
-    zeros = (0,) * F.arity  # at index 0 no step counts; zero steps leave constant forms
-    affine = _affine(F, point, zeros, sort)
-    return affine, affine.fold(zeros)
+    """(value, layer, corner support, component) of F at a point, the
+    fold of the zero-dimensional lattice at index (); None without
+    monomials."""
+    if len(point) != F.arity:
+        raise ArityMismatch(f"point of arity {len(point)} against polynomial of arity {F.arity}")
+    affine = _Affine(F, point, (), sort)
+    fold = affine.fold(())
+    return None if fold is None else (fold[0], *affine.describe(fold[1]))
 
 
 def corner_support(F: MultiPoly, point, sort: Sort):
     """Exponent vectors of positive-layer monomials nu-tied with the value."""
-    affine, fold = _at_point(F, point, sort)
-    return set() if fold is None else set(affine.corner_set(fold[1]))
+    at = _at_point(F, point, sort)
+    return set() if at is None else set(at[2])
 
 
 def is_corner_root(F: MultiPoly, point, sort: Sort) -> bool:
@@ -276,11 +273,8 @@ def component_index(F: MultiPoly, point, sort: Sort):
     Equality is exact (value and layer); corner points where layers add
     have no component.
     """
-    affine, fold = _at_point(F, point, sort)
-    if fold is None:
-        return None
-    ties = fold[1]
-    return affine.component(ties, affine.layer(ties))
+    at = _at_point(F, point, sort)
+    return None if at is None else at[3]
 
 
 class GridRow(NamedTuple):
@@ -329,7 +323,7 @@ def _folds(Fs, region, coord_layers, sort: Sort):
 
     def at(i, index):
         if affines[i] is None:
-            affines[i] = _affine(Fs[i], origin, steps, sort)
+            affines[i] = _Affine(Fs[i], origin, steps, sort)
         return affines[i], affines[i].fold(index)
 
     return ((values, map(at, range(len(Fs)), itertools.repeat(index))) for index, values in lattice)

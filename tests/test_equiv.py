@@ -15,7 +15,8 @@ TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tool
 KERNELS = {
     "p_eval", "p_mul", "mp_mul", "eval_sort", "primary_decomposition", "full_form", "resultant",
     "layered_permanent", "layer_permanent", "primary_pair_resultant", "discriminant", "layer_pow_int",
-    "ls_pow", "grid_scan", "corner_locus_on_grid", "mp_eval", "corner_support", "component_index", "cli",
+    "ls_pow", "grid_scan", "corner_locus_on_grid", "mp_eval", "theta", "theta_min", "corner_support",
+    "is_corner_root", "is_ell_root", "component_index", "cli",
 }
 
 

@@ -151,6 +151,40 @@ def test_theta_min():
     assert lt.theta_min(Fs, p, lt.NAT) == min(
         lt.theta(Fs[0], p, lt.NAT), lt.theta(Fs[1], p, lt.NAT)
     )
+    # under super two tied layer-1 terms give inf, which is no minimum against layer 1
+    ghost, one, x = P("x1 + 0:1"), P("x1"), pt((0, 1))
+    assert lt.theta(ghost, x, lt.SUPER) == lt.INF
+    assert lt.theta_min([ghost, one], x, lt.SUPER) == 1
+    assert lt.theta_min([one, ghost], x, lt.SUPER) == 1
+    # equal layers give that layer, in the universal encoding
+    x1, x2 = (lt.multipoly(2, {e: lt.ONE}) for e in ((1, 0), (0, 1)))
+    equal = lt.theta_min([x1, x2], pt((0, 2), (1, 2)), lt.NAT)
+    assert equal == 2 and type(equal) is F
+    assert lt.theta_min([Fs[1]], p, lt.NAT) == lt.theta(Fs[1], p, lt.NAT)
+    with pytest.raises(lt.PreconditionViolated):
+        lt.theta_min([], p, lt.NAT)
+    # every generator's layer is computed, so a later invalid one still raises
+    with pytest.raises(lt.InvalidLayer):
+        lt.theta_min([LINE, P("x1 + x2 + 0:5")], p, lt.UNIT)
+
+
+def test_point_scales_one_value_per_exponent_vector(monkeypatch):
+    """A point is the zero-dimensional lattice: ``integer_scale`` gets the
+    value of each merged exponent vector at the point, and no step."""
+    seen = []
+    integer_scale = lt.multivar.integer_scale
+
+    def spy(values):
+        values = list(values)
+        seen.append(values)
+        return integer_scale(values)
+
+    monkeypatch.setattr(lt.multivar, "integer_scale", spy)
+    # (1, 0) is repeated: its values 1 + 1/2 and 4 + 1/2 merge to the larger
+    f = lt.multipoly(2, [((1, 0), sc(1, 1)), ((0, 1), sc(0, 2)), ((1, 0), sc(4, 1))])
+    assert len(f.terms()) == 3
+    assert lt.mp_eval(f, pt((F(1, 2), 1), (4, 1)), lt.NAT) == sc(F(9, 2), 1)
+    assert seen == [[F(4), F(9, 2)]]
 
 
 def _rand_multipoly(rng, arity=2, terms=4):

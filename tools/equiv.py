@@ -10,7 +10,8 @@ The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
 ``full_form``, ``resultant``, ``layered_permanent``, ``layer_permanent``
 of ``layer_sylvester``, ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``,
 the rasters ``grid_scan`` and ``corner_locus_on_grid``, the pointwise
-``mp_eval``, ``corner_support`` and ``component_index``, and the CLI's
+``mp_eval``, ``theta``, ``theta_min``, ``corner_support``,
+``is_corner_root``, ``is_ell_root`` and ``component_index``, and the CLI's
 ``run``, under all six sorts.  The layer powers take
 exponents 0, negative, fractional, float, ``None`` and text, so a layer
 rule that answers before the exponent is normalized shows as a
@@ -26,9 +27,11 @@ repeated column, a negative interior column or a scalar short.  The
 multivariate calls run on the pool's multipolys of arity 1 to 3, over
 regions whose axes have up to five points, one or none (now and then
 one axis for all, a square grid), with coordinate layers that may be 0,
-``inf`` or outside the sort.  A corner locus has zero, one or two
-generators, each now and then a tropical hyperplane, whose corner roots
-fill the diagonal of a square grid: the second generator is then folded
+``inf`` or outside the sort; ``theta_min`` takes zero to three generators
+of one arity, and ``is_ell_root`` a level drawn from the point layers.
+A corner locus has zero, one or two generators, each now and then a
+tropical hyperplane, whose corner roots fill the diagonal of a square
+grid: the second generator is then folded
 at some points only, and its invalid layer raises at a later row, the
 first that reaches it.  Each
 round builds a small pool of polynomials and points and calls the
@@ -105,7 +108,11 @@ KERNELS = (
     ("grid_scan", 3),
     ("corner_locus_on_grid", 3),
     ("mp_eval", 3),
+    ("theta", 2),
+    ("theta_min", 2),
     ("corner_support", 2),
+    ("is_corner_root", 2),
+    ("is_ell_root", 2),
     ("component_index", 2),
     ("cli", 6),
 )
@@ -403,11 +410,20 @@ class Corpus:
                     count = rng.choice((0, 1, 1, 2, 2, 2))
                     region, layers = self.region(self.arity_of(f)), self.coord_layers(self.arity_of(f))
                     out = _outcome(_streamed, lt.corner_locus_on_grid, fs[:count], region, layers, sort)
-                elif kernel in ("mp_eval", "corner_support", "component_index"):
+                elif kernel in ("mp_eval", "theta", "theta_min", "corner_support", "is_corner_root",
+                                "is_ell_root", "component_index"):
                     f = rng.choice(multis)
                     n = self.arity_of(f)
                     point = tuple(lt.LayeredScalar(self.value(), l) for l in self.coord_layers(n))
-                    out = _outcome(getattr(lt, kernel), f, point, sort)
+                    if kernel == "theta_min":
+                        same = [g for g in multis if g.arity == f.arity]
+                        out = _outcome(lt.theta_min, [rng.choice(same) for _ in range(rng.randint(0, 3))],
+                                       point, sort)
+                    elif kernel == "is_ell_root":
+                        level = self.layer(rng.choice(POINT_LAYERS))
+                        out = _outcome(lt.is_ell_root, f, point, level, sort)
+                    else:
+                        out = _outcome(getattr(lt, kernel), f, point, sort)
                 else:
                     argv = self.argv(texts, [texts[i] for i in small])
                     yield kernel, " ".join(argv), _cli(argv)
