@@ -18,6 +18,7 @@ beyond parsing and univariate arithmetic (``factor``, ``resultants``,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from itertools import islice, product
@@ -262,33 +263,21 @@ def _cmd_conjecture_search(args, sort):
     ):
         if given > bound:
             raise OutOfRange(f"conjecture-search {flag} {given} exceeds the limit of {bound}")
-    max_degree = args.max_degree
-    max_layer = args.max_layer
-    layer_range = range(1, max_layer + 1)
+    # the ascending coefficient layers of each primary of root 1, by degree
+    shapes = [
+        layers
+        for deg in range(1, args.max_degree + 1)
+        for layers in product(range(1, args.max_layer + 1), repeat=deg)
+    ]
+    primary = functools.cache(lambda layers: _primary_from_layers(1, layers, sort))
+    res = functools.cache(lambda f, p: resultants.resultant(f, p, sort))  # each res(f, p) once
     checked = 0
     violations = []
-
-    def primaries():
-        for deg in range(1, max_degree + 1):
-            for layers in product(layer_range, repeat=deg):
-                yield _primary_from_layers(1, layers, sort)
-
-    def triples():
-        """(f, res_f, g, h) lazily; res_f memoizes res(f, .) for one f."""
-        for f in primaries():
-            res_f = {}
-            for g in primaries():
-                for h in primaries():
-                    yield f, res_f, g, h
-
-    for f, res_f, g, h in islice(triples(), max(args.limit, 0)):
+    for f, g, h in islice((map(primary, t) for t in product(shapes, repeat=3)), max(args.limit, 0)):
         checked += 1
         gh = p_mul(g, h, sort)
         lhs = resultants.resultant(f, gh, sort)
-        for p in (g, h):
-            if p not in res_f:
-                res_f[p] = resultants.resultant(f, p, sort)
-        rhs = ls_mul(res_f[g], res_f[h], sort)
+        rhs = ls_mul(res(f, g), res(f, h), sort)
         if not surpasses_L(lhs, rhs, sort):
             violations.append(
                 {

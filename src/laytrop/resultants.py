@@ -10,7 +10,8 @@ ints: the entries' values are scaled once per matrix to one positive
 common denominator D, which keeps every order and tie exact, and one
 ``Fraction`` is built for the result.  Inclusion-exclusion shortcuts
 (Ryser's formula) need subtraction and are unsound here.  The naive
-full enumeration is kept as the oracle.
+full enumeration is kept as the oracle; it and the engine share one
+check of their input (``_runs``).
 
 A matrix row is a band ``(columns, scalars)``, ``BOTTOM`` left out; the
 Sylvester rows of f share one tuple of its coefficients, as do g's.
@@ -59,7 +60,7 @@ class LayeredMatrix(NamedTuple):
 
 class LayerMatrix(NamedTuple):
     size: int
-    entries: tuple  # tuple of row tuples of Fractions (0 for empty)
+    entries: tuple  # size row tuples of size ints or Fractions each (0 for empty)
 
 
 def layered_matrix(rows) -> LayeredMatrix:
@@ -73,46 +74,68 @@ def layered_matrix(rows) -> LayeredMatrix:
     return LayeredMatrix(len(rows), m, entries)
 
 
-def _check_band(columns, scalars, cols: int):
-    """Refuse a malformed band of a matrix with ``cols`` columns.
+def _bands(matrix: LayeredMatrix):
+    """Each band ``(columns, scalars)`` of ``matrix`` in row order, checked.
 
     A band with more or fewer scalars than columns raises ValueError, a
     column outside ``0..cols-1`` raises OutOfRange, and columns that do
-    not strictly increase raise ValueError.  An empty band passes.
+    not strictly increase raise ValueError.  An empty band passes.  A
+    band is checked when the caller reaches it.
     """
-    if len(columns) != len(scalars):
-        raise ValueError("a band needs one scalar per column")
-    if columns and (min(columns) < 0 or max(columns) >= cols):
-        raise OutOfRange(f"a band leaves the columns 0..{cols - 1}")
-    if not all(map(operator.lt, columns, columns[1:])):
-        raise ValueError("a band's columns must strictly increase")
+    cols = matrix.cols
+    for columns, scalars in matrix.entries:
+        if len(columns) != len(scalars):
+            raise ValueError("a band needs one scalar per column")
+        if columns and (min(columns) < 0 or max(columns) >= cols):
+            raise OutOfRange(f"a band leaves the columns 0..{cols - 1}")
+        if not all(map(operator.lt, columns, columns[1:])):
+            raise ValueError("a band's columns must strictly increase")
+        yield columns, scalars
 
 
 def dense_rows(matrix: LayeredMatrix, empty):
     """Each row of ``matrix`` in full, ``empty`` in the cells it leaves out.
 
-    Each band is checked (``_check_band``) as its row is reached.
+    Each band is checked (``_bands``) as its row is reached.
     """
-    for columns, scalars in matrix.entries:
-        _check_band(columns, scalars, matrix.cols)
+    for columns, scalars in _bands(matrix):
         cells = dict(zip(columns, scalars))
         yield tuple(cells.get(j, empty) for j in range(matrix.cols))
+
+
+def _runs(matrix: LayeredMatrix, sort: Sort):
+    """The permanent's input check: the scalars tuple of each run of rows
+    that share one, or None if a row is empty.
+
+    It raises NotSquare unless ``rows == cols`` is the number of bands.
+    Then, in one pass in row order: each band is checked (``_bands``);
+    the first empty one gives None before any later row is read; then
+    every layer of the row is checked (``sorts.require_layer``), except
+    in a row whose scalars tuple is the previous row's (the rows of one
+    Sylvester polynomial share theirs), which passed.
+    """
+    if not matrix.rows == matrix.cols == len(matrix.entries):
+        raise NotSquare("permanent needs a square matrix of one band per row")
+    runs = []
+    for columns, scalars in _bands(matrix):
+        if not columns:
+            return None
+        if not runs or scalars is not runs[-1]:
+            for e in scalars:
+                sorts.require_layer(e.layer, sort)
+            runs.append(scalars)
+    return runs
 
 
 def layered_permanent_naive(matrix: LayeredMatrix, sort: Sort):
     """Oracle: plain sum over all permutations.
 
-    The bands are checked in row order (``_check_band``), and the first
-    empty one gives BOTTOM, as in ``layered_permanent``.
+    The input is checked by ``_runs``, as in ``layered_permanent``, and
+    an empty row gives BOTTOM.
     """
-    if matrix.rows != matrix.cols:
-        raise NotSquare("permanent needs a square matrix")
-    rows = []
-    for columns, scalars in matrix.entries:
-        _check_band(columns, scalars, matrix.cols)
-        if not columns:
-            return BOTTOM
-        rows.append(dict(zip(columns, scalars)))
+    if _runs(matrix, sort) is None:
+        return BOTTOM
+    rows = [dict(zip(columns, scalars)) for columns, scalars in matrix.entries]
     total = BOTTOM
     for perm in permutations(range(matrix.rows)):
         term = ONE  # the empty product, of the one permutation of no rows
@@ -147,27 +170,15 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     are multiplied and added where the rational sums would have them.
     One ``Fraction`` is built, for the result.
 
-    The bands are read as stored.  One pass in row order checks them
-    before any state exists, and the values are scaled after it.  Within
-    a row: a malformed band is refused (``_check_band``); a row with no
-    entries gives BOTTOM; then every layer is checked, except in a row whose
-    scalars tuple is the previous row's (the rows of one Sylvester
-    polynomial share theirs), which passed.  The programme then builds a
-    row's cells only when it reaches that row, so it holds two state
-    tables and one row of cells at a time.
+    The input is checked first, in one pass in row order (``_runs``),
+    before any state exists: BOTTOM if a row is empty.  The values are
+    scaled after it.  The programme then builds a row's cells only when
+    it reaches that row, so it holds two state tables and one row of
+    cells at a time.
     """
-    if matrix.rows != matrix.cols:
-        raise NotSquare("permanent needs a square matrix")
-    cols = matrix.cols
-    runs = []  # the scalars tuple of each run of rows that share one
-    for columns, scalars in matrix.entries:
-        _check_band(columns, scalars, cols)
-        if not columns:
-            return BOTTOM
-        if not runs or scalars is not runs[-1]:
-            for e in scalars:
-                sorts.require_layer(e.layer, sort)
-            runs.append(scalars)
+    runs = _runs(matrix, sort)
+    if runs is None:
+        return BOTTOM
     scale, ints = integer_scale(e.value for run in runs for e in run)
     add, mul = sort.add, sort.mul
     limit = MAX_PERMANENT_STATES
@@ -301,17 +312,19 @@ def _layer_matrix(f: LayeredPoly, g: LayeredPoly, matrix: LayeredMatrix) -> Laye
 def layer_permanent(matrix: LayerMatrix) -> Fraction:
     """Classical permanent over Q, by the layered permanent under ``RAT``.
 
+    ``matrix`` is ``size`` rows of ``size`` entries each, else NotSquare.
     Every nonzero entry e becomes the scalar of value 0 and layer e, and
     every 0 is left out (BOTTOM).  All transversals then tie, so the
     layered sum adds their layer products: the classical permanent.
-    BOTTOM (no transversal) is 0.
+    BOTTOM (no transversal) is 0.  The entries are passed as they are,
+    so ``RAT``'s layer check is the entry check: an int or a ``Fraction``
+    passes, and ``inf``, a float, text or None raises InvalidLayer.
     """
-    entries = matrix.entries
-    n = len(entries)
-    if any(len(row) != n for row in entries):
+    n = matrix.size
+    if len(matrix.entries) != n or any(len(row) != n for row in matrix.entries):
         raise NotSquare("permanent needs a square matrix")
     tied = layered_matrix(
-        [BOTTOM if e == 0 else LayeredScalar(Fraction(0), Fraction(e)) for e in row] for row in entries
+        [BOTTOM if e == 0 else LayeredScalar(Fraction(0), e) for e in row] for row in matrix.entries
     )
     per = layered_permanent(tied, sorts.RAT)
     return Fraction(0) if per is BOTTOM else per.layer

@@ -216,6 +216,21 @@ def test_layer_permanent_has_no_size_cap():
     assert lt.layer_permanent(band) == 377
 
 
+def test_layer_permanent_checks_size_and_entries():
+    """The size is the row count and each row's length, and an entry is
+    an int or a ``Fraction``: the layer check of ``RAT`` refuses the rest."""
+    rows = ((F(1), F(2)), (F(3), F(1, 2)))
+    for size in (1, 3):
+        with pytest.raises(lt.NotSquare):
+            lt.layer_permanent(lt.LayerMatrix(size, rows))
+    for entry in (math.inf, 1.5, "2", None):
+        with pytest.raises(lt.InvalidLayer):
+            lt.layer_permanent(lt.LayerMatrix(2, ((F(1), entry), (F(3), F(1, 2)))))
+    ints = lt.layer_permanent(lt.LayerMatrix(2, ((1, 2), (3, 0))))
+    fractions = lt.layer_permanent(lt.LayerMatrix(2, ((F(1), F(2)), (F(3), F(0)))))
+    assert ints == fractions == 6 and type(ints) is type(fractions) is F
+
+
 def test_permanent_state_bound(monkeypatch):
     """A row whose table of column masks would pass MAX_PERMANENT_STATES
     raises OutOfRange; the bound is read at call time.  A dense n x n
@@ -270,6 +285,20 @@ def test_malformed_bands_are_refused():
         # in row order: a malformed band before a bad layer raises its own error
         with pytest.raises(ValueError, match="strictly increase"):
             read(later_bad)
+    # the permanents also share the square check and the layer check of each band
+    one, two = ((0,), (a,)), ((0, 1), (a, b))
+    unsquare = [lt.LayeredMatrix(2, 2, bands_) for bands_ in ((), (two,), (two, two, two))]
+    unsquare.append(lt.LayeredMatrix(1, 1, (one, one)))
+    lone_bad = lt.LayeredMatrix(1, 1, (((0,), (bad_layer,)),))
+    # row 1 takes column 0, so no complete transversal uses row 0's bad cell
+    unused_bad = lt.LayeredMatrix(2, 2, (((0, 1), (bad_layer, a)), one))
+    for read in readers[:2]:
+        for m in unsquare:
+            with pytest.raises(lt.NotSquare):
+                read(m)
+        for m in (lone_bad, unused_bad):
+            with pytest.raises(lt.InvalidLayer):
+                read(m)
     # an empty row before a malformed band gives BOTTOM, and a row of empty cells
     assert lt.layered_permanent(empty_first, lt.NAT) is lt.BOTTOM
     assert lt.layered_permanent_naive(empty_first, lt.NAT) is lt.BOTTOM

@@ -8,7 +8,9 @@ Run from the repository root:
 The corpus draws its calls from one ``random.Random(seed)``: ``p_eval``,
 ``p_mul``, ``mp_mul``, ``eval_sort``, ``primary_decomposition``,
 ``full_form``, ``resultant``, ``layered_permanent``, ``layer_permanent``
-of ``layer_sylvester``, ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``,
+of ``layer_sylvester`` and of hand-built dense layer matrices (of at most
+4 rows, their size now and then one off, an entry now and then ``inf``,
+a float or an int), ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``,
 the rasters ``grid_scan`` and ``corner_locus_on_grid``, the pointwise
 ``mp_eval``, ``theta``, ``theta_min``, ``corner_support``,
 ``is_corner_root``, ``is_ell_root`` and ``component_index``, and the CLI's
@@ -23,12 +25,17 @@ pairs and on hand-built matrices whose rows may share one scalars tuple,
 be empty, carry layer 0, ``inf`` or a layer the sort refuses in a later
 row, draw their values over a denominator of their own (1, 7, 11 or
 2^31 - 1, so one matrix may mix several primes), or be malformed: a
-repeated column, a negative interior column or a scalar short.  The
+repeated column, a negative interior column or a scalar short; now and
+then one band is dropped or repeated.  The
 multivariate calls run on the pool's multipolys of arity 1 to 3, over
 regions whose axes have up to five points, one or none (now and then
 one axis for all, a square grid), with coordinate layers that may be 0,
 ``inf`` or outside the sort; ``theta_min`` takes zero to three generators
 of one arity, and ``is_ell_root`` a level drawn from the point layers.
+Now and then a pointwise call runs on a tropical hyperplane at a point
+whose coordinates share one value, so its terms tie; and a repeated
+exponent vector of a multipoly now and then has the first term's value,
+so the merge adds layers.
 A corner locus has zero, one or two generators, each now and then a
 tropical hyperplane, whose corner roots fill the diagonal of a square
 grid: the second generator is then folded
@@ -84,9 +91,15 @@ LAYER_GROUPS = (
     (F(0), F(1), F(2)),
     (F(1), F(2), F(-1), F(-3, 2), F(0), "inf", BIG),
 )
+# entries of a hand-built layer matrix
+LAYER_ENTRIES = (F(0), F(1), F(2), F(-1), F(1, 2))
 # denominators of a hand-built matrix row's values
 ROW_DENOMINATORS = (1, 7, 11, 2 ** 31 - 1)
 POINT_LAYERS = (F(1), F(1), 1, F(2), F(3), F(1, 2), F(0), F(-1), "inf", 2, BIG, HUGE)
+# coordinate layers of a point whose coordinates tie: layer 0 and the
+# saturated layers (3 under trunc:3, inf under super) are absorbed by a sum,
+# so a tie set's sum may equal the layer of one of its monomials
+TIE_LAYERS = (F(0), F(1), F(2), F(3), "inf")
 # exponents of the layer powers: ``Sort.pow`` normalizes each (0, negative,
 # fractional, float) or refuses it (None, text) before it reads the layer
 POW_EXPONENTS = (0, 1, 2, 7, 130, 20000, -1, -3, F(1, 2), F(-3, 2), F(2, 3), F(4), 0.5, 2.0, -1.5, 0.0,
@@ -199,8 +212,9 @@ class Corpus:
              self.lt.LayeredScalar(self.value(), self.layer(rng.choice(group))))
             for _ in range(rng.randint(0, 4))
         ]
-        if pairs and rng.random() < 0.3:  # a repeated exponent vector
-            pairs.append((pairs[0][0], self.lt.LayeredScalar(self.value(), self.layer(rng.choice(group)))))
+        if pairs and rng.random() < 0.3:  # a repeated exponent vector, half the time of an equal value
+            value = pairs[0][1].value if rng.random() < 0.5 else self.value()
+            pairs.append((pairs[0][0], self.lt.LayeredScalar(value, self.layer(rng.choice(group)))))
         return self.lt.multipoly(arity, pairs)
 
     def hyperplane(self, arity):
@@ -241,7 +255,8 @@ class Corpus:
         """A hand-built LayeredMatrix of at most 5 rows, its columns
         mostly in range.  Some rows share one scalars tuple object, some
         are empty, a few are malformed, and each other row draws its own
-        layer group and denominator."""
+        layer group and denominator.  Now and then one band is dropped or
+        repeated, so the matrix has one band too few or too many."""
         rng, lt = self.rng, self.lt
 
         def scalars(k):
@@ -269,7 +284,22 @@ class Corpus:
             else:
                 columns = tuple(j for j in range(cols) if rng.random() < 0.7)
                 entries.append((columns, scalars(len(columns))))
+        if entries and rng.random() < 0.06:
+            i = rng.randrange(n)
+            entries[i:i + 1] = [] if rng.random() < 0.5 else [entries[i]] * 2
         return lt.LayeredMatrix(n, cols, tuple(entries))
+
+    def layer_matrix(self):
+        """A hand-built dense LayerMatrix of at most 4 rows over 0, 1, 2,
+        -1 and 1/2; now and then its size is one off, and now and then
+        one entry is ``inf``, the float 1.5 or an int."""
+        rng = self.rng
+        n = rng.randint(0, 4)
+        rows = [[rng.choice(LAYER_ENTRIES) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.15:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((float("inf"), 1.5, 2, -1, 0))
+        size = n + rng.choice((-1, 1)) if rng.random() < 0.08 else n
+        return self.lt.LayerMatrix(size, tuple(map(tuple, rows)))
 
     def primary_pair(self):
         """Powers of two monic linear polynomials with one root: an
@@ -381,11 +411,13 @@ class Corpus:
                     else:
                         out = _outcome(lt.layered_permanent, self.matrix(), sort)
                 elif kernel == "layer_permanent":
-                    if rng.random() < 0.5:
-                        f, g = self.primary_pair()
+                    u = rng.random()
+                    if u < 0.3:
+                        out = _outcome(lt.layer_permanent, self.layer_matrix())
                     else:
-                        f, g = polys[rng.choice(small)], polys[rng.choice(small)]
-                    out = _outcome(lambda: lt.layer_permanent(lt.layer_sylvester(f, g, sort)))
+                        f, g = (self.primary_pair() if u < 0.65
+                                else [polys[rng.choice(small)] for _ in range(2)])
+                        out = _outcome(lambda: lt.layer_permanent(lt.layer_sylvester(f, g, sort)))
                 elif kernel == "primary_pair_resultant":
                     if rng.random() < 0.5:
                         f, g = self.primary_pair()
@@ -414,7 +446,12 @@ class Corpus:
                                 "is_ell_root", "component_index"):
                     f = rng.choice(multis)
                     n = self.arity_of(f)
-                    point = tuple(lt.LayeredScalar(self.value(), l) for l in self.coord_layers(n))
+                    if rng.random() < 0.3:  # a tropical hyperplane, at a point whose coordinates tie
+                        f, v = self.hyperplane(f.arity), self.value()
+                        layers = [self.layer(rng.choice(TIE_LAYERS)) for _ in range(n)]
+                        point = tuple(lt.LayeredScalar(v, l) for l in layers)
+                    else:
+                        point = tuple(lt.LayeredScalar(self.value(), l) for l in self.coord_layers(n))
                     if kernel == "theta_min":
                         same = [g for g in multis if g.arity == f.arity]
                         out = _outcome(lt.theta_min, [rng.choice(same) for _ in range(rng.randint(0, 3))],
