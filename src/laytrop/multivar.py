@@ -7,17 +7,20 @@ corner roots and components are pointwise queries, and finite sample
 grids stand in for the full function space.
 
 The two rasters, ``grid_scan`` and ``corner_locus_on_grid``, stream
-their rows from one lattice walk and keep none of them.  Arity, step and
-grid-size errors raise when a raster is called; a monomial layer error
-raises at the first row that reaches it.
+their rows from one lattice walk (``_walk``) and keep none of them.
+Arity, step and grid-size errors raise when a raster is called; a
+monomial layer error raises at the first row that reaches it.
 
 Every evaluation here, pointwise or on a grid, is one integer fold
 (``_Affine``): on a lattice the value of each monomial is an affine form
-in the integer lattice indices, and the forms of one polynomial are
-scaled once by the least common multiple D of their denominators.  The fold
-then adds, compares and ties Python ints, and only its maximum is divided
-by D.  This is exact, not an approximation: a positive D keeps every order
-and equality, so the ties, and with them layers, corner supports and
+in the integer lattice indices.  The set-up builds the forms of one
+polynomial as ints, from numerators and denominators, times one common
+multiple D of their denominators (not always the least one), and takes
+each coordinate power once per (axis, exponent); ``_grid`` builds each
+axis's coordinates over one denominator of its own.  The fold then adds,
+compares and ties Python ints, and only its maximum is divided by D.
+This is exact, not an approximation: a positive D keeps every order and
+equality, so the ties, and with them layers, corner supports and
 components, are those of the exact rational values.  A point is the
 zero-dimensional lattice: it has no steps, and its forms are constants.
 
@@ -26,9 +29,10 @@ read by one method, ``describe``, which serves the pointwise queries and
 the rasters alike.  A raster does less than one full evaluation per
 point.  Which monomials tie at the maximum is constant on each cell of a
 polyhedral subdivision, so a grid meets few tie sets: each is described
-once, the first time it occurs.  And along the last axis the values
-step: at the successor of the previous fold they are the previous ints
-plus one int per monomial.
+once, the first time it occurs.  And the walk goes row by row, a row
+being the points that share every index but the last: a generator's
+ints where a row starts are found the first time the row reaches it,
+and each later point of the row adds one int per monomial.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import NamedTuple
 from . import sorts
 from .errors import ArityMismatch, OutOfRange, PreconditionViolated
 from .polys import term_product
-from .scalars import BOTTOM, LayeredScalar, integer_scale
+from .scalars import BOTTOM, LayeredScalar
 from .sorts import Sort, as_layer
 
 # The largest lattice a raster may scan; larger regions raise OutOfRange
@@ -87,20 +91,21 @@ def mp_mul(F: MultiPoly, G: MultiPoly, sort: Sort) -> MultiPoly:
     return multipoly(F.arity, terms)
 
 
-def _monomial_layer(exps, coeff, point, sort: Sort):
-    """The layer of coeff * prod x_j ** e_j.
+def _monomial_layer(exps, coeff, power, sort: Sort):
+    """The layer of coeff * prod x_j ** e_j, power(j, e) being x_j ** e.
 
     Each coordinate's layer is checked where its power is taken, the
     coefficient's at the first product and a constant's on its own; a
-    coordinate with exponent 0 is never read.
+    coordinate with exponent 0 is never read.  ``_Affine`` takes each
+    power once per (axis, exponent): one it kept was checked when taken.
     """
     layer = None
-    for e, x in zip(exps, point):
+    for j, e in enumerate(exps):
         if e:
-            power = sorts.layer_pow_int(x.layer, e, sort)
+            p = power(j, e)
             if layer is None:
                 layer = sorts.require_layer(coeff.layer, sort)
-            layer = sort.mul(layer, power)
+            layer = sort.mul(layer, p)
     return sorts.require_layer(coeff.layer, sort) if layer is None else layer
 
 
@@ -132,9 +137,13 @@ class _Affine:
     the zero-dimensional lattice, with no steps and the one index ().
     Every monomial then has a constant layer, and its value
     c + sum_j e_j * x_j is an affine form a + sum_j k_j * b_j in the
-    indices, with a its value at the origin and b_j = e_j * step_j.  All
-    these forms are scaled once by the least common multiple D of their
-    denominators, so ``fold`` adds, compares and ties Python ints and
+    indices, with a its value at the origin and b_j = e_j * step_j.
+    ``__init__`` builds these forms as ints, from numerators and
+    denominators, times one common multiple D of the denominators of c,
+    of each e_j * x_j and of each e_j * step_j: the least common multiple
+    of the coefficient, coordinate and step denominators times that of
+    the exponent denominators, not always the least such multiple.
+    ``fold`` then compares and ties Python ints, and a caller
     divides by D once per point.  This is exact: D is positive, so every
     order and equality of the values holds for the ints, and the tie set
     and what ``describe`` reads from it, the layer sum, the corner support
@@ -142,16 +151,16 @@ class _Affine:
     and the pointwise queries all read this one fold and this one
     ``describe``.
 
-    A raster walks the lattice in order, so two habits of a walk cost
-    less here.  A fold at the successor of the previous fold on the last
-    axis adds the last-axis steps b_last to the previous values instead
-    of evaluating every form.  And the layer, corner support and
-    component depend only on the tie set, of which a grid meets few:
-    ``facts`` describes a tie set the first time it occurs and keeps the
-    answer.  A pointwise query folds once and keeps nothing.
+    A raster walks its lattice row by row (``_walk``), a row being the
+    points that share every index but the last.  ``base`` gives the ints
+    a + sum_{j<last} k_j * b_j where a row starts, and each later point of
+    the row adds the last-axis steps ``last`` once more.  The layer,
+    corner support and component depend only on the tie set, of which a
+    grid meets few: ``facts`` describes a tie set the first time it occurs
+    and keeps the answer.  A pointwise query folds once and keeps nothing.
     """
 
-    __slots__ = ("exps", "forms", "row_steps", "scale", "layers", "add", "known", "prev_index", "prev_values")
+    __slots__ = ("exps", "forms", "last", "scale", "layers", "add", "known")
 
     def __init__(self, F: MultiPoly, origin, steps, sort: Sort):
         """Fix the monomial layers of F on the lattice origin + k * steps.
@@ -163,52 +172,53 @@ class _Affine:
         layered sum: the larger value wins and equal values add their
         layers.  By distributivity of the sort that is the monomial of the
         layered sum of their coefficients, so F answers as the polynomial
-        with merged terms does.  The merged values at the origin and their
-        steps are scaled by one ``integer_scale``.
+        with merged terms does.
         """
-        at = [x.value for x in origin]
-        merged = {}  # exponent vector -> (value at the origin, layer), in term order
-        for e, c in F.terms():
-            layer = _monomial_layer(e, c, origin, sort)
-            value = c.value + sum(map(operator.mul, e, at))
+        terms = F.terms()
+        power = functools.cache(lambda j, e: sorts.layer_pow_int(origin[j].layer, e, sort))
+        layers = [_monomial_layer(e, c, power, sort) for e, c in terms]
+        xs = [(x.value.numerator, x.value.denominator) for x in origin]
+        hs = [(h.numerator, h.denominator) for h in steps]
+        dens = {c.value.denominator for _, c in terms} | {d for _, d in xs + hs}
+        D = self.scale = math.lcm(*dens) * math.lcm(*{ej.denominator for e, _ in terms for ej in e})
+
+        def times_d(e, pairs):  # e_j * n_j / d_j times D, per axis j
+            return [ej.numerator * n * (D // (ej.denominator * d)) for ej, (n, d) in zip(e, pairs)]
+
+        merged = {}  # exponent vector -> (a, layer), in term order
+        for (e, c), layer in zip(terms, layers):
+            a = c.value.numerator * (D // c.value.denominator) + sum(times_d(e, xs))
             old = merged.get(e)
-            if old is None or value > old[0]:
-                merged[e] = (value, layer)
-            elif value == old[0]:
-                merged[e] = (value, sort.add(old[1], layer))
-        rows = [[value, *(x * h for x, h in zip(e, steps))] for e, (value, _) in merged.items()]
-        self.scale, ints = integer_scale(itertools.chain.from_iterable(rows))  # D, and the rows times D
-        width = len(steps) + 1
-        # (a, (b_j, ...)) per monomial, both times D
-        self.forms = [(ints[i], tuple(ints[i + 1 : i + width])) for i in range(0, len(ints), width)]
-        self.row_steps = [b[-1] for _, b in self.forms if b]  # b_last per monomial; none without steps
+            if old is None or a > old[0]:
+                merged[e] = (a, layer)
+            elif a == old[0]:
+                merged[e] = (a, sort.add(old[1], layer))
+        self.forms = [(a, tuple(times_d(e, hs))) for e, (a, _) in merged.items()]  # (a, (b_j, ...)) times D
+        self.last = [b[-1] if b else 0 for _, b in self.forms]  # b_last per monomial; 0 without steps
         self.exps = list(merged)  # distinct exponent vectors, in term order
         self.layers = [layer for _, layer in merged.values()]  # each checked by ``_monomial_layer``
         self.add = sort.add  # the sort's unchecked layer sum
         self.known = {}  # tie set -> ``facts``
-        self.prev_index = self.prev_values = None  # of the previous fold
 
-    def fold(self, index):
-        """The maximum value at the lattice index and its tie set.
+    def base(self, index):
+        """The ints of the monomials at the first point of a row, index
+        giving its indices on every axis but the last; at a point, the
+        index () gives its values."""
+        return [a + sum(map(operator.mul, b, index)) for a, b in self.forms]
 
-        Returns (value, ties), ties being the index of the one monomial at
+    def fold(self, values):
+        """The maximum of the monomials' ints and its tie set.
+
+        Returns (best, ties), ties being the index of the one monomial at
         the maximum or the tuple of the tied indices in term order; None
         when there are no monomials.
         """
-        prev = self.prev_index
-        if prev and index[-1] - prev[-1] == 1 and index[:-1] == prev[:-1]:
-            values = list(map(operator.add, self.prev_values, self.row_steps))
-        else:
-            values = [a + sum(map(operator.mul, b, index)) for a, b in self.forms]
-        self.prev_index, self.prev_values = index, values
         if not values:
             return None
         best = max(values)
         if values.count(best) == 1:
-            ties = values.index(best)
-        else:
-            ties = tuple(i for i, v in enumerate(values) if v == best)
-        return Fraction(best, self.scale), ties
+            return best, values.index(best)
+        return best, tuple([i for i, v in enumerate(values) if v == best])
 
     def describe(self, ties):
         """(layer, corner support, component) of a tie set from ``fold``.
@@ -246,8 +256,8 @@ def _at_point(F: MultiPoly, point, sort: Sort):
     if len(point) != F.arity:
         raise ArityMismatch(f"point of arity {len(point)} against polynomial of arity {F.arity}")
     affine = _Affine(F, point, (), sort)
-    fold = affine.fold(())
-    return None if fold is None else (fold[0], *affine.describe(fold[1]))
+    fold = affine.fold(affine.base(()))
+    return None if fold is None else (Fraction(fold[0], affine.scale), *affine.describe(fold[1]))
 
 
 def corner_support(F: MultiPoly, point, sort: Sort):
@@ -286,13 +296,14 @@ class GridRow(NamedTuple):
 
 
 def _grid(region):
-    """(origin, steps, lattice) of a region.
+    """(origin, steps, axes) of a region.
 
-    Each axis is one (lo, hi, step) triple; ``lattice`` streams
-    (index, values) for the points lo + k * step in lexicographic order.
-    Step signs are checked first, then the size of each axis and of the
-    whole lattice against ``MAX_GRID_POINTS``, before any point is built:
-    an over-wide axis is refused even next to an empty one.
+    Each axis is one (lo, hi, step) triple; ``axes`` lists each axis's
+    coordinates lo + k * step, each built as Fraction(a + k * b, L) over
+    the one denominator L of its axis.  Step signs are checked first, then
+    the size of each axis and of the whole lattice against
+    ``MAX_GRID_POINTS``, before any point is built: an over-wide axis is
+    refused even next to an empty one.
     """
     region = [tuple(map(Fraction, axis)) for axis in region]
     if any(step <= 0 for _, _, step in region):
@@ -300,40 +311,36 @@ def _grid(region):
     sizes = [max(0, math.floor((hi - lo) / step) + 1) for lo, hi, step in region]
     if max(sizes, default=0) > MAX_GRID_POINTS or math.prod(sizes) > MAX_GRID_POINTS:
         raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
-    axes = ([lo + k * step for k in range(n)] for (lo, _, step), n in zip(region, sizes))
-    lattice = zip(itertools.product(*map(range, sizes)), itertools.product(*axes))
-    return [lo for lo, _, _ in region], [step for _, _, step in region], lattice
+    axes = []
+    for (lo, _, step), n in zip(region, sizes):
+        L = math.lcm(lo.denominator, step.denominator)  # lo = a / L and step = b / L
+        a, b = lo.numerator * (L // lo.denominator), step.numerator * (L // step.denominator)
+        axes.append([Fraction(a + k * b, L) for k in range(n)])
+    return [lo for lo, _, _ in region], [step for _, _, step in region], axes
 
 
-def _folds(Fs, region, coord_layers, sort: Sort):
+def _walk(Fs, region, coord_layers, sort: Sort):
     """The one lattice walk behind both rasters.
 
     Checks arity, coordinate layers, step signs and the grid size at the
-    call, then streams (values, folds) per lattice point: ``folds`` lazily
-    yields (affine, fold) for each generator in turn.  A generator's
-    monomial layers are fixed, and checked, the first time a point reaches
-    it, so a layer error raises at the first row that reaches it.
+    call, and returns (rows, tails, affine).  ``rows`` streams one
+    (head, index) per lattice row: the coordinates and the indices the
+    row's points share, those of every axis but the last; the points are
+    head + tail for each tail in ``tails``.  Arity 0 is the one-point
+    lattice: one row, whose head and one tail are ().  ``affine(i)`` is
+    generator i's ``_Affine``, built when it is first asked for, so a
+    generator's monomial layers are checked, and a layer error raised, at
+    the first row that reaches it.
     """
     if len(region) != len(coord_layers) or any(len(region) != F.arity for F in Fs):
         raise ArityMismatch("region and layer vectors must match the polynomial arity")
     layers = [as_layer(l) for l in coord_layers]
-    origin, steps, lattice = _grid(region)
+    origin, steps, axes = _grid(region)
     origin = tuple(map(LayeredScalar, origin, layers))
-    affines = [None] * len(Fs)
-
-    def at(i, index):
-        if affines[i] is None:
-            affines[i] = _Affine(Fs[i], origin, steps, sort)
-        return affines[i], affines[i].fold(index)
-
-    return ((values, map(at, range(len(Fs)), itertools.repeat(index))) for index, values in lattice)
-
-
-def _row(values, affine, fold) -> GridRow:
-    if fold is None:
-        raise PreconditionViolated("cannot rasterize the empty polynomial")
-    value, ties = fold
-    return GridRow(values, value, *affine.facts(ties))
+    affine = functools.cache(lambda i: _Affine(Fs[i], origin, steps, sort))
+    front, tails = axes[:-1], [(x,) for x in axes[-1]] if axes else [()]
+    rows = zip(itertools.product(*front), itertools.product(*[range(len(axis)) for axis in front]))
+    return rows if tails else (), tails, affine
 
 
 def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
@@ -341,17 +348,31 @@ def grid_scan(F: MultiPoly, region, coord_layers, sort: Sort):
 
     ``region`` is one (lo, hi, step) triple per axis; ``coord_layers``
     fixes the layer of each coordinate.  Rows stream in lexicographic
-    order of the coordinate values.  Each monomial's layer is fixed once
-    and its value is an affine form in the point, stepped along the last
-    axis, and the layer, corner support and component of a tie set are
-    found once, so every row is exact; it equals ``mp_eval``,
+    order of the coordinate values, each coordinate a ``Fraction`` equal
+    to lo + k * step.  Each monomial's layer is fixed once and its value
+    is an integer affine form in the lattice indices: a row of the
+    lattice starts from its ``base`` ints, and each later point adds one
+    int per monomial; the layer, corner support and component of a tie
+    set are found once.  So every row is exact; it equals ``mp_eval``,
     ``corner_support`` and ``component_index`` at that point.  Arity,
     step and size errors raise at the call (regions of more than
     ``MAX_GRID_POINTS`` points raise ``OutOfRange``); a layer error
     raises at the first row.
     """
-    stream = _folds([F], region, coord_layers, sort)
-    return (_row(values, *next(folds)) for values, folds in stream)
+    return _scan(*_walk([F], region, coord_layers, sort))
+
+
+def _scan(rows, tails, affine):
+    for head, index in rows:
+        f = affine(0)
+        base = f.base(index)
+        if not base:
+            raise PreconditionViolated("cannot rasterize the empty polynomial")
+        # lists, not iterators, become tuples here and in ``fold``: a tuple built from an iterator is
+        # resized, and each call then leaves one more tuple on the interpreter's free list of that size
+        for tail, values in zip(tails, zip(*[itertools.count(a, b) for a, b in zip(base, f.last)])):
+            best, ties = f.fold(values)
+            yield GridRow(head + tail, Fraction(best, f.scale), *f.facts(ties))
 
 
 def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
@@ -361,11 +382,25 @@ def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
     convention), and its region and layer vector must still agree in
     length.  Arity, step and size errors raise at the call.  The
     generators are tried in order at each point and the first one without
-    a corner root ends the test there, so a generator's monomial layers
-    are fixed, and a layer error raised, the first time a point reaches it.
+    a corner root ends the test there, so a generator's row-base ints are
+    found, its monomial layers fixed, and a layer error raised, the first
+    time a point of the row, or of the grid, reaches it.  At the k-th
+    point of a row a generator's ints are its base plus k times its
+    last-axis steps.
     """
-    return (
-        values
-        for values, folds in _folds(Fs, region, coord_layers, sort)
-        if all(fold is not None and affine.facts(fold[1])[1] >= 2 for affine, fold in folds)
-    )
+    return _locus(*_walk(Fs, region, coord_layers, sort), len(Fs))
+
+
+def _locus(rows, tails, affine, count):
+    for head, index in rows:
+        bases = [None] * count
+        for k, tail in enumerate(tails):
+            for i in range(count):
+                f = affine(i)
+                if bases[i] is None:
+                    bases[i] = f.base(index)
+                fold = f.fold([a + k * b for a, b in zip(bases[i], f.last)])
+                if fold is None or f.facts(fold[1])[1] < 2:
+                    break
+            else:
+                yield head + tail

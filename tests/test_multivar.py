@@ -168,23 +168,18 @@ def test_theta_min():
         lt.theta_min([LINE, P("x1 + x2 + 0:5")], p, lt.UNIT)
 
 
-def test_point_scales_one_value_per_exponent_vector(monkeypatch):
-    """A point is the zero-dimensional lattice: ``integer_scale`` gets the
-    value of each merged exponent vector at the point, and no step."""
-    seen = []
-    integer_scale = lt.multivar.integer_scale
-
-    def spy(values):
-        values = list(values)
-        seen.append(values)
-        return integer_scale(values)
-
-    monkeypatch.setattr(lt.multivar, "integer_scale", spy)
+def test_point_scales_one_value_per_exponent_vector():
+    """A point is the zero-dimensional lattice: its forms hold the value of
+    each merged exponent vector at the point, times the scale, and no step."""
     # (1, 0) is repeated: its values 1 + 1/2 and 4 + 1/2 merge to the larger
-    f = lt.multipoly(2, [((1, 0), sc(1, 1)), ((0, 1), sc(0, 2)), ((1, 0), sc(4, 1))])
+    f = lt.multipoly(2, [((1, 0), sc(1, 2)), ((0, 1), sc(0, 2)), ((1, 0), sc(4, 1))])
     assert len(f.terms()) == 3
-    assert lt.mp_eval(f, pt((F(1, 2), 1), (4, 1)), lt.NAT) == sc(F(9, 2), 1)
-    assert seen == [[F(4), F(9, 2)]]
+    point = pt((F(1, 2), 1), (4, 1))
+    assert lt.mp_eval(f, point, lt.NAT) == sc(F(9, 2), 1)
+    affine = lt.multivar._Affine(f, point, (), lt.NAT)
+    assert affine.exps == [(0, 1), (1, 0)]
+    assert [(F(a, affine.scale), b) for a, b in affine.forms] == [(F(4), ()), (F(9, 2), ())]
+    assert affine.layers == [2, 1]  # the larger value keeps its own layer
 
 
 def _rand_multipoly(rng, arity=2, terms=4):
@@ -544,10 +539,10 @@ def test_corner_locus_fixes_layers_at_first_reach():
 
 def test_grid_scan_streams_its_rows():
     """Consuming a streamed raster keeps no rows: on 61x61 points the peak
-    is about 20 KB, against about 750 KB for the list of rows.  The facts
+    is about 25 KB, against about 740 KB for the list of rows.  The facts
     kept per tie set stay as few as the tie sets: the 8-monomial
     polynomial meets 22 of them, not the 3721 points, and peaks at about
-    28 KB."""
+    25 KB."""
     region = [(-30, 30, 1), (-30, 30, 1)]
     eight = lt.multipoly(2, {
         (e1, e2): sc(c, l)
@@ -640,3 +635,130 @@ def test_tie_set_recurs_at_different_values():
     above = [row for row in rows if row.point[0] > row.point[1]]
     assert {(row.theta, row.csupp, row.component) for row in above} == {(1, 1, (1, 0))}
     assert len({row.value for row in above}) == 4
+
+
+# -- rational grids: the integer set-up of the axes and of the forms ----------
+
+# exponents 1/2, -1/2, 3/2 and 1/3 on coordinate layers whose powers by
+# them are layers where the sort allows it: square roots of 4 and 1/4, cube
+# roots of 8 and 1/8, any root of 1 and of INF (whose negative powers raise,
+# as do negative powers of 4 under nat)
+ROOT_EXPONENTS = {
+    1: [0, 1, -1, F(1, 2), F(-1, 2), F(3, 2), F(1, 3)],
+    4: [0, 1, 2, -1, F(1, 2), F(-1, 2), F(3, 2)],
+    8: [0, 1, 2, F(1, 3)],
+    lt.INF: [0, 1, F(1, 2), F(3, 2), F(1, 3), F(-1, 2)],
+}
+ROOT_EXPONENTS[F(1, 4)], ROOT_EXPONENTS[F(1, 8)] = ROOT_EXPONENTS[4], ROOT_EXPONENTS[8]
+ROOT_LAYERS = {
+    "unit": [1],
+    "super": [1, lt.INF],
+    "trunc:3": [1],
+    "nat": [1, 4, 8],
+    "posq": [1, 4, 8, F(1, 4)],
+    "q": [1, 4, 8, F(1, 8)],
+}
+
+
+def _rational_region(rng, arity):
+    """Axes whose lo, hi and step have unlike denominators, hi off the
+    lattice; the first is lo = -7/3 with step 2/5."""
+    region = []
+    for j in range(arity):
+        lo, step = F(-7, 3), F(2, 5)
+        if j:
+            lo, step = rng.choice((F(-5, 4), F(1, 6), F(-1))), rng.choice((F(1, 3), F(3, 4), F(2, 7)))
+        hi = lo + rng.randint(0, 3) * step + rng.choice((F(1, 7), step / 2))
+        region.append((lo, hi, step))
+    return region
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_raster_matches_pointwise_definition_on_rational_grids(sort):
+    """Both rasters against the pointwise definition on rational grids,
+    with fractional exponents and coefficient denominators 1 to 5."""
+    rng = random.Random(f"rational-grid-{sort}")
+    compared = raised = 0
+    for _ in range(40):
+        arity = rng.choice((1, 2, 2, 3))
+        region = _rational_region(rng, arity)
+        layers = [rng.choice(ROOT_LAYERS[str(sort)]) for _ in range(arity)]
+        Fs = [
+            lt.multipoly(arity, {
+                tuple(F(rng.choice(ROOT_EXPONENTS[l])) for l in layers):
+                    lt.LayeredScalar(F(rng.randint(-6, 6), rng.randint(1, 5)), _coeff_layer(rng, sort))
+                for _ in range(rng.randint(1, 5))
+            })
+            for _ in range(rng.choice((1, 2)))
+        ]
+        raised += _raster_matches_pointwise(Fs, region, layers, sort)
+        compared += 1
+    assert raised < compared // 2
+
+
+def test_raster_coordinates_are_fractions_on_the_lattice():
+    """Every coordinate is a Fraction equal to lo + k * step, whatever the
+    types and denominators of lo, hi and step."""
+    region = [(F(-7, 3), F(1, 2), F(2, 5)), (-1, F(1, 2), 1), ("1/6", F(7, 5), F(3, 4))]
+    want = [
+        (F(-7, 3) + i * F(2, 5), F(-1 + j), F(1, 6) + k * F(3, 4))
+        for i in range(8) for j in range(2) for k in range(2)
+    ]
+    f = lt.multipoly(3, {(1, 0, 0): lt.ONE, (0, F(1, 2), 0): sc(0, 1), (0, 0, F(-1, 3)): sc(F(1, 5), 1)})
+    rows = list(lt.grid_scan(f, region, [1, 1, 1], lt.NAT))
+    assert [row.point for row in rows] == want
+    assert {type(x) for row in rows for x in row.point} == {type(row.value) for row in rows} == {F}
+    assert [tuple(row) for row in rows] == _pointwise_rows(f, region, [1, 1, 1], lt.NAT)
+    locus = list(lt.corner_locus_on_grid([], region, [1, 1, 1], lt.NAT))
+    assert locus == want and {type(x) for point in locus for x in point} == {F}
+
+
+def test_each_coordinate_power_is_taken_once(monkeypatch):
+    """Monomials that share an exponent on an axis take that coordinate
+    power once per raster, once per generator, and once per point query."""
+    calls = []
+    layer_pow_int = lt.sorts.layer_pow_int
+
+    def spy(l, n, sort):
+        calls.append((l, n))
+        return layer_pow_int(l, n, sort)
+
+    monkeypatch.setattr(lt.sorts, "layer_pow_int", spy)
+    # x1^2 in three terms, x2^(1/2) in two: four distinct (axis, exponent) pairs
+    f = lt.multipoly(2, {
+        (2, 0): lt.ONE, (2, F(1, 2)): sc(1, 1), (2, 1): sc(-1, 2), (1, F(1, 2)): sc(0, 1), (0, 0): sc(-3, 1),
+    })
+    pairs = [(2, 2), (4, F(1, 2)), (4, 1), (2, 1)]
+    region, layers = [(-1, 1, 1), (0, 2, F(1, 2))], [2, 4]
+    rows = list(lt.grid_scan(f, region, layers, lt.NAT))
+    assert sorted(calls) == sorted(pairs)
+    calls.clear()
+    list(lt.corner_locus_on_grid([f, f], region, layers, lt.NAT))
+    assert sorted(calls) == sorted(pairs * 2)
+    calls.clear()
+    row = next(row for row in rows if row.point == (0, 1))
+    assert lt.mp_eval(f, pt((0, 2), (1, 4)), lt.NAT) == lt.LayeredScalar(row.value, row.theta)
+    assert sorted(calls) == sorted(pairs)
+    monkeypatch.undo()
+    assert [tuple(row) for row in rows] == _pointwise_rows(f, region, layers, lt.NAT)
+
+
+def test_invalid_power_raises_at_the_first_row():
+    """A power that leaves the sort raises at the first row, not at the
+    call, and the terms are checked in their order: a refused power of an
+    earlier term raises before a later term's invalid coefficient layer."""
+    region = [(0, 1, 1), (F(-1, 3), 1, F(1, 3))]
+    # sqrt of layer 2 leaves nat; (0, 1/2) sorts before (1, 1/2), whose layer 5/3 is invalid
+    root_first = lt.multipoly(2, {(0, F(1, 2)): lt.ONE, (1, F(1, 2)): sc(0, F(5, 3))})
+    rows = lt.grid_scan(root_first, region, [1, 2], lt.NAT)
+    with pytest.raises(lt.InvalidLayer, match="no exact 2-th root"):
+        next(rows)
+    # (0, 1/3) sorts before (0, 1/2): now the invalid coefficient comes first
+    layer_first = lt.multipoly(2, {(0, F(1, 3)): sc(0, F(5, 3)), (0, F(1, 2)): lt.ONE})
+    with pytest.raises(lt.InvalidLayer, match="layer 5/3 is not valid"):
+        next(lt.grid_scan(layer_first, region, [1, 8], lt.NAT))
+    # in the corner locus, a generator's refused power raises at the first row that reaches it
+    assert list(lt.corner_locus_on_grid([LINE, root_first], [(1, 2, 1), (-2, -1, 1)], [1, 2], lt.NAT)) == []
+    locus = lt.corner_locus_on_grid([LINE, root_first], [(-1, 1, 1), (-1, 1, 1)], [1, 2], lt.NAT)
+    with pytest.raises(lt.InvalidLayer, match="no exact 2-th root"):
+        list(locus)
