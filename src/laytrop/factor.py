@@ -2,11 +2,14 @@
 
 A monic polynomial is a-primary when every coefficient value fits the
 line value(alpha_j) = (deg - j) * a; equivalently all its corner roots
-are nu-equivalent to a.  Any polynomial factors uniquely (up to
-nu-value) as unit * f_{a_1} ... f_{a_d} with strictly decreasing roots;
-the factors are split off bottom-part-first.  The map psi_a reads off
-the coefficient layers of an a-primary polynomial as a classical
-polynomial over Q, which carries multiplicity information.
+are nu-equivalent to a, and its coefficient hull is one edge.
+``is_primary`` and ``separable_factor`` read that hull's statuses from
+``polys._hull_classify``, as the decomposition reads its slopes.  Any
+polynomial factors uniquely (up to nu-value) as unit * f_{a_1} ...
+f_{a_d} with strictly decreasing roots; the factors are split off
+bottom-part-first.  The map psi_a reads off the coefficient layers of an
+a-primary polynomial as a classical polynomial over Q, which carries
+multiplicity information.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import LayeredPoly, full_form, hull_vertices, monomial, p_eval, p_mul, p_shift, poly, slopes
+from .polys import LayeredPoly, _hull_classify, full_form, monomial, p_eval, p_mul, p_shift, poly, slopes
 from .scalars import ONE, LayeredScalar, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
@@ -46,7 +49,12 @@ def is_primary(f: LayeredPoly):
     """The common root value when f is primary, else None.
 
     Requires a monic input (leading value 0); polynomials divisible by
-    the variable or reduced to a single monomial are never primary.
+    the variable or reduced to a single monomial are never primary.  A
+    monic f with a constant term is primary exactly when its coefficient
+    hull (``polys._hull_classify``) is one edge: no point lies below it
+    and only its two ends are corners.  The root is then the drop per
+    exponent step along that edge, the constant term's value over the
+    degree.
     """
     if f.is_zero:
         return None
@@ -56,11 +64,10 @@ def is_primary(f: LayeredPoly):
         raise NotMonic("is_primary needs a monic polynomial (leading value 0)")
     if t == 0 or f.min_exp != 0:
         return None
-    a = Fraction(f.coeffs[0].value, t)
-    for exp, c in f.terms():
-        if c.value != (t - exp) * a:
-            return None
-    return a
+    status = _hull_classify(f)
+    if "below" in status or status.count("vertex") != 2:
+        return None
+    return Fraction(f.coeffs[0].value, t)
 
 
 def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
@@ -131,7 +138,7 @@ def separable_factor(f: LayeredPoly, sort: Sort):
         raise NotMonic("separable_factor needs a monic polynomial")
     if f.min_exp != 0:
         raise NotSeparable("divisible by the variable; no linear factorization over R")
-    if hull_vertices(f) != set(range(f.degree + 1)):
+    if _hull_classify(f) != ["vertex"] * (f.degree + 1):
         raise NotSeparable("slope runs longer than 1: repeated corner root")
     out = []
     for e in range(f.degree, 0, -1):

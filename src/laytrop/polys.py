@@ -4,14 +4,17 @@ Coefficients are stored as a map exponent -> LayeredScalar with no
 BOTTOM entries; the empty map is the zero polynomial.  One coefficient
 hull, the upper concave hull of the points (exponent, coefficient
 value), is behind the essential and full canonical forms, the slopes,
-corner roots and homogeneous parts, and ``factor.separable_factor``: its
-corners are the essential monomials and its edges the corner roots,
-each of multiplicity its length.  ``_hull_classify`` finds it exactly,
-by cross-multiplication of ints: the values are scaled once per
-polynomial over their common denominator (its ``_scaled`` view, which
-``p_eval`` reads too).  A polynomial carries a ``form`` tag ("essential",
-"full" or None); consumers that require a form check the tag instead of
-assuming it, and a full form also for a gap between its exponents.
+corner roots and homogeneous parts, and ``factor.separable_factor`` and
+``factor.is_primary``: its corners are the essential monomials and its
+edges the corner roots, each of multiplicity its length, and a primary
+polynomial's hull is one edge.  ``_hull_classify`` finds it exactly, in
+one scan of the points that keeps those on the hull and one walk over
+the kept points, by cross-multiplication of ints: the values are scaled
+once per polynomial over their common denominator (its ``_scaled``
+view, which ``p_eval`` reads too).  A polynomial carries a ``form`` tag
+("essential", "full" or None); consumers that require a form check the
+tag instead of assuming it, and a full form also for a gap between its
+exponents.
 """
 
 from __future__ import annotations
@@ -239,38 +242,35 @@ def _hull_classify(f: LayeredPoly):
     their upper concave envelope.
 
     Returns status in term order, where status[i] is one of "vertex",
-    "edge" (on the envelope but not a corner) or "below".  The values are
-    scaled once to ints over their common denominator D: D is positive,
-    so every cross product keeps its sign and every equality holds.  The
-    ints are f's ``_scaled`` view.
+    "edge" (on the envelope but not a corner) or "below".  One or two
+    points are all corners.  More go through one scan in exponent order
+    (Andrew's monotone chain), which keeps the points on the envelope: it
+    drops the last kept point only when the new point lies strictly above
+    the line through the two last kept points, so a collinear point
+    stays.  One walk over the kept points then marks the two ends, and
+    every kept point where its neighbours turn, "vertex", and the other
+    kept points "edge"; a dropped point is "below".  The values are f's
+    ``_scaled`` view, ints over their common denominator D: D is
+    positive, so every cross product keeps its sign and every equality
+    holds.
     """
-    _, ints = f._scaled()
-    points = list(zip(f.coeffs, ints))
-    n = len(points)
-    if n <= 2:
-        return ["vertex"] * n
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0:  # a is not a strict corner of the cap
-                hull.pop()
-            else:
+    xs = list(f.coeffs)
+    if len(xs) <= 2:
+        return ["vertex"] * len(xs)
+    _, ys = f._scaled()
+    kept = [0, 1]  # indices of the points on the envelope of the points so far
+    for i in range(2, len(xs)):
+        while len(kept) >= 2:
+            o, a = kept[-2], kept[-1]
+            if (xs[a] - xs[o]) * (ys[i] - ys[o]) <= (ys[a] - ys[o]) * (xs[i] - xs[o]):
                 break
-        hull.append(p)
-    status = []
-    vi = 0
-    for p in points:
-        if vi + 1 < len(hull) and p[0] >= hull[vi + 1][0]:
-            vi += 1
-        if p == hull[vi]:
-            status.append("vertex")
-            continue
-        o, a = hull[vi], hull[vi + 1]
-        lhs = (p[1] - o[1]) * (a[0] - o[0])
-        rhs = (a[1] - o[1]) * (p[0] - o[0])
-        status.append("edge" if lhs == rhs else "below")
+            kept.pop()
+        kept.append(i)
+    status = ["below"] * len(xs)
+    status[0] = status[-1] = "vertex"
+    for o, a, p in zip(kept, kept[1:], kept[2:]):
+        turn = (xs[a] - xs[o]) * (ys[p] - ys[o]) != (ys[a] - ys[o]) * (xs[p] - xs[o])
+        status[a] = "vertex" if turn else "edge"
     return status
 
 
@@ -342,12 +342,13 @@ def slopes(f: LayeredPoly):
     edge from position start to position end has the slope
     (value(exp degree - end) - value(exp degree - start)) / (end - start),
     the value drop per exponent step.  The runs are the edges between
-    consecutive corners of the coefficient hull (``hull_vertices``), so
-    they are the homogeneous parts; the list starts at the top part, so
-    the slopes strictly decrease along it.
+    consecutive corners of the coefficient hull (the "vertex" points of
+    ``_hull_classify``, read in descending exponent order), so they are
+    the homogeneous parts; the list starts at the top part, so the slopes
+    strictly decrease along it.
     """
     _require_full(f)
-    corners = sorted(hull_vertices(f), reverse=True)
+    corners = [e for e, st in zip(f.coeffs, _hull_classify(f)) if st == "vertex"][::-1]
     runs = []
     for hi, lo in zip(corners, corners[1:]):
         slope = Fraction(f.coeffs[lo].value - f.coeffs[hi].value, hi - lo)

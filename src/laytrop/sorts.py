@@ -411,9 +411,12 @@ def format_value(v) -> str:
     """Decimal text of a rational, ``p`` or ``p/q``.
 
     Raises OutOfRange for a number too long for the interpreter's
-    integer-to-decimal conversion limit (4300 digits by default).
+    integer-to-decimal conversion limit (4300 digits by default).  An
+    int or a float is converted to a ``Fraction`` first; a ``Fraction``
+    is read as it is.
     """
-    v = Fraction(v)
+    if type(v) is not Fraction:
+        v = Fraction(v)
     try:
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     except ValueError:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
@@ -359,6 +359,22 @@ def _separable_oracle(f, sort):
     return out
 
 
+def _primary_oracle(f):
+    """The common root of a primary f, else None, by the line test: a monic
+    f of degree t >= 1 with a constant term is primary when every
+    coefficient value is (t - e) * a, a being the constant term's value
+    over t."""
+    if f.is_zero:
+        return None
+    t = f.degree
+    if f.coeffs[t].value != 0:
+        raise lt.NotMonic("is_primary needs a monic polynomial (leading value 0)")
+    if t == 0 or f.min_exp != 0:
+        return None
+    a = F(f.coeffs[0].value) / t
+    return a if all(c.value == (t - e) * a for e, c in f.coeffs.items()) else None
+
+
 def _raised(fn, *args):
     """The result, or the class and message of the refusal."""
     try:
@@ -414,9 +430,12 @@ def _hull_case(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_hull_case())
+@example((lt.NAT, P("x^2 + 0:1*x + 2:1")))  # monic, its middle term below the line of root 1
 def test_hull_readers_match_status_oracle(case):
-    """slopes, corner_roots, homogeneous_parts and separable_factor read the
-    corners of the coefficient hull; the oracles read ``_status_oracle``."""
+    """slopes, corner_roots, homogeneous_parts, separable_factor, is_primary
+    and psi_a's refusal read the corners of the coefficient hull; the
+    oracles read ``_status_oracle``, and ``_primary_oracle`` the line of
+    the root."""
     sort, f = case
     status = _status_oracle(f)
     full = _full_oracle({e: c for e, c in f.coeffs.items() if _keeps(status[e], c)})
@@ -430,3 +449,6 @@ def test_hull_readers_match_status_oracle(case):
         for _, (start, end) in runs
     ]
     assert _raised(lt.separable_factor, f, sort) == _raised(_separable_oracle, f, sort)
+    root = _raised(_primary_oracle, f)
+    assert _raised(lt.is_primary, f) == root
+    assert (_raised(lt.psi_a, f) == (lt.NotPrimary, "psi_a needs a primary polynomial")) == (root is None)
