@@ -7,9 +7,11 @@ are nu-equivalent to a, and its coefficient hull is one edge.
 ``polys._hull_classify``, as the decomposition reads its slopes.  Any
 polynomial factors uniquely (up to nu-value) as unit * f_{a_1} ...
 f_{a_d} with strictly decreasing roots; the factors are split off
-bottom-part-first.  The map psi_a reads off the coefficient layers of an
-a-primary polynomial as a classical polynomial over Q, which carries
-multiplicity information.
+bottom-part-first.  ``eval_sort`` reads the layer of f(b) off that
+decomposition as a product of kernel calls, one per part: the factor
+whose root b's value is contributes ``p_eval`` of it at b.  The map
+psi_a reads off the coefficient layers of an a-primary polynomial as a
+classical polynomial over Q, which carries multiplicity information.
 """
 
 from __future__ import annotations
@@ -203,17 +205,20 @@ def linear_multiplicity(f, l) -> int:
     """How often (x + <a>^l) divides an a-primary polynomial.
 
     This is the classical multiplicity of -l as a root of psi_a(f),
-    computed by exact synthetic division.
+    computed by exact synthetic division.  l is a layer of the rational
+    sort, read after f is checked: InvalidLayer otherwise.
     """
     psi = psi_a(f)
-    return classical_multiplicity(psi, -Fraction(l))
+    return classical_multiplicity(psi, -sorts.require_layer(l, RAT))
 
 
 def linear_divides_via_zero_layer(f, l, sort: Sort) -> bool:
     """Zero-layer divisibility probe, available under the rational sort.
 
     Evaluates the primary polynomial at its root value with layer -l;
-    landing in the 0 layer is equivalent to (x + <a>^l) dividing it.
+    landing in the 0 layer is equivalent to (x + <a>^l) dividing it.  l
+    is a layer of the rational sort, read after the sort and f are
+    checked: InvalidLayer otherwise.
     """
     if sort != RAT:
         raise PreconditionViolated("the zero-layer probe needs the rational sort")
@@ -221,51 +226,46 @@ def linear_divides_via_zero_layer(f, l, sort: Sort) -> bool:
     a = is_primary(p)
     if a is None:
         raise NotPrimary("the zero-layer probe needs a primary polynomial")
-    value = p_eval(p, LayeredScalar(a, -Fraction(l)), sort)
+    value = p_eval(p, LayeredScalar(a, -sorts.require_layer(l, RAT)), sort)
     return value.layer == 0
 
 
 def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     """Closed-form layer of f(b) from the primary decomposition.
 
-    The factor whose root b crosses contributes the sort-evaluated layer
-    sum of all its coefficients; factors with larger roots contribute
-    their constant-term layer; factors with smaller roots contribute
-    k**degree where k is b's layer.  The unit layer and, when a power of
-    the variable was divided out, k**lambda_power multiply in.
+    The layer of f(b) is the product of its parts, each one kernel call:
+    k**lambda_power, where k is b's layer, when a power of the variable
+    was divided out (``layer_pow_int``); then for each factor, k**degree
+    when its root lies below b's value (``layer_pow_int``), its
+    constant-term layer when its root lies above (``require_layer``),
+    and when b's value is its root, where every monomial ties, the
+    factor evaluated at b (``p_eval``), whose layer is the sum of all its
+    monomials' layers.  The unit layer is checked where the first part
+    multiplies in; a decomposition without parts returns it as it is.
 
-    Each layer read is checked once: k at the first positive power, a
-    coefficient layer where it is read, the unit layer where the first
-    part multiplies in (a decomposition without parts returns it as it
-    is).  Checks and powers run in the order of the stepwise product, so
-    a bad input raises what ``layer_mul`` and ``layer_pow_int`` would.
+    The parts run in the order of the stepwise product, so a bad input
+    raises what ``layer_mul`` and ``layer_pow_int`` would.  k is checked
+    by each power with a positive exponent that reads it.  ``p_eval``
+    keeps the checked coefficient layers of each factor per sort object,
+    so a decomposition probed at its roots again under one sort checks
+    them once; the unit and the constant terms are checked per call.
+    ``p_eval`` reads b's value as an int or ``Fraction``, as every
+    kernel does: a point at a root with a float value raises
+    AttributeError.
     """
-    add, mul = sort.add, sort.mul
-    k = None
-
-    def power(n):
-        nonlocal k
-        if n > 0 and k is None:
-            k = sorts.require_layer(b.layer, sort)
-        return sort.pow(k, n)
 
     def parts():
         if decomp.lambda_power:
-            yield power(decomp.lambda_power)
+            yield sorts.layer_pow_int(b.layer, decomp.lambda_power, sort)
         for factor in decomp.factors:
             if b.value == factor.root_value:
-                acc = None
-                for exp, c in factor.poly.terms():
-                    p = power(exp)
-                    term = mul(sorts.require_layer(c.layer, sort), p)
-                    acc = term if acc is None else add(acc, term)
-                yield acc
+                yield p_eval(factor.poly, b, sort).layer
             elif b.value < factor.root_value:
                 yield sorts.require_layer(factor.poly.coeffs[0].layer, sort)
             else:
-                yield power(factor.degree)
+                yield sorts.layer_pow_int(b.layer, factor.degree, sort)
 
     out = s(decomp.unit)
     for i, part in enumerate(parts()):
-        out = mul(sorts.require_layer(out, sort) if i == 0 else out, part)
+        out = sort.mul(sorts.require_layer(out, sort) if i == 0 else out, part)
     return out

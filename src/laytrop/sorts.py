@@ -36,14 +36,16 @@ Layers are checked where a kernel is entered.  Scalars and polynomials
 carry no sort, so a layer cannot be checked when it is built or parsed;
 instead each public operation (``layer_add``, ``ls_mul``, ...) runs
 ``require_layer`` on each input layer it uses.  The kernels
-``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval``, the two rasters
+``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval`` and the two rasters
 (``grid_scan``, ``corner_locus_on_grid``, which stream their rows and
-check a monomial's layer at the first row that reaches it) and
-``eval_sort`` do so once per layer and call, and their inner loops then
-work on the unchecked ``sort.add``, ``sort.mul`` and ``sort.pow``, under
-which the valid layers (with 0) are closed; ``p_eval`` checks a
-polynomial's coefficient layers once per sort object, and keeps the
-checked layers on the polynomial.  Values carry no sort: ``p_eval``,
+check a monomial's layer at the first row that reaches it) do so once
+per layer and call, and their inner loops then work on the unchecked
+``sort.add``, ``sort.mul`` and ``sort.pow``, under which the valid
+layers (with 0) are closed; ``p_eval`` checks a polynomial's
+coefficient layers once per sort object, and keeps the checked layers
+on the polynomial.  ``eval_sort`` is a product of such calls
+(``layer_pow_int``, ``require_layer`` and ``p_eval``), with no loop of
+its own.  Values carry no sort: ``p_eval``,
 ``p_mul`` and ``mp_mul``, the coefficient hull and the raster fold
 scale them once to ints over one common denominator and compare those
 ints; ``p_eval`` and the products then compute layers

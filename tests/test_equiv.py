@@ -16,7 +16,8 @@ KERNELS = {
     "p_eval", "p_mul", "mp_mul", "eval_sort", "primary_decomposition", "full_form", "resultant",
     "layered_permanent", "layer_permanent", "primary_pair_resultant", "discriminant", "layer_pow_int",
     "ls_pow", "grid_scan", "corner_locus_on_grid", "mp_eval", "theta", "theta_min", "corner_support",
-    "is_corner_root", "is_ell_root", "component_index", "cli",
+    "is_corner_root", "is_ell_root", "component_index", "is_primary", "separable_factor", "slopes",
+    "corner_roots", "homogeneous_parts", "psi_a", "cli",
 }
 
 

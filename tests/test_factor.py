@@ -167,6 +167,28 @@ def test_linear_divides_via_zero_layer():
         )
 
 
+def test_linear_probes_read_their_layer_as_a_rational_layer():
+    """l is read as a layer of the rational sort, after the primary checks:
+    inf, floats, text and None raise InvalidLayer, and ints equal Fractions."""
+    double = lt.poly({2: lt.ONE, 1: sc(2, 2), 0: sc(4, 1)})  # (x + <2>^1)^2
+    not_primary = P("x^2 + 3:1*x + 4:1")
+    for bad in (lt.INF, 1.5, 1.0, "x", "1", None):
+        with pytest.raises(lt.InvalidLayer):
+            lt.linear_multiplicity(double, bad)
+        with pytest.raises(lt.InvalidLayer):
+            lt.linear_divides_via_zero_layer(double, bad, lt.RAT)
+        # the polynomial and the sort are refused first
+        with pytest.raises(lt.NotPrimary):
+            lt.linear_multiplicity(not_primary, bad)
+        with pytest.raises(lt.NotPrimary):
+            lt.linear_divides_via_zero_layer(not_primary, bad, lt.RAT)
+        with pytest.raises(lt.PreconditionViolated):
+            lt.linear_divides_via_zero_layer(double, bad, lt.POSQ)
+    for l, want in ((1, 2), (F(1), 2), (3, 0), (F(-1, 2), 0), (0, 0)):
+        assert lt.linear_multiplicity(double, l) == want
+        assert lt.linear_divides_via_zero_layer(double, l, lt.RAT) == (want >= 1)
+
+
 def test_eval_sort_examples():
     f = P("x^2 + 2:1*x + 4:1")
     d = lt.primary_decomposition(f, lt.POSQ)

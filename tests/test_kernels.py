@@ -1,10 +1,12 @@
 """The evaluation kernels against the stepwise compositions they replace.
 
-``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval`` and ``eval_sort`` check
-each input layer once and then run on the sort's unchecked operations.  The oracles below are the
-compositions of checked scalar and layer operations that these kernels
-used to be; the kernels must give the same result, or refuse with the
-same exception class, on every input.
+``p_eval``, ``p_mul``, ``mp_mul`` and ``mp_eval`` check each input
+layer once and then run on the sort's unchecked operations; ``eval_sort``
+is a product of kernel calls, one per part (``layer_pow_int``,
+``require_layer``, and ``p_eval`` for the factor whose root the point
+crosses).  The oracles below are the compositions of checked scalar and
+layer operations that these kernels used to be; the kernels must give
+the same result, or refuse with the same exception class, on every input.
 """
 
 import math
@@ -110,9 +112,13 @@ def test_p_mul_matches_stepwise_double_loop(sort):
 def test_eval_sort_matches_stepwise_product(sort):
     rng = random.Random(900 + ALL_SORTS.index(sort))
     decomposed = 0
-    for i in range(150):
-        dsort = (lt.POSQ, lt.RAT, lt.NAT)[i % 3]
-        layers = (F(1), F(2), F(3), F(1, 2), F(0)) if i % 2 else (F(1),)
+    for i in range(250):
+        if i < 150:
+            dsort = (lt.POSQ, lt.RAT, lt.NAT)[i % 3]
+            layers = (F(1), F(2), F(3), F(1, 2), F(0)) if i % 2 else (F(1),)
+        else:  # the crossed factor's sum then meets layer 0 and inf through p_eval
+            dsort = (lt.UNIT, lt.SUPER)[i % 2]
+            layers = (F(1), F(0), lt.INF) if dsort == lt.SUPER else (F(1), F(0))
         f = lt.poly(
             {e: lt.scalar(F(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice(layers))
              for e in range(rng.randint(0, 6) + 1) if e == 0 or rng.random() < 0.6}
@@ -398,6 +404,27 @@ def test_a_view_hit_checks_no_coefficient_layer(monkeypatch):
     assert checked == [F(3)]  # x's layer only
     lt.p_eval(f, lt.scalar(2, 3), lt.RAT)
     assert len(checked) == 1 + 1 + len(f.coeffs)
+
+
+def test_eval_sort_checks_the_crossed_factor_once_per_sort(monkeypatch):
+    """At the root 4 of the middle factor, the second probe under one sort
+    object checks the constant term above b, the unit and b's layer (once
+    per power that reads it), but none of the crossed factor's layers."""
+    f = lt.p_mul(lt.p_mul(lt.parse_poly("3:2*x + 15:2"), lt.parse_poly("x^2 + 4:3*x + 8:5"), lt.POSQ),
+                 lt.parse_poly("x + 1:7"), lt.POSQ)
+    dec = lt.primary_decomposition(f, lt.POSQ)
+    assert [pf.root_value for pf in dec.factors] == [12, 4, 1] and dec.unit.layer == 2
+    b = lt.scalar(4, 11)
+    checked = []
+    require = sorts.require_layer
+    monkeypatch.setattr(sorts, "require_layer", lambda l, s: checked.append(l) or require(l, s))
+    want = lt.p_eval(f, b, lt.POSQ).layer
+    # the top factor's constant 1 and the unit 2; in the crossed factor its constant 5, b's layer 11 at
+    # the first positive exponent, then the layers 3 and 1 of its x and x^2 terms; last b's layer for x + 1:7
+    for sort, crossed in ((lt.POSQ, [5, 11, 3, 1]), (lt.POSQ, [11]), (lt.RAT, [5, 11, 3, 1])):
+        checked.clear()
+        assert lt.eval_sort(dec, b, sort) == want
+        assert checked == [1, 2] + crossed + [11], sort
 
 
 # -- the multivariate kernels -------------------------------------------------

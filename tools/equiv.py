@@ -13,7 +13,9 @@ of ``layer_sylvester`` and of hand-built dense layer matrices (of at most
 a float or an int), ``primary_pair_resultant``, ``discriminant``, ``layer_pow_int``, ``ls_pow``,
 the rasters ``grid_scan`` and ``corner_locus_on_grid``, the pointwise
 ``mp_eval``, ``theta``, ``theta_min``, ``corner_support``,
-``is_corner_root``, ``is_ell_root`` and ``component_index``, and the CLI's
+``is_corner_root``, ``is_ell_root`` and ``component_index``, the readers
+of the coefficient hull ``is_primary``, ``separable_factor``, ``slopes``,
+``corner_roots``, ``homogeneous_parts`` and ``psi_a``, and the CLI's
 ``run``, under all six sorts.  The layer powers take
 exponents 0, negative, fractional, float, ``None`` and text, so a layer
 rule that answers before the exponent is normalized shows as a
@@ -36,6 +38,11 @@ Now and then a pointwise call runs on a tropical hyperplane at a point
 whose coordinates share one value, so its terms tie; and a repeated
 exponent vector of a multipoly now and then has the first term's value,
 so the merge adds layers.
+A hull reader gets a monic polynomial half the time, a pool polynomial
+with its values shifted so that its lead value is 0, so that a point may
+lie below the one edge of its hull; else a primary factor of the round's
+decompositions.  ``slopes`` and ``homogeneous_parts`` also get the pool's
+polynomials as they are, so they meet NotFullForm.
 A corner locus has zero, one or two generators, each now and then a
 tropical hyperplane, whose corner roots fill the diagonal of a square
 grid: the second generator is then folded
@@ -127,8 +134,16 @@ KERNELS = (
     ("is_corner_root", 2),
     ("is_ell_root", 2),
     ("component_index", 2),
+    ("is_primary", 2),
+    ("separable_factor", 2),
+    ("slopes", 2),
+    ("corner_roots", 2),
+    ("homogeneous_parts", 2),
+    ("psi_a", 2),
     ("cli", 6),
 )
+# the readers of the coefficient hull, called on one polynomial (``separable_factor`` with the sort too)
+HULL_READERS = ("is_primary", "separable_factor", "slopes", "corner_roots", "homogeneous_parts", "psi_a")
 ROUND_CALLS = 240  # calls on one pool of polynomials and points
 
 
@@ -301,6 +316,21 @@ class Corpus:
         size = n + rng.choice((-1, 1)) if rng.random() < 0.08 else n
         return self.lt.LayerMatrix(size, tuple(map(tuple, rows)))
 
+    def hull_input(self, kernel, derived, factors):
+        """Half the time a monic polynomial: a pool polynomial whose values
+        are shifted so that its lead value is 0; else a factor of the
+        round's decompositions, which is primary.  ``slopes`` and
+        ``homogeneous_parts`` also get the pool's polynomials as they are,
+        full forms among them, so they meet NotFullForm too."""
+        rng, lt = self.rng, self.lt
+        if kernel in ("slopes", "homogeneous_parts") and rng.random() < 0.3:
+            return rng.choice(derived)
+        if rng.random() < 0.5 or not factors:
+            f = rng.choice(derived)
+            top = f.coeffs[f.degree].value if f.coeffs else 0
+            return lt.poly({e: lt.LayeredScalar(c.value - top, c.layer) for e, c in f.coeffs.items()})
+        return rng.choice(factors)
+
     def primary_pair(self):
         """Powers of two monic linear polynomials with one root: an
         equal-root primary pair of degrees 1 to 3."""
@@ -374,6 +404,7 @@ class Corpus:
                     if not isinstance(out, str):
                         decomps.append(out)
                     yield "primary_decomposition", name, out
+            factors = [pf.poly for dec in decomps for pf in dec.factors]
             name = rng.choice(SORT_NAMES)
             for _ in range(ROUND_CALLS):
                 if rng.random() < 0.3:
@@ -461,6 +492,10 @@ class Corpus:
                         out = _outcome(lt.is_ell_root, f, point, level, sort)
                     else:
                         out = _outcome(getattr(lt, kernel), f, point, sort)
+                elif kernel in HULL_READERS:
+                    f = self.hull_input(kernel, derived, factors)
+                    args = (f, sort) if kernel == "separable_factor" else (f,)
+                    out = _outcome(getattr(lt, kernel), *args)
                 else:
                     argv = self.argv(texts, [texts[i] for i in small])
                     yield kernel, " ".join(argv), _cli(argv)
