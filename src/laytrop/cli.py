@@ -2,8 +2,9 @@
 
 Every subcommand is deterministic for fixed inputs and flags.  Exit
 codes: 0 ok, 2 parse error, 3 domain error, 4 precondition violation.
-The default sort is the naturals; commands that need divisible layers
-suggest ``--sort posq`` in their error message.
+The default sort is the naturals; ``run`` adds ``try --sort posq`` to
+the message of a ``LayerNotDivisible``, which only ``factor`` and
+``integrate`` can raise.
 
 A subcommand is one row of ``COMMANDS``.  Its handler prints nothing: it
 returns the formatted result twice, as a JSON record and as text lines,
@@ -64,14 +65,6 @@ def _poly_result(f: LayeredPoly):
     return {"poly": text, "coeffs": _poly_record(f)}, [text]
 
 
-def _suggest_posq(kernel, f, sort):
-    """kernel(f, sort), suggesting ``--sort posq`` when a layer does not divide."""
-    try:
-        return kernel(f, sort)
-    except LayerNotDivisible as err:
-        raise LayerNotDivisible(f"{err}; try --sort posq") from err
-
-
 def _parse_univar(text, sort) -> LayeredPoly:
     f = parse_poly(text, sort)
     if not isinstance(f, LayeredPoly):
@@ -99,7 +92,7 @@ def _cmd_truncate(args, sort):
 def _cmd_factor(args, sort):
     from . import factor
 
-    decomp = _suggest_posq(factor.primary_decomposition, _parse_univar(args.poly, sort), sort)
+    decomp = factor.primary_decomposition(_parse_univar(args.poly, sort), sort)
     factors = [
         {"root": format_value(pf.root_value), "degree": pf.degree, "poly": _poly_record(pf.poly)}
         for pf in decomp.factors
@@ -122,8 +115,6 @@ def _cmd_factor(args, sort):
 
 def _cmd_roots(args, sort):
     f = _parse_univar(args.poly, sort)
-    if f.is_zero:
-        raise PreconditionViolated("the zero polynomial has no corner roots")
     roots = [{"root": format_value(r), "multiplicity": m} for r, m in corner_roots(f)]
     lines = [f"root={r['root']} multiplicity={r['multiplicity']}" for r in roots]
     return {"roots": roots}, lines or ["no corner roots"]
@@ -166,7 +157,7 @@ def _cmd_derivative(args, sort):
 def _cmd_integrate(args, sort):
     from . import calculus
 
-    return _poly_result(_suggest_posq(calculus.antiderivative, _parse_univar(args.poly, sort), sort))
+    return _poly_result(calculus.antiderivative(_parse_univar(args.poly, sort), sort))
 
 
 def _cmd_discriminant(args, sort):
@@ -208,7 +199,7 @@ def _cmd_layermap(args, sort):
     region = _parse_region(args.region)
     layers = [parse_layer(t) for t in args.layers.split(",")]
     f = parse_poly(args.poly, sort)
-    F = to_multipoly(f, len(region)) if isinstance(f, LayeredPoly) else f
+    F = to_multipoly(f, len(region))
     rows = multivar.grid_scan(F, region, layers, sort)
     header = [f"x{i + 1}" for i in range(F.arity)] + [
         "value",
@@ -361,7 +352,8 @@ def run(argv) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except DomainError as err:
-        print(f"domain error: {err}", file=sys.stderr)
+        hint = "; try --sort posq" if isinstance(err, LayerNotDivisible) else ""
+        print(f"domain error: {err}{hint}", file=sys.stderr)
         return 3
     except PreconditionViolated as err:
         print(f"precondition violated: {err}", file=sys.stderr)

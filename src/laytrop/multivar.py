@@ -24,15 +24,17 @@ equality, so the ties, and with them layers, corner supports and
 components, are those of the exact rational values.  A point is the
 zero-dimensional lattice: it has no steps, and its forms are constants.
 
-What a fold's tie set means, its layer, corner support and component, is
-read by one method, ``describe``, which serves the pointwise queries and
-the rasters alike.  A raster does less than one full evaluation per
-point.  Which monomials tie at the maximum is constant on each cell of a
-polyhedral subdivision, so a grid meets few tie sets: each is described
-once, the first time it occurs.  And the walk goes row by row, a row
-being the points that share every index but the last: a generator's
-ints where a row starts are found the first time the row reaches it,
-and each later point of the row adds one int per monomial.
+A fold's tie set is always a tuple of monomial indices.  What it means,
+its layer, corner support and component, is read by one method,
+``_Affine.facts``, which describes a tie set the first time it meets it
+and keeps the answer; the pointwise queries and the rasters alike read
+it.  A raster does less than one full evaluation per point.  Which
+monomials tie at the maximum is constant on each cell of a polyhedral
+subdivision, so a grid meets few tie sets, and each is described once.
+And the walk goes row by row, a row being the points that share every
+index but the last: a generator's ints where a row starts are found the
+first time the row reaches it, and each later point of the row adds one
+int per monomial.
 """
 
 from __future__ import annotations
@@ -146,10 +148,10 @@ class _Affine:
     ``fold`` then compares and ties Python ints, and a caller
     divides by D once per point.  This is exact: D is positive, so every
     order and equality of the values holds for the ints, and the tie set
-    and what ``describe`` reads from it, the layer sum, the corner support
+    and what ``facts`` reads from it, the layer sum, the corner support
     and the component, are those of the values.  ``mp_eval``, the rasters
     and the pointwise queries all read this one fold and this one
-    ``describe``.
+    ``facts``.
 
     A raster walks its lattice row by row (``_walk``), a row being the
     points that share every index but the last.  ``base`` gives the ints
@@ -157,7 +159,8 @@ class _Affine:
     the row adds the last-axis steps ``last`` once more.  The layer,
     corner support and component depend only on the tie set, of which a
     grid meets few: ``facts`` describes a tie set the first time it occurs
-    and keeps the answer.  A pointwise query folds once and keeps nothing.
+    and keeps (layer, corners, component).  A pointwise query folds once
+    and reads its one tie set through the same ``facts``.
     """
 
     __slots__ = ("exps", "forms", "last", "scale", "layers", "add", "known")
@@ -207,45 +210,36 @@ class _Affine:
         return [a + sum(map(operator.mul, b, index)) for a, b in self.forms]
 
     def fold(self, values):
-        """The maximum of the monomials' ints and its tie set.
-
-        Returns (best, ties), ties being the index of the one monomial at
-        the maximum or the tuple of the tied indices in term order; None
-        when there are no monomials.
-        """
+        """The maximum of the monomials' ints and its tie set, the tuple of
+        the indices at the maximum in term order; None when there are no
+        monomials."""
         if not values:
             return None
         best = max(values)
         if values.count(best) == 1:
-            return best, values.index(best)
+            return best, (values.index(best),)
         return best, tuple([i for i, v in enumerate(values) if v == best])
 
-    def describe(self, ties):
-        """(layer, corner support, component) of a tie set from ``fold``.
+    def facts(self, ties):
+        """(layer, corner support, component) of a tie set from ``fold``,
+        described the first time it occurs: each is a function of the tie
+        set and of the layers ``__init__`` checked.
 
         The layer is the sum of the tied monomials' layers, added in term
         order with ``sort.add``: ``_monomial_layer`` checked them and the
         sort is closed under its sum, so nothing ``ls_sum`` would refuse is
         accepted.  The corner support lists the exponent vectors of the
-        tied positive-layer monomials, without repeats since ``__init__``
-        merged equal vectors.  The component is the one tied monomial whose
-        layer is the layer of the sum, or None.
+        tied positive-layer monomials (``INF > 0`` holds), without repeats
+        since ``__init__`` merged equal vectors.  The component is the one
+        tied monomial whose layer is the layer of the sum, or None.
         """
-        tied = [ties] if isinstance(ties, int) else ties
-        layers = [self.layers[i] for i in tied]
-        layer = functools.reduce(self.add, layers)
-        corners = [self.exps[i] for i, l in zip(tied, layers) if sorts.is_inf(l) or l > 0]
-        hits = [self.exps[i] for i, l in zip(tied, layers) if l == layer]
-        return layer, corners, hits[0] if len(hits) == 1 else None
-
-    def facts(self, ties):
-        """(layer, corner support size, component) of a tie set, described
-        the first time it occurs: each is a function of the tie set and of
-        the layers ``__init__`` checked."""
         known = self.known.get(ties)
         if known is None:
-            layer, corners, component = self.describe(ties)
-            known = self.known[ties] = (layer, len(corners), component)
+            layers = [self.layers[i] for i in ties]
+            layer = functools.reduce(self.add, layers)
+            corners = [self.exps[i] for i, l in zip(ties, layers) if l > 0]
+            hits = [self.exps[i] for i, l in zip(ties, layers) if l == layer]
+            known = self.known[ties] = (layer, corners, hits[0] if len(hits) == 1 else None)
         return known
 
 
@@ -257,7 +251,7 @@ def _at_point(F: MultiPoly, point, sort: Sort):
         raise ArityMismatch(f"point of arity {len(point)} against polynomial of arity {F.arity}")
     affine = _Affine(F, point, (), sort)
     fold = affine.fold(affine.base(()))
-    return None if fold is None else (Fraction(fold[0], affine.scale), *affine.describe(fold[1]))
+    return None if fold is None else (Fraction(fold[0], affine.scale), *affine.facts(fold[1]))
 
 
 def corner_support(F: MultiPoly, point, sort: Sort):
@@ -274,7 +268,7 @@ def is_ell_root(F: MultiPoly, point, l, sort: Sort) -> bool:
     value = mp_eval(F, point, sort)
     if value is BOTTOM:
         return False
-    return sorts.is_ghost_sort(value.layer, as_layer(l), sort)
+    return sorts.is_ghost_sort(value.layer, l, sort)
 
 
 def component_index(F: MultiPoly, point, sort: Sort):
@@ -372,7 +366,8 @@ def _scan(rows, tails, affine):
         # resized, and each call then leaves one more tuple on the interpreter's free list of that size
         for tail, values in zip(tails, zip(*[itertools.count(a, b) for a, b in zip(base, f.last)])):
             best, ties = f.fold(values)
-            yield GridRow(head + tail, Fraction(best, f.scale), *f.facts(ties))
+            layer, corners, component = f.facts(ties)
+            yield GridRow(head + tail, Fraction(best, f.scale), layer, len(corners), component)
 
 
 def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):
@@ -400,7 +395,7 @@ def _locus(rows, tails, affine, count):
                 if bases[i] is None:
                     bases[i] = f.base(index)
                 fold = f.fold([a + k * b for a, b in zip(bases[i], f.last)])
-                if fold is None or f.facts(fold[1])[1] < 2:
+                if fold is None or len(f.facts(fold[1])[1]) < 2:
                     break
             else:
                 yield head + tail

@@ -62,8 +62,7 @@ class _Scanner:
     def rational(self):
         self.skip_ws()
         start = self.pos
-        if self.take("-"):
-            pass
+        self.take("-")
         num_start = self.pos
         self.digits()
         if self.pos == num_start:

@@ -232,6 +232,27 @@ def test_exit_codes(capsys):
     assert code == 3 and "posq" in err
     code, _, err = run_cli(capsys, "separable", "x^2+2:1*x+3:1", "--sort", "nat")
     assert code == 4 and "precondition" in err
+    # run adds the posq hint to a layer that does not divide, and to no other domain error
+    code, out, err = run_cli(capsys, "factor", "x + 1:1", "--sort", "trunc:3")
+    assert (code, out) == (3, "") and err.endswith("; try --sort posq\n")
+    code, out, err = run_cli(capsys, "eval", "x", "--at", "0:1/2", "--sort", "nat")
+    assert (code, out, err) == (3, "", "domain error: layer 1/2 is not valid under sort nat\n")
+    # refusals of the parser, of --region and of a conjecture-search bound, in this process
+    for argv, expected_code, message in [
+        (["eval", "1/:1", "--at", "0:1"], 2, "parse error: expected a denominator (at position 2)"),
+        (["eval", "x0", "--at", "0:1"], 2, "parse error: variable indices start at 1 (at position 2)"),
+        (["eval", "x x", "--at", "0:1"], 2, "parse error: expected '+' between terms (at position 2)"),
+        (["layermap", "x1", "--region=0:1", "--layers", "1"], 2, "parse error: region axis '0:1' is not lo:hi:step"),
+        (
+            ["layermap", "x1", "--region=0:a:1", "--layers", "1"], 2,
+            "parse error: region axis '0:a:1' is not lo:hi:step: expected a rational number (at position 0)",
+        ),
+        (
+            ["conjecture-search", "--max-degree", "5", "--limit", "1"], 3,
+            "domain error: conjecture-search --max-degree 5 exceeds the limit of 4",
+        ),
+    ]:
+        assert run_cli(capsys, *argv) == (expected_code, "", message + "\n")
 
 
 def test_determinism(capsys):

@@ -75,6 +75,8 @@ def test_separable_factor():
     assert fs == [lt.poly({1: lt.ONE, 0: sc(2, 3)}), lt.poly({1: lt.ONE, 0: sc(1, 2)})]
     with pytest.raises(lt.NotSeparable):
         lt.separable_factor(lt.p_pow(P("x + 2:1"), 2, lt.NAT), lt.NAT)
+    with pytest.raises(lt.NotSeparable):
+        lt.separable_factor(lt.zero_poly(), lt.NAT)
 
 
 def test_separable_factor_reexpands():

@@ -24,6 +24,8 @@ def test_mp_eval():
     assert lt.mp_eval(curve, pt((1, 1), (1, 1)), lt.NAT) == sc(2, 5)  # k + 2
     with pytest.raises(lt.ArityMismatch):
         lt.mp_eval(LINE, pt((0, 1)), lt.NAT)
+    with pytest.raises(lt.ArityMismatch):
+        lt.multipoly(2, [((1,), lt.ONE)])
 
 
 def test_constant_monomials_are_checked():
@@ -103,6 +105,12 @@ def test_is_ell_root():
     assert lt.is_ell_root(LINE, corner, 1, lt.NAT)  # layer 3 > 1
     assert not lt.is_ell_root(LINE, pt((5, 1), (0, 1)), 1, lt.NAT)
     assert not lt.is_ell_root(LINE, corner, 3, lt.NAT)  # 3 is not 3-ghost
+    assert not lt.is_ell_root(lt.multipoly(2, {}), corner, 1, lt.NAT)
+    # l is checked as a layer of the sort: a Fraction reads as the int, a half and a str are refused
+    assert lt.is_ell_root(LINE, corner, F(2), lt.NAT) and not lt.is_ell_root(LINE, corner, F(3), lt.NAT)
+    for l in (F(1, 2), "1"):
+        with pytest.raises(lt.InvalidLayer):
+            lt.is_ell_root(LINE, corner, l, lt.NAT)
 
 
 def test_component_index():

@@ -74,6 +74,7 @@ def test_parse_multivariate():
     assert dict(h.terms())[(F(0), F(-1))] == lt.ONE
     with pytest.raises(lt.ParseError):
         lt.parse_poly("x + x1")
+    assert lt.to_multipoly(f, 2) is f  # a MultiPoly is returned as it is
 
 
 def test_parse_merges_duplicate_exponents():

@@ -79,6 +79,8 @@ def test_sylvester_shapes():
     assert [len(columns) for columns, _ in m.entries] == [1] + [2] * 4000
     assert bands(m)[0] == ((4000,), (lt.ONE,))
     assert bands(m)[4000] == ((3999, 4000), (sc(1, 1), lt.ONE))
+    with pytest.raises(lt.OutOfRange, match="4097"):  # one past MAX_SYLVESTER_SIZE
+        lt.sylvester(P("x^4096"), P("x + 1:1"), lt.NAT)
     # x^2 and x^3 leave columns 0 and 1 empty, so no transversal exists
     m = lt.sylvester(P("x^2"), P("x^3"), lt.NAT)
     assert {j for columns, _ in m.entries for j in columns} == {2, 3, 4}
@@ -91,6 +93,8 @@ def test_sylvester_shapes():
     # layered_matrix takes dense rows and leaves BOTTOM out of the bands
     m = lt.layered_matrix([[lt.ONE, lt.BOTTOM], [lt.BOTTOM, lt.BOTTOM]])
     assert bands(m) == (((0,), (lt.ONE,)), ((), ()))
+    with pytest.raises(ValueError, match="ragged"):
+        lt.layered_matrix([[lt.ONE, lt.BOTTOM], [lt.ONE]])
 
 
 def test_resultant_worked_example():
@@ -371,6 +375,8 @@ def test_reduction():
     assert lt.reduction(f, 2) == P("0:1")
     with pytest.raises(lt.OutOfRange):
         lt.reduction(f, 3)
+    with pytest.raises(lt.OutOfRange):
+        lt.reduction(lt.zero_poly(), 0)
 
 
 def test_primary_pair_formula():

@@ -180,6 +180,9 @@ def test_nmul_ndiv_roundtrip():
         lt.layer_ndiv(3, 2, T4)
     with pytest.raises(lt.LayerNotDivisible):
         lt.layer_ndiv(2, 1, lt.SUPER)
+    for op in (lt.layer_nmul, lt.layer_ndiv):
+        with pytest.raises(lt.InvalidLayer):
+            op(0, 1, lt.NAT)
 
 
 def _stepwise_pow(l, n, sort):
@@ -270,6 +273,7 @@ def test_sort_pow_with_negative_and_fractional_exponents(sort):
 
 def test_format_refuses_numbers_too_long_to_print():
     assert lt.format_layer(F(10**100, 3)) == f"{10**100}/3"
+    assert (lt.format_value(3), lt.format_value(0.5)) == ("3", "1/2")  # an int and a float are converted
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this interpreter prints integers of any length")
@@ -283,3 +287,7 @@ def test_parse_format_sort():
     for text in ["bogus", "trunc:1_0", "trunc: 4", "trunc:+4", "trunc:\u0664", "trunc:", "trunc:0"]:
         with pytest.raises(lt.InvalidLayer):
             lt.parse_sort(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # a bound with more digits than int() converts
+        with pytest.raises(lt.InvalidLayer):
+            lt.parse_sort("trunc:" + "9" * (limit + 1))
