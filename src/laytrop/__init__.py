@@ -24,9 +24,8 @@ _EXPORTS = {
         "OutOfRange", "ParseError", "PreconditionViolated",
     ),
     "factor": (
-        "PrimaryDecomposition", "PrimaryFactor", "eval_sort", "is_primary",
-        "linear_divides_via_zero_layer", "linear_multiplicity", "primary_decomposition",
-        "psi_a", "separable_factor",
+        "PrimaryDecomposition", "PrimaryFactor", "eval_sort", "linear_divides_via_zero_layer",
+        "linear_multiplicity", "primary_decomposition", "psi_a", "separable_factor",
     ),
     "multivar": (
         "GridRow", "MultiPoly", "component_index", "corner_locus_on_grid",
@@ -39,8 +38,8 @@ _EXPORTS = {
     ),
     "polys": (
         "LayeredPoly", "corner_roots", "essential_form", "full_form",
-        "homogeneous_parts", "hull_vertices", "monomial", "p_add", "p_eval", "p_mul",
-        "p_pow", "p_shift", "poly", "slopes", "zero_poly",
+        "homogeneous_parts", "hull_vertices", "is_primary", "monomial", "p_add", "p_eval",
+        "p_mul", "p_pow", "p_shift", "poly", "slopes", "zero_poly",
     ),
     "resultants": (
         "LayerMatrix", "LayeredMatrix", "layer_permanent", "layer_sylvester",

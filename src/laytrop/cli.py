@@ -226,7 +226,7 @@ def _cmd_layermap(args, sort):
     return {"csv": lines}, lines
 
 
-def _primary_from_layers(root, layers, sort):
+def _primary_from_layers(root, layers):
     """Monic primary polynomial with the given ascending coefficient layers."""
     t = len(layers)
     coeffs = {t: ONE}
@@ -260,7 +260,7 @@ def _cmd_conjecture_search(args, sort):
         for deg in range(1, args.max_degree + 1)
         for layers in product(range(1, args.max_layer + 1), repeat=deg)
     ]
-    primary = functools.cache(lambda layers: _primary_from_layers(1, layers, sort))
+    primary = functools.cache(lambda layers: _primary_from_layers(1, layers))
     res = functools.cache(lambda f, p: resultants.resultant(f, p, sort))  # each res(f, p) once
     checked = 0
     violations = []

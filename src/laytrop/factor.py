@@ -2,16 +2,17 @@
 
 A monic polynomial is a-primary when every coefficient value fits the
 line value(alpha_j) = (deg - j) * a; equivalently all its corner roots
-are nu-equivalent to a, and its coefficient hull is one edge.
-``is_primary`` and ``separable_factor`` read that hull's statuses from
-``polys._hull_classify``, as the decomposition reads its slopes.  Any
-polynomial factors uniquely (up to nu-value) as unit * f_{a_1} ...
-f_{a_d} with strictly decreasing roots; the factors are split off
-bottom-part-first.  ``eval_sort`` reads the layer of f(b) off that
-decomposition as a product of kernel calls, one per part: the factor
-whose root b's value is contributes ``p_eval`` of it at b.  The map
-psi_a reads off the coefficient layers of an a-primary polynomial as a
-classical polynomial over Q, which carries multiplicity information.
+are nu-equivalent to a, and its coefficient hull is one edge.  That
+test, ``polys.is_primary``, lives beside the hull; ``separable_factor``
+reads the hull's corners (``polys.hull_vertices``), as the decomposition
+reads its slopes.  Any polynomial factors uniquely (up to nu-value) as
+unit * f_{a_1} ... f_{a_d} with strictly decreasing roots; the factors
+are split off bottom-part-first.  ``eval_sort`` reads the layer of f(b)
+off that decomposition as a product of kernel calls, one per part: the
+factor whose root b's value is contributes ``p_eval`` of it at b.  The
+map psi_a reads off the coefficient layers of an a-primary polynomial
+as a classical polynomial over Q, which carries multiplicity
+information.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import NamedTuple
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import LayeredPoly, _hull_classify, full_form, monomial, p_eval, p_mul, p_shift, poly, slopes
+from .polys import (LayeredPoly, full_form, hull_vertices, is_primary, monomial, p_eval, p_mul, p_shift,
+                    poly, slopes)
 from .scalars import ONE, LayeredScalar, s
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
@@ -45,31 +47,6 @@ class PrimaryDecomposition(NamedTuple):
         if self.lambda_power:
             out = p_shift(out, self.lambda_power)
         return out
-
-
-def is_primary(f: LayeredPoly):
-    """The common root value when f is primary, else None.
-
-    Requires a monic input (leading value 0); polynomials divisible by
-    the variable or reduced to a single monomial are never primary.  A
-    monic f with a constant term is primary exactly when its coefficient
-    hull (``polys._hull_classify``) is one edge: no point lies below it
-    and only its two ends are corners.  The root is then the drop per
-    exponent step along that edge, the constant term's value over the
-    degree.
-    """
-    if f.is_zero:
-        return None
-    t = f.degree
-    lead = f.coeffs[t]
-    if lead.value != 0:
-        raise NotMonic("is_primary needs a monic polynomial (leading value 0)")
-    if t == 0 or f.min_exp != 0:
-        return None
-    status = _hull_classify(f)
-    if "below" in status or status.count("vertex") != 2:
-        return None
-    return Fraction(f.coeffs[0].value, t)
 
 
 def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
@@ -140,7 +117,7 @@ def separable_factor(f: LayeredPoly, sort: Sort):
         raise NotMonic("separable_factor needs a monic polynomial")
     if f.min_exp != 0:
         raise NotSeparable("divisible by the variable; no linear factorization over R")
-    if _hull_classify(f) != ["vertex"] * (f.degree + 1):
+    if hull_vertices(f) != set(range(f.degree + 1)):
         raise NotSeparable("slope runs longer than 1: repeated corner root")
     out = []
     for e in range(f.degree, 0, -1):

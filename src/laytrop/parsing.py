@@ -175,27 +175,25 @@ def parse_poly(text: str, sort: Sort = NAT):
     indices = {i for _, factors in terms for i, _ in factors}
     if None in indices and len(indices) > 1:
         sc.fail("cannot mix 'x' with indexed variables")
-    if indices and None not in indices:
-        from .multivar import multipoly
-
-        arity = max(indices)
-        out = {}
-        for coeff, factors in terms:
-            exps = [Fraction(0)] * arity
-            for i, e in factors:
-                exps[i - 1] += e
-            key = tuple(exps)
-            out[key] = ls_add(out[key], coeff, sort) if key in out else coeff
-        return multipoly(arity, out)
-
+    univariate = not indices or None in indices
+    arity = 1 if univariate else max(indices)
     out = {}
     for coeff, factors in terms:
-        exp = sum((e for _, e in factors), Fraction(0))
-        if exp.denominator != 1 or exp < 0:
-            sc.fail("univariate exponents must be non-negative integers")
-        exp = int(exp)
-        out[exp] = ls_add(out[exp], coeff, sort) if exp in out else coeff
-    return LayeredPoly(out)
+        exps = [Fraction(0)] * arity
+        for i, e in factors:
+            exps[(i or 1) - 1] += e  # the bare x is x1
+        key = tuple(exps)
+        if univariate:
+            (exp,) = key
+            if exp.denominator != 1 or exp < 0:
+                sc.fail("univariate exponents must be non-negative integers")
+            key = int(exp)
+        out[key] = ls_add(out[key], coeff, sort) if key in out else coeff
+    if univariate:
+        return LayeredPoly(out)
+    from .multivar import multipoly
+
+    return multipoly(arity, out)
 
 
 def _format_power(name: str, exp) -> str:

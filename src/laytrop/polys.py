@@ -4,17 +4,18 @@ Coefficients are stored as a map exponent -> LayeredScalar with no
 BOTTOM entries; the empty map is the zero polynomial.  One coefficient
 hull, the upper concave hull of the points (exponent, coefficient
 value), is behind the essential and full canonical forms, the slopes,
-corner roots and homogeneous parts, and ``factor.separable_factor`` and
-``factor.is_primary``: its corners are the essential monomials and its
-edges the corner roots, each of multiplicity its length, and a primary
+corner roots and homogeneous parts, ``hull_vertices`` and
+``is_primary``: its corners are the essential monomials and its edges
+the corner roots, each of multiplicity its length, and a primary
 polynomial's hull is one edge.  ``_hull_classify`` finds it exactly, in
 one scan of the points that keeps those on the hull and one walk over
 the kept points, by cross-multiplication of ints: the values are scaled
 once per polynomial over their common denominator (its ``_scaled``
-view, which ``p_eval`` reads too).  A polynomial carries a ``form`` tag
-("essential", "full" or None); consumers that require a form check the
-tag instead of assuming it, and a full form also for a gap between its
-exponents.
+view, which ``p_eval`` reads too).  Only this module reads the hull's
+statuses; ``factor.separable_factor`` reads ``hull_vertices``.  A
+polynomial carries a ``form`` tag ("essential", "full" or None);
+consumers that require a form check the tag instead of assuming it, and
+a full form also for a gap between its exponents.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 from fractions import Fraction
 
 from . import sorts
-from .errors import NotFullForm, OutOfRange
+from .errors import NotFullForm, NotMonic, OutOfRange
 from .scalars import BOTTOM, ONE, LayeredScalar, integer_scale, ls_add
 from .sorts import Sort
 
@@ -277,6 +278,31 @@ def _hull_classify(f: LayeredPoly):
 def hull_vertices(f: LayeredPoly):
     """Exponents sitting at corners of the coefficient hull."""
     return {exp for exp, st in zip(f.coeffs, _hull_classify(f)) if st == "vertex"}
+
+
+def is_primary(f: LayeredPoly):
+    """The common root value when f is primary, else None.
+
+    Requires a monic input (leading value 0); polynomials divisible by
+    the variable or reduced to a single monomial are never primary.  A
+    monic f with a constant term is primary exactly when its coefficient
+    hull (``_hull_classify``) is one edge: no point lies below it
+    and only its two ends are corners.  The root is then the drop per
+    exponent step along that edge, the constant term's value over the
+    degree.
+    """
+    if f.is_zero:
+        return None
+    t = f.degree
+    lead = f.coeffs[t]
+    if lead.value != 0:
+        raise NotMonic("is_primary needs a monic polynomial (leading value 0)")
+    if t == 0 or f.min_exp != 0:
+        return None
+    status = _hull_classify(f)
+    if "below" in status or status.count("vertex") != 2:
+        return None
+    return Fraction(f.coeffs[0].value, t)
 
 
 def essential_form(f: LayeredPoly) -> LayeredPoly:

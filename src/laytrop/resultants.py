@@ -18,7 +18,9 @@ Sylvester rows of f share one tuple of its coefficients, as do g's.
 
 For two primary polynomials with the same root, the resultant is
 determined by the classical permanent of the layer Sylvester matrix:
-value m*n*a at that layer.
+value m*n*a at that layer.  A primary pair is recognised by
+``polys.is_primary``, on the coefficient hull, so this module reads
+nothing of ``factor``, which comes after it in the chain.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from .errors import (
     NotSquare,
     OutOfRange,
 )
-from .factor import is_primary
-from .polys import LayeredPoly, full_form
+from .polys import LayeredPoly, full_form, is_primary
 from .scalars import BOTTOM, ONE, LayeredScalar, integer_scale, ls_add, ls_mul, ls_pow
 from .sorts import Sort
 

@@ -237,7 +237,8 @@ def test_exit_codes(capsys):
     assert (code, out) == (3, "") and err.endswith("; try --sort posq\n")
     code, out, err = run_cli(capsys, "eval", "x", "--at", "0:1/2", "--sort", "nat")
     assert (code, out, err) == (3, "", "domain error: layer 1/2 is not valid under sort nat\n")
-    # refusals of the parser, of --region and of a conjecture-search bound, in this process
+    # refusals of the parser, of --region, of a conjecture-search bound and of a
+    # precondition, in this process
     for argv, expected_code, message in [
         (["eval", "1/:1", "--at", "0:1"], 2, "parse error: expected a denominator (at position 2)"),
         (["eval", "x0", "--at", "0:1"], 2, "parse error: variable indices start at 1 (at position 2)"),
@@ -250,6 +251,14 @@ def test_exit_codes(capsys):
         (
             ["conjecture-search", "--max-degree", "5", "--limit", "1"], 3,
             "domain error: conjecture-search --max-degree 5 exceeds the limit of 4",
+        ),
+        (
+            ["layermap", "x1", "--region=0:1:0", "--layers", "1"], 4,
+            "precondition violated: grid steps must be positive",
+        ),
+        (
+            ["eval", "x^2 + 1:1", "--at", "1:1,2:1"], 4,
+            "precondition violated: univariate evaluation takes one coordinate",
         ),
     ]:
         assert run_cli(capsys, *argv) == (expected_code, "", message + "\n")
@@ -294,7 +303,7 @@ def test_conjecture_search_computes_each_resultant_once(capsys, monkeypatch):
         capsys, "conjecture-search", "--max-degree", "2", "--max-layer", "2", "--limit", "40"
     )
     assert code == 0 and out == "no violations in 40 primary triples\n"
-    prims = [cli._primary_from_layers(1, ls, sort) for d in (1, 2) for ls in product((1, 2), repeat=d)]
+    prims = [cli._primary_from_layers(1, ls) for d in (1, 2) for ls in product((1, 2), repeat=d)]
     triples = list(product(prims, repeat=3))[:40]
     assert compared == [
         (resultant(f, lt.p_mul(g, h, sort), sort), lt.ls_mul(resultant(f, g, sort), resultant(f, h, sort), sort))
@@ -389,7 +398,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert _loaded_after("import laytrop.cli") == CLI_BASE
 
 
-_CALCULUS = ["calculus", "factor", "resultants"]  # resultants reads factor.is_primary
+_CALCULUS = ["calculus", "resultants"]
 
 
 @pytest.mark.parametrize(
@@ -402,8 +411,8 @@ _CALCULUS = ["calculus", "factor", "resultants"]  # resultants reads factor.is_p
         (["layermap", "x1 + x2", "--region=0:1:1,0:1:1", "--layers", "1,1"], ["multivar"]),
         (["roots", "x^2 + 1:1*x"], []),
         (["factor", "x^2 + 1:1*x + 2:1", "--sort", "posq"], ["factor"]),
-        (["resultant", "x + 1:1", "x + 2:1", "--explain"], ["factor", "resultants"]),
-        (["conjecture-search", "--limit", "3"], ["factor", "resultants"]),
+        (["resultant", "x + 1:1", "x + 2:1", "--explain"], ["resultants"]),
+        (["conjecture-search", "--limit", "3"], ["resultants"]),
         (["derivative", "x^2 + 1:1"], _CALCULUS),
         (["integrate", "x + 1:1", "--sort", "posq"], _CALCULUS),
         (["discriminant", "x^2 + 3:1*x + 2:1", "--sort", "posq"], _CALCULUS),

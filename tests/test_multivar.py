@@ -531,6 +531,17 @@ def test_grid_point_limit(monkeypatch):
         lt.grid_scan(LINE, [(0, 1, 1), (0, 2, 1)], [1, 1], lt.NAT)
 
 
+def test_grid_steps_must_be_positive():
+    """A zero or negative step, on the first axis or a later one, is refused
+    when a raster is called, before any row."""
+    for region in ([(0, 1, 0), (0, 1, 1)], [(0, 1, -1), (0, 1, 1)], [(0, 1, 1), (0, 1, 0)],
+                   [(0, 1, 1), (1, 0, F(-1, 2))]):
+        with pytest.raises(lt.PreconditionViolated, match="^grid steps must be positive$"):
+            lt.grid_scan(LINE, region, [1, 1], lt.NAT)
+        with pytest.raises(lt.PreconditionViolated, match="^grid steps must be positive$"):
+            lt.corner_locus_on_grid([LINE], region, [1, 1], lt.NAT)
+
+
 def test_corner_locus_fixes_layers_at_first_reach():
     """A generator's layers are checked the first time a point reaches it:
     the generators are tried in order, and the first without a corner root

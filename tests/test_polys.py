@@ -30,6 +30,15 @@ def test_p_mul():
     assert lt.p_mul(lt.monomial(0, lt.ONE), f, lt.NAT) == f
 
 
+def test_poly_drops_bottom_and_refuses_other_exponents():
+    f = lt.poly({0: lt.BOTTOM, 1: lt.ONE})
+    assert f.coeffs == {1: lt.ONE} and f == lt.monomial(1, lt.ONE)
+    for exp in (-1, F(1, 2), 1.0, "1"):
+        with pytest.raises(ValueError) as raised:
+            lt.poly({exp: lt.ONE})
+        assert str(raised.value) == f"exponent must be a non-negative integer, got {exp!r}"
+
+
 def test_p_pow_refuses_a_negative_power():
     f = P("x + 2:1")
     assert lt.p_pow(f, 0, lt.NAT) == lt.monomial(0, lt.ONE)
