@@ -18,6 +18,7 @@ information.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import sorts
@@ -154,27 +155,17 @@ def psi_a(f):
     return out
 
 
-def _synthetic_division(coeffs, r):
-    """Divide by (x - r); returns (quotient coefficients, remainder)."""
-    quotient = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * r
-        quotient[i - 1] = carry
-    remainder = coeffs[0] + carry * r
-    return quotient, remainder
-
-
 def classical_multiplicity(coeffs, root):
-    """Multiplicity of ``root`` in a classical polynomial over Q."""
-    coeffs = list(coeffs)
+    """Multiplicity of ``root`` in a classical polynomial over Q: synthetic
+    division by (x - root), by Horner's rule, while the remainder is 0."""
+    high_first = list(coeffs)[::-1]
     count = 0
-    while len(coeffs) > 1:
-        quotient, remainder = _synthetic_division(coeffs, root)
+    while len(high_first) > 1:
+        *quotient, remainder = accumulate(high_first, lambda carry, c: carry * root + c)
         if remainder != 0:
             break
         count += 1
-        coeffs = quotient
+        high_first = quotient
     return count
 
 

@@ -287,9 +287,7 @@ def is_ghost_sort(l, base, sort: Sort) -> bool:
     """
     l = require_layer(l, sort)
     base = require_layer(base, sort)
-    if layer_cmp(l, base) > 0:
-        return True
-    return l == base and infinite_layer(l, sort)
+    return l > base or (l == base and infinite_layer(l, sort))
 
 
 def truncate_layer(l, q: int) -> Layer:

@@ -1,5 +1,18 @@
-"""Shared random generators for the randomized law suites."""
+"""Helpers shared by the test modules.
 
+- ``ALL_SORTS``, ``FINITE_SORTS``, ``NONNEG_SORTS``: the sorts the suites
+  range over.
+- ``rand_layer``, ``rand_value``, ``rand_scalar``, ``rand_poly``,
+  ``rand_primary``: seeded random inputs for the randomized law suites.
+- ``probe_points``: evaluation points around the roots of a decomposition.
+- ``linear_product``: prod (x + <r>^1) over distinct roots, the separable
+  polynomial whose discriminant layer is prod (2k - 1).
+- ``outcome``: a call's result, or the class of the refusal it raises.
+- ``load_tool``: a script of ``tools/`` or ``bench/``, loaded by its path.
+"""
+
+import importlib.util
+import os
 from fractions import Fraction
 
 import laytrop as lt
@@ -16,6 +29,23 @@ else:
 ALL_SORTS = [lt.UNIT, lt.SUPER, lt.truncated(3), lt.NAT, lt.POSQ, lt.RAT]
 FINITE_SORTS = [lt.truncated(3), lt.NAT, lt.POSQ, lt.RAT]
 NONNEG_SORTS = [lt.UNIT, lt.SUPER, lt.truncated(3), lt.NAT, lt.POSQ]
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the LaytropError it raises."""
+    try:
+        return fn(*args)
+    except lt.LaytropError as err:
+        return type(err)
+
+
+def load_tool(name, folder="tools"):
+    """The script folder/name.py of the repository as a module."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, folder, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_layer(rng, sort):
@@ -81,3 +111,11 @@ def probe_points(decomp, count=50):
         points.append(lt.LayeredScalar(v, layers[i % 3]))
         i += 1
     return points
+
+
+def linear_product(roots, sort):
+    """prod (x + <r>^1) over the roots, multiplied out under the sort."""
+    f = lt.monomial(0, lt.ONE)
+    for r in roots:
+        f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: lt.scalar(r, 1)}), sort)
+    return f

@@ -22,6 +22,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from conftest import linear_product, probe_points
 
 import laytrop as lt
 
@@ -198,10 +199,7 @@ def test_criterion_07_discriminant_sorts():
     for m in range(2, 6):
         layers = set()
         for _ in range(50):
-            roots = sorted(rng.sample(range(1, 60), m))
-            f = lt.monomial(0, lt.ONE)
-            for r in roots:
-                f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+            f = linear_product(sorted(rng.sample(range(1, 60), m)), lt.POSQ)
             layers.add(lt.discriminant(f, lt.POSQ).layer)
         root_independent = root_independent and len(layers) == 1
         measured[m] = layers.pop()
@@ -234,22 +232,7 @@ def _decomposition_probes():
                 coeffs[e] = lt.LayeredScalar(_value_in_10(rng), _layer_for(rng, lt.POSQ))
         f = lt.poly(coeffs)
         d = lt.primary_decomposition(f, lt.POSQ)
-        roots = sorted({pf.root_value for pf in d.factors})
-        values = {F(0)}
-        if roots:
-            values.add(roots[0] - 3)
-            values.add(roots[-1] + 3)
-            values.update(roots)
-            values.update(F(a + b, 2) for a, b in zip(roots, roots[1:]))
-        values = sorted(values)
-        layers = [F(1), F(2), F(1, 2)]
-        probes = []
-        i = 0
-        while len(probes) < 50:
-            v = values[i % len(values)] + F(i // len(values), 7)
-            probes.append(lt.LayeredScalar(v, layers[i % 3]))
-            i += 1
-        cases.append((f, d, probes))
+        cases.append((f, d, probe_points(d)))
     return cases
 
 

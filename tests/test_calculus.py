@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import laytrop as lt
-from conftest import rand_poly
+from conftest import linear_product, rand_poly
 
 sc = lt.scalar
 P = lt.parse_poly
@@ -49,9 +49,7 @@ def test_discriminant_examples():
 
 def test_is_separable():
     assert lt.is_separable(P("x^2 + 2:1*x + 3:1"), lt.POSQ)
-    cubic = lt.monomial(0, lt.ONE)
-    for r in (1, 5, 11):
-        cubic = lt.p_mul(cubic, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+    cubic = linear_product((1, 5, 11), lt.POSQ)
     assert lt.discriminant(cubic, lt.POSQ).layer == lt.separable_sort(3) == 15
     assert lt.is_separable(cubic, lt.POSQ)
     assert not lt.is_separable(lt.p_pow(P("x + 2:1"), 2, lt.POSQ), lt.POSQ)
@@ -104,9 +102,7 @@ def test_derivative_of_separable_product_form():
     for _ in range(60):
         m = rng.randint(2, 5)
         roots = sorted(rng.sample(range(-40, 40), m))
-        f = lt.monomial(0, lt.ONE)
-        for r in roots:
-            f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+        f = linear_product(roots, lt.POSQ)
         expect = lt.monomial(0, lt.ONE)
         for k in range(2, m + 1):
             factor = lt.poly(
@@ -120,10 +116,7 @@ def test_derivative_of_separable_is_separable():
     rng = random.Random(17)
     for _ in range(60):
         m = rng.randint(2, 5)
-        roots = sorted(rng.sample(range(-40, 40), m))
-        f = lt.monomial(0, lt.ONE)
-        for r in roots:
-            f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+        f = linear_product(sorted(rng.sample(range(-40, 40), m)), lt.POSQ)
         factors = lt.separable_factor(lt.derivative(f, lt.POSQ), lt.POSQ)
         assert len(factors) == m - 1
 
@@ -133,10 +126,7 @@ def test_discriminant_layer_is_root_independent():
     for m in range(2, 6):
         layers = set()
         for _ in range(15):
-            roots = sorted(rng.sample(range(1, 200), m))
-            f = lt.monomial(0, lt.ONE)
-            for r in roots:
-                f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+            f = linear_product(sorted(rng.sample(range(1, 200), m)), lt.POSQ)
             layers.add(lt.discriminant(f, lt.POSQ).layer)
         assert layers == {lt.separable_sort(m)}
 
@@ -147,7 +137,5 @@ def test_discriminant_layers_pinned_to_degree_seven():
     rng = random.Random(23)
     for m, want in ((6, 10395), (7, 135135)):
         for _ in range(3):
-            f = lt.monomial(0, lt.ONE)
-            for r in sorted(rng.sample(range(1, 200), m)):
-                f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+            f = linear_product(sorted(rng.sample(range(1, 200), m)), lt.POSQ)
             assert lt.discriminant(f, lt.POSQ).layer == want

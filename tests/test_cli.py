@@ -260,6 +260,10 @@ def test_exit_codes(capsys):
             ["eval", "x^2 + 1:1", "--at", "1:1,2:1"], 4,
             "precondition violated: univariate evaluation takes one coordinate",
         ),
+        (
+            ["separable", "2:1*x^2 + 1:1*x + 0:1", "--sort", "posq"], 4,
+            "precondition violated: separability test needs a monic polynomial",
+        ),
     ]:
         assert run_cli(capsys, *argv) == (expected_code, "", message + "\n")
 

@@ -4,14 +4,15 @@ No digest is pinned: an intended change of behaviour changes the corpus,
 and ``tools/equiv.py --against <rev>`` shows which calls it changed.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
 
+from conftest import REPO, load_tool
+
 import laytrop as lt
 
-TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools", "equiv.py")
+TOOL = os.path.join(REPO, "tools", "equiv.py")
 KERNELS = {
     "p_eval", "p_mul", "mp_mul", "eval_sort", "primary_decomposition", "full_form", "resultant",
     "layered_permanent", "layer_permanent", "primary_pair_resultant", "discriminant", "layer_pow_int",
@@ -21,15 +22,8 @@ KERNELS = {
 }
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("equiv", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_corpus_is_deterministic_and_covers_every_kernel_and_sort():
-    equiv = load_tool()
+    equiv = load_tool("equiv")
     lines = list(equiv.corpus_lines(lt, 3, 600))
     assert len(lines) == 600
     assert lines == list(equiv.corpus_lines(lt, 3, 600))
@@ -49,4 +43,4 @@ def test_the_command_line_prints_the_corpus():
         [sys.executable, TOOL, "--seed", "5", "--calls", "80", "--src", src],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines() == list(load_tool().corpus_lines(lt, 5, 80))
+    assert out.splitlines() == list(load_tool("equiv").corpus_lines(lt, 5, 80))

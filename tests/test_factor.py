@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import laytrop as lt
-from conftest import ALL_SORTS, probe_points, rand_poly, rand_primary
+from conftest import ALL_SORTS, linear_product, probe_points, rand_poly, rand_primary
 from laytrop import factor
 
 sc = lt.scalar
@@ -83,9 +83,7 @@ def test_separable_factor_reexpands():
     rng = random.Random(3)
     for _ in range(100):
         roots = sorted(rng.sample(range(-30, 30), rng.randint(2, 5)))
-        f = lt.monomial(0, lt.ONE)
-        for r in roots:
-            f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+        f = linear_product(roots, lt.POSQ)
         factors = lt.separable_factor(f, lt.POSQ)
         assert [g.coeffs[0].value for g in factors] == sorted(roots, reverse=True)
         back = lt.monomial(0, lt.ONE)

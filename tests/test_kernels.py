@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 import laytrop as lt
-from conftest import ALL_SORTS
+from conftest import ALL_SORTS, outcome
 from laytrop import sorts
 
 HUGE = F(2**6000 + 1)  # a valid layer whose cube exceeds MAX_LAYER_BITS
@@ -56,13 +56,6 @@ def oracle_eval_sort(decomp, b, sort):
         else:
             out = lt.layer_mul(out, lt.layer_pow_int(k, factor.degree, sort), sort)
     return out
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except lt.LaytropError as err:
-        return type(err)
 
 
 def rand_layer(rng, sort):
@@ -433,6 +426,8 @@ EXPONENTS = [0, 0, 1, 2, 3, -1, F(1, 2), F(3, 2), F(-1, 2)]
 
 
 def oracle_monomial(exps, coeff, point, sort):
+    """coeff * prod x_j ** e_j by checked scalar operations; a constant's
+    layer is checked on its own."""
     if not any(exps):
         sorts.require_layer(coeff.layer, sort)
         return coeff

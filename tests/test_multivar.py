@@ -3,7 +3,8 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from conftest import ALL_SORTS, rand_layer
+from conftest import ALL_SORTS, outcome, rand_layer
+from test_kernels import oracle_monomial
 
 import laytrop as lt
 
@@ -307,23 +308,7 @@ def _rand_raster_poly(rng, sort, arity, denominators=(1, 2)):
 
 def _outcome(call, *args):
     """The rows of call(*args) as a list, or the class of what it raises."""
-    try:
-        return list(call(*args))
-    except lt.LaytropError as err:
-        return type(err)
-
-
-def _monomial(exps, coeff, point, sort):
-    """coeff * prod x_j ** e_j by checked scalar operations; a constant's
-    layer is checked on its own."""
-    if not any(exps):
-        lt.sorts.require_layer(coeff.layer, sort)
-        return coeff
-    out = coeff
-    for e, x in zip(exps, point):
-        if e != 0:
-            out = lt.ls_mul(out, lt.ls_pow(x, e, sort), sort)
-    return out
+    return outcome(lambda: list(call(*args)))
 
 
 def _pointwise_rows(F_, region, layers, sort):
@@ -333,7 +318,7 @@ def _pointwise_rows(F_, region, layers, sort):
     rows = []
     for values in _lattice(region):
         point = tuple(lt.LayeredScalar(v, lt.as_layer(l)) for v, l in zip(values, layers))
-        monos = [(e, _monomial(e, c, point, sort)) for e, c in F_.terms()]
+        monos = [(e, oracle_monomial(e, c, point, sort)) for e, c in F_.terms()]
         total = lt.ls_sum((m for _, m in monos), sort)
         if total is lt.BOTTOM:
             raise lt.PreconditionViolated("empty polynomial")

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
-from conftest import ALL_SORTS, rand_layer, rand_poly, rand_scalar
-from test_kernels import oracle_p_eval, outcome
+from conftest import ALL_SORTS, outcome, rand_layer, rand_poly, rand_scalar
+from test_kernels import oracle_p_eval
 
 sc = lt.scalar
 P = lt.parse_poly
@@ -33,6 +33,11 @@ def test_p_mul():
 def test_poly_drops_bottom_and_refuses_other_exponents():
     f = lt.poly({0: lt.BOTTOM, 1: lt.ONE})
     assert f.coeffs == {1: lt.ONE} and f == lt.monomial(1, lt.ONE)
+    zero = lt.poly({0: lt.BOTTOM})  # every coefficient dropped: the zero polynomial
+    assert zero.is_zero and repr(zero) == "LayeredPoly(0)"
+    for attr, message in (("degree", "no degree"), ("min_exp", "no minimal exponent")):
+        with pytest.raises(ValueError, match=message):
+            getattr(zero, attr)
     for exp in (-1, F(1, 2), 1.0, "1"):
         with pytest.raises(ValueError) as raised:
             lt.poly({exp: lt.ONE})

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import laytrop as lt
 from laytrop import resultants
-from conftest import ALL_SORTS, rand_layer, rand_poly, rand_primary, rand_scalar
+from conftest import ALL_SORTS, linear_product, rand_layer, rand_poly, rand_primary, rand_scalar
 
 try:
     import resource
@@ -623,9 +623,7 @@ def test_discriminant_sylvester_matches_naive():
     expected = {2: 3, 3: 15, 4: 105}
     for m in range(2, 5):
         for _ in range(3):
-            f = lt.monomial(0, lt.ONE)
-            for r in sorted(rng.sample(range(1, 60), m)):
-                f = lt.p_mul(f, lt.poly({1: lt.ONE, 0: sc(r, 1)}), lt.POSQ)
+            f = linear_product(sorted(rng.sample(range(1, 60), m)), lt.POSQ)
             for sort in ALL_SORTS:
                 syl = lt.sylvester(f, lt.derivative(f, sort), sort)
                 naive = lt.layered_permanent_naive(syl, sort)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import laytrop as lt
-from conftest import ALL_SORTS, rand_layer
+from conftest import ALL_SORTS, outcome, rand_layer
 
 T4 = lt.truncated(4)
 
@@ -192,21 +192,14 @@ def _stepwise_pow(l, n, sort):
     return out
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except lt.LaytropError as err:
-        return type(err)
-
-
 @pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
 def test_layer_pow_int_matches_stepwise_product(sort):
     layers = [F(0), F(1), F(2), F(3), F(4), F(1, 2), F(-3, 2), lt.INF]  # caps: 1, 3, INF
     for l in layers:
         for n in range(13):
-            want = _outcome(_stepwise_pow, l, n, sort)
-            assert _outcome(lt.layer_pow_int, l, n, sort) == want
-            assert _outcome(lt.layer_pow_int, l, F(n), sort) == want  # an integral Fraction too
+            want = outcome(_stepwise_pow, l, n, sort)
+            assert outcome(lt.layer_pow_int, l, n, sort) == want
+            assert outcome(lt.layer_pow_int, l, F(n), sort) == want  # an integral Fraction too
         assert lt.layer_pow_int(l, 0, sort) == 1  # the empty product, valid layer or not
 
 
@@ -268,7 +261,7 @@ def test_sort_pow_with_negative_and_fractional_exponents(sort):
                 with pytest.raises(lt.InvalidLayer):
                     sort.pow(l, n)
             if n.denominator == 1:  # an integral exponent as an int takes the same path
-                assert _outcome(sort.pow, l, int(n)) == _outcome(sort.pow, l, n)
+                assert outcome(sort.pow, l, int(n)) == outcome(sort.pow, l, n)
 
 
 def test_format_refuses_numbers_too_long_to_print():
