@@ -8,8 +8,8 @@ reads the hull's corners (``polys.hull_vertices``), as the decomposition
 reads its slopes.  Any polynomial factors uniquely (up to nu-value) as
 unit * f_{a_1} ... f_{a_d} with strictly decreasing roots; the factors
 are split off bottom-part-first.  ``eval_sort`` reads the layer of f(b)
-off that decomposition as a product of kernel calls, one per part: the
-factor whose root b's value is contributes ``p_eval`` of it at b.  The
+off that decomposition as one ``Sort.fold`` of its parts: the factor
+whose root b's value is contributes ``p_eval`` of it at b.  The
 map psi_a reads off the coefficient layers of an a-primary polynomial
 as a classical polynomial over Q, which carries multiplicity
 information.
@@ -25,7 +25,7 @@ from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
 from .polys import (LayeredPoly, full_form, hull_vertices, is_primary, monomial, p_eval, p_mul, p_shift,
                     poly, slopes)
-from .scalars import ONE, LayeredScalar, s
+from .scalars import ONE, LayeredScalar
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
 
@@ -201,39 +201,53 @@ def linear_divides_via_zero_layer(f, l, sort: Sort) -> bool:
 def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     """Closed-form layer of f(b) from the primary decomposition.
 
-    The layer of f(b) is the product of its parts, each one kernel call:
-    k**lambda_power, where k is b's layer, when a power of the variable
-    was divided out (``layer_pow_int``); then for each factor, k**degree
-    when its root lies below b's value (``layer_pow_int``), its
-    constant-term layer when its root lies above (``require_layer``),
-    and when b's value is its root, where every monomial ties, the
-    factor evaluated at b (``p_eval``), whose layer is the sum of all its
-    monomials' layers.  The unit layer is checked where the first part
-    multiplies in; a decomposition without parts returns it as it is.
+    The layer of f(b) is the product of its parts: k**lambda_power,
+    where k is b's layer, when a power of the variable was divided out;
+    then for each factor, k**degree when its root lies below b's value,
+    its constant-term layer when its root lies above, and when b's value
+    is its root, where every monomial ties, the factor evaluated at b
+    (``p_eval``), whose layer is the sum of all its monomials' layers.
+    ``Sort.fold`` multiplies the unit layer and the parts in one exact
+    product, collapsed once; a decomposition without parts returns the
+    unit layer as it is.
 
-    The parts run in the order of the stepwise product, so a bad input
-    raises what ``layer_mul`` and ``layer_pow_int`` would.  k is checked
-    by each power with a positive exponent that reads it.  ``p_eval``
-    keeps the checked coefficient layers of each factor per sort object,
-    so a decomposition probed at its roots again under one sort checks
-    them once; the unit and the constant terms are checked per call.
+    The parts are read in the order of the stepwise product, so a bad
+    input raises what ``layer_mul`` and ``layer_pow_int`` would: k is
+    checked once, at the first power with a positive exponent, and a
+    power beyond ``Sort.pow_limit`` is taken where it comes, since it
+    may refuse; each constant term is checked as its part comes, and the
+    unit after the first part.  ``p_eval`` checks k on its own, and keeps
+    the checked coefficient layers of each factor per sort object, so a
+    decomposition probed at its roots again under one sort checks them
+    once; the unit and the constant terms are checked per call.
     ``p_eval`` reads b's value as an int or ``Fraction``, as every
     kernel does: a point at a root with a float value raises
     AttributeError.
     """
 
     def parts():
+        """(layer, 1) per part, or (None, n) for the power k**n."""
         if decomp.lambda_power:
-            yield sorts.layer_pow_int(b.layer, decomp.lambda_power, sort)
+            yield None, decomp.lambda_power
         for factor in decomp.factors:
             if b.value == factor.root_value:
-                yield p_eval(factor.poly, b, sort).layer
+                yield p_eval(factor.poly, b, sort).layer, 1
             elif b.value < factor.root_value:
-                yield sorts.require_layer(factor.poly.coeffs[0].layer, sort)
+                yield sorts.require_layer(factor.poly.coeffs[0].layer, sort), 1
             else:
-                yield sorts.layer_pow_int(b.layer, factor.degree, sort)
+                yield None, factor.degree
 
-    out = s(decomp.unit)
-    for i, part in enumerate(parts()):
-        out = sort.mul(sorts.require_layer(out, sort) if i == 0 else out, part)
-    return out
+    product = []
+    k, limit = None, 0
+    for layer, n in parts():
+        if layer is None:
+            if n and k is None:
+                k = sorts.require_layer(b.layer, sort)
+                limit = sort.pow_limit(k)
+            if n > limit:
+                sort.pow(k, n)
+            layer = k
+        if not product:
+            product.append((sorts.require_layer(decomp.unit.layer, sort), 1))
+        product.append((layer, n))
+    return sort.fold([product]) if product else decomp.unit.layer

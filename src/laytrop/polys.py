@@ -20,7 +20,6 @@ a full form also for a gap between its exponents.
 
 from __future__ import annotations
 
-import functools
 import operator
 from fractions import Fraction
 
@@ -139,16 +138,16 @@ def term_product(left, right, sort: Sort, add_exps) -> dict:
     operands are scaled once to ints over their common denominator D
     (``integer_scale``), so a pair's value is an int sum; each exponent
     keeps its best value and the layer pairs that tie on it.  Only those
-    pairs are multiplied and added, with ``sort.mul`` and ``sort.add`` in
-    the order the pairs came, and one ``Fraction`` is built per term.
+    pairs are multiplied and added, by one ``Sort.fold`` per exponent,
+    and one ``Fraction`` is built per term.
     """
     if not left or not right:
         return {}
-    right = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in right]
-    left = [(e, c.value, sorts.require_layer(c.layer, sort)) for e, c in left]
+    right = [(e, c.value, (sorts.require_layer(c.layer, sort), 1)) for e, c in right]
+    left = [(e, c.value, (sorts.require_layer(c.layer, sort), 1)) for e, c in left]
     scale, ints = integer_scale([v for _, v, _ in left + right])
     right = [(e, v, l) for (e, _, l), v in zip(right, ints[len(left):])]
-    out = {}  # exponent -> (best int value, [tied (layer, layer) pairs])
+    out = {}  # exponent -> (best int value, [tied ((layer, 1), (layer, 1)) terms])
     for (e1, _, l1), v1 in zip(left, ints):
         for e2, v2, l2 in right:
             exp, v = add_exps(e1, e2), v1 + v2
@@ -157,11 +156,7 @@ def term_product(left, right, sort: Sort, add_exps) -> dict:
                 out[exp] = v, [(l1, l2)]
             elif v == old[0]:
                 old[1].append((l1, l2))
-    add, mul = sort.add, sort.mul
-    return {
-        exp: LayeredScalar(Fraction(v, scale), functools.reduce(add, (mul(k, l) for k, l in pairs)))
-        for exp, (v, pairs) in out.items()
-    }
+    return {exp: LayeredScalar(Fraction(v, scale), sort.fold(pairs)) for exp, (v, pairs) in out.items()}
 
 
 def p_pow(f: LayeredPoly, n: int, sort: Sort) -> LayeredPoly:
@@ -188,11 +183,12 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
 
     Values come first and layers last: one pass over the terms, in
     ascending exponent order, finds the best value and the tied
-    (coefficient layer, exponent) pairs, and only the tied pairs are
-    then raised, multiplied and added in term order.  A single tied term
-    of exponent 0, or at a point of layer 1, answers with its checked
-    coefficient layer: x**0 and 1**e are 1, and a checked layer times 1
-    is itself under every sort (layer 0 included).  The pass checks x's
+    (coefficient layer, exponent) pairs, and one ``Sort.fold`` then sums
+    c * k**e, for x's layer k, over the tied pairs only, exactly and
+    collapsed once.  A single tied term of exponent 0, or at a point of
+    layer 1, answers with its checked coefficient layer: k**0 and 1**e
+    are 1, and a checked layer times 1 is itself under every sort (layer
+    0 included).  The pass checks x's
     layer once, at the first positive exponent (a constant accepts any
     x), and each coefficient layer, unless f's ``_checked`` view holds
     this very sort: those checks passed, and the view gives their
@@ -230,11 +226,10 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
             tied.append((cl, e))
     if not hit:
         f._checked = (sort, tuple(fresh))
-    if len(tied) == 1:
-        cl, e = tied[0]
-        layer = cl if e == 0 or xl == 1 else sort.mul(cl, sort.pow(xl, e))
+    if len(tied) == 1 and (tied[0][1] == 0 or xl == 1):
+        layer = tied[0][0]
     else:
-        layer = functools.reduce(sort.add, (sort.mul(cl, sort.pow(xl, e)) for cl, e in tied))
+        layer = sort.fold([((cl, 1), (xl, e)) for cl, e in tied])
     return LayeredScalar(Fraction(best, scale * xd), layer)
 
 

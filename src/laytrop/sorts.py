@@ -22,6 +22,11 @@ Every other layer rule is derived from these two parts:
   product; it must be 0 or a member of the sort.  Every rational power
   of layer 1 is 1 (a member of every sort), so it costs no arithmetic;
   an exponent that is no rational still raises;
+* ``Sort.fold``: a whole sum of products of integer powers, exact as
+  one int numerator over one int denominator, then collapsed once, with
+  each exponent clamped as in ``Sort.pow``.  That is the stepwise
+  result, because each collapse is the identity or a semiring
+  homomorphism from N (with ``INF`` read as 2);
 * ``layer_valid`` and ``require_layer``: the membership test;
 * ``truncate_layer``: the collapse of ``truncated(q)`` on its own;
 * ``infinite_layer``: l + 1 collapses to l (never where the collapse is
@@ -39,13 +44,15 @@ instead each public operation (``layer_add``, ``ls_mul``, ...) runs
 ``p_eval``, ``p_mul``, ``mp_mul``, ``mp_eval`` and the two rasters
 (``grid_scan``, ``corner_locus_on_grid``, which stream their rows and
 check a monomial's layer at the first row that reaches it) do so once
-per layer and call, and their inner loops then work on the unchecked
-``sort.add``, ``sort.mul`` and ``sort.pow``, under which the valid
-layers (with 0) are closed; ``p_eval`` checks a polynomial's
-coefficient layers once per sort object, and keeps the checked layers
-on the polynomial.  ``eval_sort`` is a product of such calls
-(``layer_pow_int``, ``require_layer`` and ``p_eval``), with no loop of
-its own.  Values carry no sort: ``p_eval``,
+per layer and call, and then work on the unchecked ``Sort`` operations,
+under which the valid layers (with 0) are closed: ``p_eval``, ``p_mul``
+and ``mp_mul`` hand each tied sum to one ``sort.fold``, and
+``mp_eval`` and the rasters use ``sort.add`` and ``sort.mul``.  ``p_eval``
+checks a polynomial's coefficient layers once per sort object, and
+keeps the checked layers on the polynomial.  ``eval_sort`` checks its
+parts in the order of the stepwise product (``require_layer``, and
+``p_eval`` for the factor whose root the point crosses) and hands them
+to one ``sort.fold``.  Values carry no sort: ``p_eval``,
 ``p_mul`` and ``mp_mul``, the coefficient hull and the raster fold
 scale them once to ints over one common denominator and compare those
 ints; ``p_eval`` and the products then compute layers
@@ -162,11 +169,55 @@ class Sort:
         n = n.numerator
         if self.exact:
             return bounded_pow(l, n)
+        return self.collapse(l ** self._clamp(l, n))
+
+    def _clamp(self, l, n):
+        """The exponent n > 0 of a layer l >= 0 (INF, a ``Fraction`` or
+        an int) clamped where ``pow`` clamps it under a collapse: every
+        further power of l collapses to the same layer."""
         q_bits = (self.q or 1).bit_length()
         n = min(n, q_bits)
         if self.q and l > 1:  # l is never INF here: q is None under super
             n = min(n, -(-q_bits // (_bits(l) - 1)))
-        return self.collapse(l ** n)
+        return n
+
+    def fold(self, terms):
+        """The sum over ``terms`` of the product of l ** e over each term's
+        (l, e) pairs, for checked layers l (0 included) and integers
+        e >= 0, collapsed once.
+
+        It equals the stepwise fold of ``add``, ``mul`` and ``pow``: the
+        sum is exact, one int numerator over one int denominator, and
+        only the result is collapsed.  Under nat, posq and q the collapse
+        is the identity; under unit, super and trunc:q it is a semiring
+        homomorphism from N, which every layer (0 included, INF read as
+        2) lies in, and each exponent is clamped where ``pow`` clamps it,
+        so every power collapses as before and the ints stay short.
+        Nothing here raises: a power that ``pow`` could refuse (beyond
+        ``pow_limit``) must have been taken by the caller first.  A pair
+        with e = 0 is 1 and its l is not read; an empty sum is layer 0.
+        """
+        clamp = None if self.exact else self._clamp
+        num, den = 0, 1
+        for term in terms:
+            n = d = 1
+            for l, e in term:
+                if e == 0:  # l ** 0 is 1 for every layer, INF and 0 included
+                    continue
+                # INF, a float and a layer under super only, is read as 2
+                a, b = (2, 1) if type(l) is float else l.as_integer_ratio()
+                if e != 1:
+                    if clamp is not None:
+                        e = clamp(a, e)
+                    a, b = a ** e, b ** e
+                n *= a
+                d *= b
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        out = Fraction(num) if den == 1 else Fraction(num, den)
+        return out if clamp is None else self.collapse(out)
 
     def pow_limit(self, l):
         """An exponent bound for a checked layer l (0 included): ``pow``

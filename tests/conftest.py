@@ -4,6 +4,9 @@
   range over.
 - ``rand_layer``, ``rand_value``, ``rand_scalar``, ``rand_poly``,
   ``rand_primary``: seeded random inputs for the randomized law suites.
+  ``tied_value`` draws from a few small ints and halves, so that the
+  terms of a ``rand_poly(..., value=tied_value)`` often tie at a point
+  of the same draw, which ``rand_value`` almost never gives.
 - ``probe_points``: evaluation points around the roots of a decomposition.
 - ``linear_product``: prod (x + <r>^1) over distinct roots, the separable
   polynomial whose discriminant layer is prod (2k - 1).
@@ -66,19 +69,23 @@ def rand_value(rng):
     return Fraction(rng.randint(-100, 100), rng.randint(1, 10))
 
 
-def rand_scalar(rng, sort):
-    return lt.LayeredScalar(rand_value(rng), rand_layer(rng, sort))
+def tied_value(rng):
+    return Fraction(rng.randint(-1, 1), rng.choice((1, 2)))
 
 
-def rand_poly(rng, sort, max_deg=4, monic=False, with_constant=True):
+def rand_scalar(rng, sort, value=rand_value):
+    return lt.LayeredScalar(value(rng), rand_layer(rng, sort))
+
+
+def rand_poly(rng, sort, max_deg=4, monic=False, with_constant=True, value=rand_value):
     deg = rng.randint(1, max_deg)
     coeffs = {}
-    coeffs[deg] = lt.ONE if monic else rand_scalar(rng, sort)
+    coeffs[deg] = lt.ONE if monic else rand_scalar(rng, sort, value)
     if with_constant:
-        coeffs[0] = rand_scalar(rng, sort)
+        coeffs[0] = rand_scalar(rng, sort, value)
     for e in range(0 if not with_constant else 1, deg):
         if rng.random() < 0.65:
-            coeffs[e] = rand_scalar(rng, sort)
+            coeffs[e] = rand_scalar(rng, sort, value)
     return lt.poly(coeffs)
 
 

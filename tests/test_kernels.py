@@ -1,12 +1,15 @@
 """The evaluation kernels against the stepwise compositions they replace.
 
 ``p_eval``, ``p_mul``, ``mp_mul`` and ``mp_eval`` check each input
-layer once and then run on the sort's unchecked operations; ``eval_sort``
-is a product of kernel calls, one per part (``layer_pow_int``,
-``require_layer``, and ``p_eval`` for the factor whose root the point
-crosses).  The oracles below are the compositions of checked scalar and
-layer operations that these kernels used to be; the kernels must give
-the same result, or refuse with the same exception class, on every input.
+layer once and then run on the sort's unchecked operations: the tied
+sums of ``p_eval``, ``p_mul`` and ``mp_mul`` are one exact
+``Sort.fold`` each, collapsed once.  ``eval_sort`` checks its parts in
+the order of the stepwise product (b's layer once, each constant term,
+the unit, and ``p_eval`` for the factor whose root the point crosses)
+and multiplies them in one ``Sort.fold``.  The oracles below are the
+compositions of checked scalar and layer operations, one step at a
+time, that these kernels used to be; the kernels must give the same
+result, or refuse with the same exception class, on every input.
 """
 
 import math
@@ -191,9 +194,9 @@ def test_a_losing_huge_power_is_still_refused():
 
 
 def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
-    """Sort.pow runs for the tied terms, and beyond ``pow_limit`` for a
-    losing term too, where it might refuse; a single tied constant takes
-    no power."""
+    """Sort.pow runs only beyond ``pow_limit``, for a losing term too,
+    where it might refuse; the tied terms' powers are taken inside
+    ``Sort.fold``, and a single tied constant takes no power."""
     powers = []
     pow_ = sorts.Sort.pow
 
@@ -206,7 +209,7 @@ def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
     f = lt.poly({0: lt.scalar(3, 1), 1: lt.scalar(2, 2), 2: lt.scalar(0, 1), 3: lt.scalar(0, 3)})
     x = lt.scalar(1, 2)
     assert lt.p_eval(f, x, lt.POSQ) == lt.scalar(3, 1 + 2 * 2 + 3 * 8)
-    assert powers == [0, 1, 3]
+    assert powers == []
     # a 127-bit layer: 127 * 130 bits pass MAX_LAYER_BITS, so the losing x**130
     # is taken (2**16380 fits, so it is not refused); the tied constant is raised to nothing
     big = F(2**126)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
-from conftest import ALL_SORTS, outcome, rand_layer, rand_poly, rand_scalar
+from conftest import ALL_SORTS, outcome, rand_layer, rand_poly, rand_scalar, rand_value, tied_value
 from test_kernels import oracle_p_eval
 
 sc = lt.scalar
@@ -211,17 +211,30 @@ def test_full_form_slopes_weakly_decrease_from_top():
 
 @pytest.mark.parametrize("sort", [lt.NAT, lt.POSQ])
 def test_eval_is_a_homomorphism(sort):
-    rng = random.Random(19)
-    for _ in range(150):
-        f = rand_poly(rng, sort, max_deg=3)
-        g = rand_poly(rng, sort, max_deg=3)
-        x = rand_scalar(rng, sort)
-        assert lt.p_eval(lt.p_mul(f, g, sort), x, sort) == lt.ls_mul(
-            lt.p_eval(f, x, sort), lt.p_eval(g, x, sort), sort
-        )
-        assert lt.p_eval(lt.p_add(f, g, sort), x, sort) == lt.ls_add(
-            lt.p_eval(f, x, sort), lt.p_eval(g, x, sort), sort
-        )
+    """On the usual draw, and on tie-heavy values, where f * g, f + g and
+    the evaluations add the layers of tied terms."""
+    ties = 0
+    for value in (rand_value, tied_value):
+        rng = random.Random(19)
+        for _ in range(150):
+            f = rand_poly(rng, sort, max_deg=3, value=value)
+            g = rand_poly(rng, sort, max_deg=3, value=value)
+            x = rand_scalar(rng, sort, value)
+            fg = lt.p_mul(f, g, sort)
+            assert lt.p_eval(fg, x, sort) == lt.ls_mul(
+                lt.p_eval(f, x, sort), lt.p_eval(g, x, sort), sort
+            )
+            assert lt.p_eval(lt.p_add(f, g, sort), x, sort) == lt.ls_add(
+                lt.p_eval(f, x, sort), lt.p_eval(g, x, sort), sort
+            )
+            ties += value is tied_value and tied_terms(fg, x) > 1
+    assert ties >= 40
+
+
+def tied_terms(f, x):
+    """How many terms of f reach the maximal value at x."""
+    values = [c.value + e * x.value for e, c in f.coeffs.items()]
+    return values.count(max(values))
 
 
 def test_eval_nu_compatibility():

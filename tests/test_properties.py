@@ -1,11 +1,13 @@
 """Cross-module algebraic laws driven by hypothesis."""
 
+import functools
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
+from conftest import tied_value
 from laytrop import sorts
 
 SORTS = st.sampled_from(
@@ -88,6 +90,64 @@ def test_collapse_is_a_homomorphism_from_n(sort, a, b):
     assert c(a + b) == sort.add(c(a), c(b))
     assert c(a * b) == sort.mul(c(a), c(b))
     assert c(F(0)) == 0 and c(F(1)) == 1
+    if sort == lt.SUPER:  # INF read as 2, as Sort.fold reads it: 2 collapses to INF
+        assert c(F(2)) == lt.INF
+        assert c(2 + b) == sort.add(lt.INF, c(b)) and c(2 * b) == sort.mul(lt.INF, c(b))
+        assert c(F(2) ** int(a)) == sort.pow(lt.INF, a)
+
+
+def stepwise_fold(terms, sort):
+    """The sum of the products of powers by ``Sort.add``, ``Sort.mul`` and
+    ``Sort.pow``, one step at a time."""
+    return functools.reduce(
+        sort.add, (functools.reduce(sort.mul, (sort.pow(l, e) for l, e in term)) for term in terms)
+    )
+
+
+def exponent_for(sort):
+    """0..40, and under a collapse the exponents next to where Sort.pow
+    clamps them for each layer up to the cap (INF under super is 2)."""
+    if sort.exact:
+        return st.integers(0, 40)
+    clamps = {sort._clamp(F(l), 40) + d for l in range(1, (sort.q or 2) + 1) for d in (-1, 0, 1)}
+    return st.one_of(st.integers(0, 40), st.sampled_from(sorted(clamps)))
+
+
+@st.composite
+def sort_and_terms(draw):
+    """A sort and 1..4 terms of 1..3 (layer, exponent) pairs: layer 0 in
+    every sort, INF under super, negative and fractional layers under q."""
+    sort = draw(st.sampled_from(EVERY_SORT))
+    pair = st.tuples(st.one_of(st.just(F(0)), layer_for(sort)), exponent_for(sort))
+    return sort, draw(st.lists(st.lists(pair, min_size=1, max_size=3), min_size=1, max_size=4))
+
+
+@given(sort_and_terms())
+@example((lt.SUPER, [[(lt.INF, 40), (F(0), 1)], [(lt.INF, 0)], [(F(1), 2), (lt.INF, 1)]]))
+@example((lt.truncated(4), [[(F(3), 2), (F(2), 3)], [(F(0), 40)], [(F(4), 0)]]))
+@example((lt.RAT, [[(F(-3, 2), 3), (F(1, 3), 1)], [(F(5, 2), 40)], [(F(0), 2), (F(-1), 0)]]))
+@settings(max_examples=600, deadline=None)
+def test_fold_is_the_stepwise_fold(data):
+    """Sort.fold, one exact sum collapsed once, is the stepwise fold."""
+    sort, terms = data
+    got = sort.fold(terms)
+    assert got == stepwise_fold(terms, sort) and type(got) is type(stepwise_fold(terms, sort))
+    assert got == 0 or sorts.layer_valid(got, sort)
+
+
+@given(st.sampled_from(EVERY_SORT), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=300, deadline=None)
+def test_p_eval_at_ties_is_the_stepwise_fold(sort, rng, data):
+    """At tie-heavy values, p_eval's layer is the stepwise sum over the
+    tied terms of c * k**e, for coefficient layers c and the point's k."""
+    layer = st.one_of(st.just(F(0)), layer_for(sort))
+    exps = data.draw(st.sets(exponent_for(sort), min_size=1, max_size=5))
+    f = lt.poly({e: lt.LayeredScalar(tied_value(rng), data.draw(layer)) for e in exps})
+    x = lt.LayeredScalar(tied_value(rng), data.draw(layer))
+    values = {e: c.value + e * x.value for e, c in f.coeffs.items()}
+    tied = [(c.layer, e) for e, c in f.coeffs.items() if values[e] == max(values.values())]
+    want = functools.reduce(sort.add, (sort.mul(c, sort.pow(x.layer, e)) for c, e in tied))
+    assert lt.p_eval(f, x, sort) == lt.LayeredScalar(max(values.values()), want)
 
 
 @given(sort_and_scalars(3))
