@@ -7,24 +7,28 @@ test, ``polys.is_primary``, lives beside the hull; ``separable_factor``
 reads the hull's corners (``polys.hull_vertices``), as the decomposition
 reads its slopes.  Any polynomial factors uniquely (up to nu-value) as
 unit * f_{a_1} ... f_{a_d} with strictly decreasing roots; the factors
-are split off bottom-part-first.  ``eval_sort`` reads the layer of f(b)
-off that decomposition as one ``Sort.fold`` of its parts: the factor
-whose root b's value is contributes ``p_eval`` of it at b.  The
-map psi_a reads off the coefficient layers of an a-primary polynomial
-as a classical polynomial over Q, which carries multiplicity
-information.
+are split off bottom-part-first, each a slice of the full form whose
+values come from its ``_scaled`` ints, one ``Fraction`` each.
+``eval_sort`` reads the layer of f(b) off that decomposition as one
+``Sort.fold`` of its parts: b is placed against the roots by int
+cross-multiplication, and the factor whose root b's value is, where
+all its terms tie, contributes the sum of its coefficient layers times
+powers of b's layer.  The map psi_a reads off the coefficient layers of
+an a-primary polynomial as a classical polynomial over Q, which carries
+multiplicity information.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
 from . import sorts
 from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import (LayeredPoly, full_form, hull_vertices, is_primary, monomial, p_eval, p_mul, p_shift,
-                    poly, slopes)
+from .polys import (LayeredPoly, checked_layers, full_form, hull_vertices, is_primary, monomial, p_eval, p_mul,
+                    p_shift, poly, slopes)
 from .scalars import ONE, LayeredScalar
 from .sorts import NAT, POSQ, RAT, Sort, layer_valid
 
@@ -63,11 +67,13 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     is invalid or has no inverse is refused before anything else; then
     every coefficient layer is checked in term order, so a bad layer
     below the hull raises InvalidLayer before ``full_form(f)`` can raise
-    OutOfRange.  That full form is built once.  Each factor is its slice
-    of it, values minus the slice's top value and layers divided by the
-    top layer: dividing by the lead first would change neither, since a
-    shift of every value moves no slope.  The reconstruction check
-    compares with the full form.
+    OutOfRange.  That full form is built once, and ``slopes`` builds its
+    ``_scaled`` view, the values as ints over one denominator D.  Each
+    factor is its slice of the full form, values minus the slice's top
+    value and layers divided by the top layer: dividing by the lead first
+    would change neither, since a shift of every value moves no slope.
+    So a factor value is one ``Fraction`` of the int difference over D.
+    The reconstruction check compares with the full form.
     """
     if f.is_zero:
         raise PreconditionViolated("cannot decompose the zero polynomial")
@@ -77,17 +83,18 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     for c in f.coeffs.values():
         sorts.require_layer(c.layer, work_sort)
     full = full_form(f)
-    d = full.degree
+    runs = slopes(full)
+    scale, ints = full._scaled()
+    full_layers = [c.layer for c in full.coeffs.values()]
+    d, low = full.degree, full.min_exp  # ints[i] and full_layers[i] belong to exponent low + i
     factors = []
-    for root, (start, end) in reversed(slopes(full)):  # bottom part first
-        lo, hi = d - end, d - start
-        pivot = full.coeffs[hi]
-        part = {}
-        for e in range(lo, hi + 1):
-            c = full.coeffs[e]
-            part[e - lo] = LayeredScalar(
-                Fraction(c.value - pivot.value), sorts.layer_div(c.layer, pivot.layer, work_sort)
-            )
+    for root, (start, end) in reversed(runs):  # bottom part first
+        lo, hi = d - end - low, d - start - low
+        top, pivot = ints[hi], full_layers[hi]
+        part = {
+            i - lo: LayeredScalar(Fraction(ints[i] - top, scale), sorts.layer_div(full_layers[i], pivot, work_sort))
+            for i in range(lo, hi + 1)
+        }
         factors.append(PrimaryFactor(root, LayeredPoly(part, form="full"), hi - lo))
 
     factors.reverse()
@@ -205,49 +212,64 @@ def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     where k is b's layer, when a power of the variable was divided out;
     then for each factor, k**degree when its root lies below b's value,
     its constant-term layer when its root lies above, and when b's value
-    is its root, where every monomial ties, the factor evaluated at b
-    (``p_eval``), whose layer is the sum of all its monomials' layers.
-    ``Sort.fold`` multiplies the unit layer and the parts in one exact
-    product, collapsed once; a decomposition without parts returns the
-    unit layer as it is.
+    is its root, where every monomial of the factor ties, the sum of
+    c * k**e over its terms (c the coefficient layer of x^e).
+    ``Sort.fold`` takes that whole sum of products in one exact fold,
+    collapsed once; a decomposition without parts returns the unit layer
+    as it is.
+
+    b is placed against the strictly decreasing roots p / q by the sign
+    of n * q - p * d, for b's value n / d.  A float value is placed where
+    comparing it with the root places it: a finite one at its exact
+    ratio, inf above and -inf below every root (and nan, which compares
+    false, above); at a root it raises AttributeError, as ``p_eval``
+    reads a value as an int or ``Fraction``.
 
     The parts are read in the order of the stepwise product, so a bad
     input raises what ``layer_mul`` and ``layer_pow_int`` would: k is
-    checked once, at the first power with a positive exponent, and a
-    power beyond ``Sort.pow_limit`` is taken where it comes, since it
-    may refuse; each constant term is checked as its part comes, and the
-    unit after the first part.  ``p_eval`` checks k on its own, and keeps
-    the checked coefficient layers of each factor per sort object, so a
-    decomposition probed at its roots again under one sort checks them
-    once; the unit and the constant terms are checked per call.
-    ``p_eval`` reads b's value as an int or ``Fraction``, as every
-    kernel does: a point at a root with a float value raises
-    AttributeError.
+    checked at the first power with a positive exponent, and a power
+    beyond ``Sort.pow_limit`` is taken where it comes, since it may
+    refuse (the limit is computed only when it can be below the
+    exponent, ``Sort.capped_pow_limit``); each constant term is checked
+    as its part comes, and the unit after the first part.  The crossed
+    factor's layers and k are checked as ``p_eval`` checks them
+    (``checked_layers``), so its coefficient layers once per sort
+    object: a decomposition probed at its roots again under one sort
+    checks them once.
     """
-
-    def parts():
-        """(layer, 1) per part, or (None, n) for the power k**n."""
-        if decomp.lambda_power:
-            yield None, decomp.lambda_power
-        for factor in decomp.factors:
-            if b.value == factor.root_value:
-                yield p_eval(factor.poly, b, sort).layer, 1
-            elif b.value < factor.root_value:
-                yield sorts.require_layer(factor.poly.coeffs[0].layer, sort), 1
-            else:
-                yield None, factor.degree
-
-    product = []
-    k, limit = None, 0
-    for layer, n in parts():
-        if layer is None:
-            if n and k is None:
-                k = sorts.require_layer(b.layer, sort)
-                limit = sort.pow_limit(k)
-            if n > limit:
-                sort.pow(k, n)
-            layer = k
+    factors = decomp.factors
+    if factors:
+        v = b.value
+        if isinstance(v, float):
+            bn, bd = v.as_integer_ratio() if math.isfinite(v) else (-1 if v < 0 else 1, 0)
+        else:
+            bn, bd = v.numerator, v.denominator
+    product = []  # (layer, exponent) pairs, the unit's first
+    tied = [[]]  # at a root, [(c, 1), (k, e)] per term of the crossed factor
+    k = None
+    for factor in ((None,) if decomp.lambda_power else ()) + factors:
+        if factor is None:  # x**lambda_power, whose root lies below every value
+            side, n = 1, decomp.lambda_power
+        else:
+            root = factor.root_value
+            side, n = bn * root.denominator - root.numerator * bd, factor.degree
+        if side > 0:
+            if n:  # k**0 is 1, and reads no k
+                if k is None:
+                    k = sorts.require_layer(b.layer, sort)
+                if n > sort.capped_pow_limit(k, n):
+                    sort.pow(k, n)
+            part = (k, n)
+        elif side < 0:
+            part = (sorts.require_layer(factor.poly.coeffs[0].layer, sort), 1)
+        else:
+            if isinstance(v, float):
+                raise AttributeError(f"a float point value {v!r} at a root has no denominator")
+            layers, kr = checked_layers(factor.poly, b.layer, sort)
+            tied = [[(c, 1), (kr, e)] for e, c in zip(factor.poly.coeffs, layers)]
+            part = None
         if not product:
             product.append((sorts.require_layer(decomp.unit.layer, sort), 1))
-        product.append((layer, n))
-    return sort.fold([product]) if product else decomp.unit.layer
+        if part:
+            product.append(part)
+    return sort.fold([product + t for t in tied]) if product else decomp.unit.layer

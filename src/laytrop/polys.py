@@ -11,11 +11,12 @@ polynomial's hull is one edge.  ``_hull_classify`` finds it exactly, in
 one scan of the points that keeps those on the hull and one walk over
 the kept points, by cross-multiplication of ints: the values are scaled
 once per polynomial over their common denominator (its ``_scaled``
-view, which ``p_eval`` reads too).  Only this module reads the hull's
-statuses; ``factor.separable_factor`` reads ``hull_vertices``.  A
-polynomial carries a ``form`` tag ("essential", "full" or None);
-consumers that require a form check the tag instead of assuming it, and
-a full form also for a gap between its exponents.
+view, which ``p_eval``, the gap fill of ``full_form``, ``slopes`` and
+the factor values of the primary decomposition read too).  Only this
+module reads the hull's statuses; ``factor.separable_factor`` reads
+``hull_vertices``.  A polynomial carries a ``form`` tag ("essential",
+"full" or None); consumers that require a form check the tag instead of
+assuming it, and a full form also for a gap between its exponents.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class LayeredPoly:
     ``(D, ints)``, the coefficient values as ints over their common
     denominator D (``integer_scale``), which no sort affects.
     ``_checked`` is ``(sort, layers)``, the coefficient layers as the
-    last ``p_eval`` that checked them all returned them from
+    last ``checked_layers`` pass that checked them all returned them from
     ``sorts.require_layer`` under that sort (compared by ``is``), or None.
     """
 
@@ -169,6 +170,49 @@ def p_pow(f: LayeredPoly, n: int, sort: Sort) -> LayeredPoly:
     return out
 
 
+def checked_layers(f: LayeredPoly, layer, sort: Sort):
+    """(layers, k): the coefficient layers of a nonzero f in term order
+    and a point's layer k, checked under sort as ``p_eval`` checks them;
+    k is None when f is a constant, which never reads it.
+
+    Each coefficient layer is checked in term order, unless f's
+    ``_checked`` view holds this very sort: those checks passed, and the
+    view gives their layers.  A pass that checks them all records the
+    view.  k is checked once, at the first positive exponent.  A power
+    that ``Sort.pow`` could refuse, an exponent beyond
+    ``Sort.pow_limit(k)``, is taken where its term comes, before its
+    coefficient's check, so a bad input raises what ``ls_pow`` and
+    ``ls_mul`` would.  That limit is computed only when it can be below
+    f's highest exponent (``Sort.capped_pow_limit``).
+    """
+    coeffs = f.coeffs
+    top = next(reversed(coeffs))
+    checked = f._checked
+    if checked is not None and checked[0] is sort:
+        if not top:
+            return checked[1], None
+        k = sorts.require_layer(layer, sort)
+        limit = sort.capped_pow_limit(k, top)
+        if top > limit:
+            for e in coeffs:
+                if e > limit:
+                    sort.pow(k, e)
+        return checked[1], k
+    layers = []
+    k = None
+    limit = 0  # only exponent 0 comes before k is read
+    for e, c in coeffs.items():
+        if e and k is None:
+            k = sorts.require_layer(layer, sort)
+            limit = sort.capped_pow_limit(k, top)
+        if e > limit:
+            sort.pow(k, e)
+        layers.append(sorts.require_layer(c.layer, sort))
+    layers = tuple(layers)
+    f._checked = (sort, layers)
+    return layers, k
+
+
 def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     """Evaluate f at x; the zero polynomial evaluates to BOTTOM.
 
@@ -176,56 +220,40 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     monomials added.  The coefficient values come as ints over their
     common denominator D (f's ``_scaled`` view), and x's value is
     n / d, so the term of exponent e is (D * d)^-1 times the int
-    c * d + e * n * D (x's value is read only where a positive exponent
-    reads it).  The loop adds, compares and ties these ints, and one
-    ``Fraction`` is built at the end; D * d is positive, so every order
-    and tie of the values holds for the ints.
+    c * d + e * n * D (x's value is read first, and only when f's highest
+    exponent is positive).  The loop adds, compares and ties these ints,
+    and one ``Fraction`` is built at the end; D * d is positive, so every
+    order and tie of the values holds for the ints.
 
-    Values come first and layers last: one pass over the terms, in
+    Checks come first (``checked_layers``: x's layer at the first
+    positive exponent, each coefficient layer unless f's ``_checked`` view
+    holds this sort, and each power that ``Sort.pow`` could refuse, tied
+    or not), then values, then layers: one pass over the terms, in
     ascending exponent order, finds the best value and the tied
     (coefficient layer, exponent) pairs, and one ``Sort.fold`` then sums
     c * k**e, for x's layer k, over the tied pairs only, exactly and
     collapsed once.  A single tied term of exponent 0, or at a point of
     layer 1, answers with its checked coefficient layer: k**0 and 1**e
     are 1, and a checked layer times 1 is itself under every sort (layer
-    0 included).  The pass checks x's
-    layer once, at the first positive exponent (a constant accepts any
-    x), and each coefficient layer, unless f's ``_checked`` view holds
-    this very sort: those checks passed, and the view gives their
-    layers.  A pass that checks them all records the view.  A power that
-    ``Sort.pow`` could refuse (an exponent beyond ``Sort.pow_limit``) is
-    taken in the pass, before its coefficient's check, tied or not, so a
-    bad input raises what ``ls_pow`` and ``ls_mul`` would.
+    0 included).  Only the checks raise, so they raise in the order of
+    the stepwise ``ls_pow`` and ``ls_mul``.
     """
     coeffs = f.coeffs
     if not coeffs:
         return BOTTOM
     scale, ints = f._scaled()
     xd, xn = 1, 0
-    if f.degree > 0:
+    if next(reversed(coeffs)):
         xv = x.value
         xd, xn = xv.denominator, xv.numerator * scale
-    checked = f._checked
-    hit = checked is not None and checked[0] is sort
-    fresh = []  # the coefficient layers this pass checks, on a miss
-    best = xl = None
-    limit = 0  # only exponent 0 comes before x's layer is read
-    for e, v, cl in zip(coeffs, ints, checked[1] if hit else coeffs.values()):
-        if e and xl is None:
-            xl = sorts.require_layer(x.layer, sort)
-            limit = sort.pow_limit(xl)
-        if e > limit:
-            sort.pow(xl, e)
-        if not hit:
-            cl = sorts.require_layer(cl.layer, sort)
-            fresh.append(cl)
+    layers, xl = checked_layers(f, x.layer, sort)
+    best = None
+    for e, v, cl in zip(coeffs, ints, layers):
         v = v * xd + e * xn
         if best is None or v > best:
             best, tied = v, [(cl, e)]
         elif v == best:
             tied.append((cl, e))
-    if not hit:
-        f._checked = (sort, tuple(fresh))
     if len(tied) == 1 and (tied[0][1] == 0 or xl == 1):
         layer = tied[0][0]
     else:
@@ -323,26 +351,28 @@ def full_form(f: LayeredPoly) -> LayeredPoly:
     The result has a coefficient at every exponent between the lowest
     and highest essential exponents; inserted ones carry layer 0 and the
     value interpolated linearly on the hull edge.  A span of more than
-    ``MAX_FULL_FORM_TERMS`` exponents raises OutOfRange.
+    ``MAX_FULL_FORM_TERMS`` exponents raises OutOfRange.  The gap values
+    are read off f's ``_scaled`` view, which the hull scan built: between
+    essential exponents lo < hi with the ints a and b over D, exponent e
+    has the value (a * (hi - e) + b * (e - lo)) / (D * (hi - lo)), one
+    ``Fraction`` per inserted coefficient.
     """
     base = essential_form(f)
     if base.is_zero:
         return LayeredPoly({}, form="full")
-    exps = sorted(base.coeffs)
+    exps = list(base.coeffs)
     if exps[-1] - exps[0] > MAX_FULL_FORM_TERMS:
         raise OutOfRange(
             f"a full form spanning {exps[-1] - exps[0]} exponents exceeds "
             f"the limit of {MAX_FULL_FORM_TERMS}"
         )
+    scale, ints = f._scaled()
+    scaled = dict(zip(f.coeffs, ints))
     out = dict(base.coeffs)
     for lo, hi in zip(exps, exps[1:]):
-        if hi == lo + 1:
-            continue
-        v_lo = base.coeffs[lo].value
-        v_hi = base.coeffs[hi].value
-        step = Fraction(v_hi - v_lo, hi - lo)
+        a, b, den = scaled[lo], scaled[hi], scale * (hi - lo)
         for exp in range(lo + 1, hi):
-            out[exp] = LayeredScalar(v_lo + step * (exp - lo), Fraction(0))
+            out[exp] = LayeredScalar(Fraction(a * (hi - exp) + b * (exp - lo), den), Fraction(0))
     return LayeredPoly(out, form="full")
 
 
@@ -366,14 +396,16 @@ def slopes(f: LayeredPoly):
     consecutive corners of the coefficient hull (the "vertex" points of
     ``_hull_classify``, read in descending exponent order), so they are
     the homogeneous parts; the list starts at the top part, so the slopes
-    strictly decrease along it.
+    strictly decrease along it.  Each slope is one ``Fraction`` of the
+    corners' ints in f's ``_scaled`` view, which the hull scan reads too.
     """
     _require_full(f)
-    corners = [e for e, st in zip(f.coeffs, _hull_classify(f)) if st == "vertex"][::-1]
+    scale, ints = f._scaled()
+    corners = [(e, v) for e, v, st in zip(f.coeffs, ints, _hull_classify(f)) if st == "vertex"][::-1]
     runs = []
-    for hi, lo in zip(corners, corners[1:]):
-        slope = Fraction(f.coeffs[lo].value - f.coeffs[hi].value, hi - lo)
-        runs.append((slope, (corners[0] - hi, corners[0] - lo)))
+    for (hi, v_hi), (lo, v_lo) in zip(corners, corners[1:]):
+        slope = Fraction(v_lo - v_hi, scale * (hi - lo))
+        runs.append((slope, (corners[0][0] - hi, corners[0][0] - lo)))
     return runs
 
 

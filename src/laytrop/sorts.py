@@ -51,8 +51,8 @@ and ``mp_mul`` hand each tied sum to one ``sort.fold``, and
 checks a polynomial's coefficient layers once per sort object, and
 keeps the checked layers on the polynomial.  ``eval_sort`` checks its
 parts in the order of the stepwise product (``require_layer``, and
-``p_eval`` for the factor whose root the point crosses) and hands them
-to one ``sort.fold``.  Values carry no sort: ``p_eval``,
+``polys.checked_layers``, ``p_eval``'s checks, for the factor whose root
+the point crosses) and hands them to one ``sort.fold``.  Values carry no sort: ``p_eval``,
 ``p_mul`` and ``mp_mul``, the coefficient hull and the raster fold
 scale them once to ints over one common denominator and compare those
 ints; ``p_eval`` and the products then compute layers
@@ -228,6 +228,17 @@ class Sort:
         collapse keeps powers short the bound is INF.
         """
         return MAX_LAYER_BITS // _bits(l) if self.exact else INF
+
+    def capped_pow_limit(self, l, top):
+        """min(top, pow_limit(l)) for a checked layer l and an exponent
+        top >= 0, computing ``pow_limit`` only when it can be below top:
+        l's numerator and denominator together have at least as many bits
+        as l, so while top times their bit lengths stays within
+        MAX_LAYER_BITS no power up to top can be refused (nor can any
+        power of ``INF``, which occurs only where the bound is INF)."""
+        if type(l) is float or top * (l.numerator.bit_length() + l.denominator.bit_length()) <= MAX_LAYER_BITS:
+            return top
+        return min(top, self.pow_limit(l))
 
 
 UNIT = Sort("unit", member=lambda l: l == 1, collapse=lambda x: _ONE if x else x)

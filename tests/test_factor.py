@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import laytrop as lt
-from conftest import ALL_SORTS, linear_product, probe_points, rand_poly, rand_primary
+from conftest import ALL_SORTS, linear_product, outcome, probe_points, rand_poly, rand_primary
 from laytrop import factor
 
 sc = lt.scalar
@@ -200,18 +201,53 @@ def test_eval_sort_examples():
     assert lt.eval_sort(d3, sc(9, 1), lt.POSQ) == 1  # tangible above all roots
 
 
+def test_eval_sort_places_points_whose_values_are_not_fractions():
+    """b is placed against the root 3/2 of x^2 + 1:1*x + 3:2 as comparing its
+    value with the root places it: above it k**2 = 4, below it the constant
+    term's layer 2.  At the root a float value raises AttributeError, as
+    ``p_eval`` reads a value as an int or ``Fraction``."""
+    d = lt.primary_decomposition(P("x^2 + 1:1*x + 3:2"), lt.POSQ)
+    assert [(pf.root_value, pf.degree) for pf in d.factors] == [(F(3, 2), 2)]
+    cases = [(2.5, 4), (-7.0, 2), (math.inf, 4), (-math.inf, 2), (math.nan, 4), (1, 2), (2, 4),
+             (1.4999999999999998, 2), (1.5000000000000002, 4)]
+    for v, want in cases:
+        got = lt.eval_sort(d, lt.LayeredScalar(v, F(2)), lt.POSQ)
+        assert got == want and type(got) is F, (v, got)
+    assert lt.eval_sort(d, lt.LayeredScalar(F(3, 2), F(2)), lt.POSQ) == 1 * 2**2 + 2  # every term ties
+    with pytest.raises(AttributeError):
+        lt.eval_sort(d, lt.LayeredScalar(1.5, F(2)), lt.POSQ)
+
+
 def test_reconstruction_and_eval_sort_on_probe_grid():
-    rng = random.Random(21)
-    for _ in range(80):
-        f = rand_poly(rng, lt.POSQ, max_deg=6)
-        d = lt.primary_decomposition(f, lt.POSQ)
-        full = lt.full_form(f)
-        prod = d.product(lt.POSQ)
-        assert prod == full
-        for b in probe_points(d, count=25):
-            expected = lt.p_eval(full, b, lt.POSQ)
-            assert lt.p_eval(prod, b, lt.POSQ) == expected
-            assert lt.eval_sort(d, b, lt.POSQ) == expected.layer
+    """Under posq, q and nat, the product of the factors is the full form,
+    and eval_sort gives the layer of p_eval on it, around the roots and
+    exactly at each root at layers 0, 1 and one more of the sort, where
+    every term of the crossed factor ties.  A promoted nat decomposition
+    is evaluated under posq, the sort it was computed in."""
+    for sort, other in ((lt.POSQ, F(1, 2)), (lt.RAT, F(-3, 2)), (lt.NAT, F(3))):
+        rng = random.Random(21)
+        decomposed = at_roots = 0
+        for _ in range(80):
+            f = rand_poly(rng, sort, max_deg=6)
+            d = outcome(lt.primary_decomposition, f, sort)
+            if isinstance(d, type):  # under q a layer 0 at a corner has no inverse
+                assert sort == lt.RAT and d is lt.NonInvertibleLayer
+                continue
+            decomposed += 1
+            work = lt.POSQ if d.promoted_sort else sort
+            full = lt.full_form(f)
+            prod = d.product(work)
+            assert prod == full
+            at_root = [lt.LayeredScalar(pf.root_value, l) for pf in d.factors for l in (F(0), F(1), other)]
+            at_roots += len(at_root)
+            # the probe layer 1/2 is no nat layer: there the probe takes the other layer
+            around = [b if lt.layer_valid(b.layer, work) else b._replace(layer=other)
+                      for b in probe_points(d, count=25)]
+            for b in around + at_root:
+                expected = lt.p_eval(full, b, work)
+                assert lt.p_eval(prod, b, work) == expected
+                assert lt.eval_sort(d, b, work) == expected.layer, (sort, f, b)
+        assert decomposed >= 60 and at_roots >= 300, sort
 
 
 def test_root_data_stable_under_quasi_essential_relayering():

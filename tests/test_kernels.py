@@ -5,8 +5,8 @@ layer once and then run on the sort's unchecked operations: the tied
 sums of ``p_eval``, ``p_mul`` and ``mp_mul`` are one exact
 ``Sort.fold`` each, collapsed once.  ``eval_sort`` checks its parts in
 the order of the stepwise product (b's layer once, each constant term,
-the unit, and ``p_eval`` for the factor whose root the point crosses)
-and multiplies them in one ``Sort.fold``.  The oracles below are the
+the unit, and ``p_eval``'s checks for the factor whose root the point
+crosses) and takes their sum of products in one ``Sort.fold``.  The oracles below are the
 compositions of checked scalar and layer operations, one step at a
 time, that these kernels used to be; the kernels must give the same
 result, or refuse with the same exception class, on every input.
@@ -220,6 +220,36 @@ def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
         powers.clear()
         assert lt.p_eval(g, y, sort) == lt.scalar(1000, 1)
         assert powers == ([130] if sort == lt.NAT else [])
+
+
+def test_the_power_limit_is_computed_only_where_it_can_matter(monkeypatch):
+    """p_eval and eval_sort compute ``Sort.pow_limit`` only when an exponent
+    times the bit lengths of k's numerator and denominator passes
+    MAX_LAYER_BITS; a power beyond the limit is still taken, and refused
+    where it is too long."""
+    limits = []
+    pow_limit = sorts.Sort.pow_limit
+    monkeypatch.setattr(sorts.Sort, "pow_limit", lambda self, l: limits.append(l) or pow_limit(self, l))
+    f = lt.full_form(lt.parse_poly("x^6 + 3:2*x^4 + 2:1*x + 9:3"))
+    dec = lt.primary_decomposition(f, lt.NAT)
+    tiny = 1 / HUGE  # a long denominator: no nat layer
+    for layer in (F(1), F(3), F(7, 5), HUGE, F(0), tiny):
+        for sort in (lt.NAT, lt.POSQ, lt.RAT):
+            x = lt.LayeredScalar(F(9, 2), layer)
+            want = outcome(oracle_p_eval, f, x, sort)
+            assert outcome(lt.p_eval, f, x, sort) == want
+            assert outcome(lt.eval_sort, dec, x, sort) == (want if isinstance(want, type) else want.layer)
+    # only HUGE and tiny, of 6002 bits: x**3 passes MAX_LAYER_BITS, and is refused, once per
+    # p_eval and once per eval_sort under each sort that admits the layer
+    assert limits == [HUGE] * 6 + [tiny] * 4 and sorts.NAT.pow_limit(HUGE) == sorts.RAT.pow_limit(tiny) == 2
+    # 2**2730: 6 * (2731 + 1) bits pass the bound, the limit is 16384 // 2731 = 5, and x**6
+    # (2**16380) is taken but not refused; 5 * 2732 bits stay within it
+    big = F(2**2730)
+    for g, computed in ((f, [big]), (lt.poly({0: lt.scalar(100, 1), 5: lt.ONE}), [])):
+        limits.clear()
+        x = lt.LayeredScalar(F(0), big)
+        assert lt.p_eval(g, x, lt.NAT) == oracle_p_eval(g, x, lt.NAT)
+        assert limits == computed
 
 
 # single ties at exponent 0 and at x layer 1 answer with the coefficient layer
