@@ -8,7 +8,9 @@ reads the hull's corners (``polys.hull_vertices``), as the decomposition
 reads its slopes.  Any polynomial factors uniquely (up to nu-value) as
 unit * f_{a_1} ... f_{a_d} with strictly decreasing roots; the factors
 are split off bottom-part-first, each a slice of the full form whose
-values come from its ``_scaled`` ints, one ``Fraction`` each.
+values come from its ``_scaled`` ints, one ``Fraction`` each, and whose
+layers are the checked layers divided by the slice's top layer, whose
+invertibility is checked once per slice.
 ``eval_sort`` reads the layer of f(b) off that decomposition as one
 ``Sort.fold`` of its parts: b is placed against the roots by int
 cross-multiplication, and the factor whose root b's value is, where
@@ -26,11 +28,11 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import sorts
-from .errors import NotMonic, NotPrimary, NotSeparable, PreconditionViolated
+from .errors import NonInvertibleLayer, NotMonic, NotPrimary, NotSeparable, PreconditionViolated
 from .polys import (LayeredPoly, checked_layers, full_form, hull_vertices, is_primary, monomial, p_eval, p_mul,
                     p_shift, poly, slopes)
 from .scalars import ONE, LayeredScalar
-from .sorts import NAT, POSQ, RAT, Sort, layer_valid
+from .sorts import NAT, POSQ, RAT, Sort, is_inf, layer_valid
 
 
 class PrimaryFactor(NamedTuple):
@@ -73,6 +75,11 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     value and layers divided by the top layer: dividing by the lead first
     would change neither, since a shift of every value moves no slope.
     So a factor value is one ``Fraction`` of the int difference over D.
+    The top layer, the slice's pivot, is checked once for what
+    ``layer_div`` would refuse, layer 0 and ``inf``, with its errors and
+    messages; then the checked layers, the entry pass's and the gaps' 0,
+    are divided by it directly, 0 staying 0, and a pivot of 1 leaves
+    them as they are.
     The reconstruction check compares with the full form.
     """
     if f.is_zero:
@@ -80,21 +87,25 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     work_sort = POSQ if sort == NAT else sort
     lead = f.coeffs[f.degree]
     sorts.layer_div(Fraction(1), lead.layer, work_sort)
-    for c in f.coeffs.values():
-        sorts.require_layer(c.layer, work_sort)
+    checked = {e: sorts.require_layer(c.layer, work_sort) for e, c in f.coeffs.items()}
     full = full_form(f)
     runs = slopes(full)
     scale, ints = full._scaled()
-    full_layers = [c.layer for c in full.coeffs.values()]
+    # an essential coefficient of the full form is f's own, checked above; an inserted one has layer 0
+    full_layers = [checked[e] if c is f.coeffs.get(e) else c.layer for e, c in full.coeffs.items()]
     d, low = full.degree, full.min_exp  # ints[i] and full_layers[i] belong to exponent low + i
     factors = []
     for root, (start, end) in reversed(runs):  # bottom part first
         lo, hi = d - end - low, d - start - low
         top, pivot = ints[hi], full_layers[hi]
-        part = {
-            i - lo: LayeredScalar(Fraction(ints[i] - top, scale), sorts.layer_div(full_layers[i], pivot, work_sort))
-            for i in range(lo, hi + 1)
-        }
+        if pivot == 0:  # layer_div's refusals, checked once per slice: trunc was refused at the lead
+            raise NonInvertibleLayer("layer 0 is not invertible")
+        if is_inf(pivot):
+            raise NonInvertibleLayer(f"layer inf is not invertible under {work_sort}")
+        quotients = full_layers[lo:hi + 1]
+        if pivot != 1:
+            quotients = [l / pivot if l else l for l in quotients]  # 0 stays 0
+        part = {k: LayeredScalar(Fraction(ints[lo + k] - top, scale), l) for k, l in enumerate(quotients)}
         factors.append(PrimaryFactor(root, LayeredPoly(part, form="full"), hi - lo))
 
     factors.reverse()

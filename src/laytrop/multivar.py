@@ -13,12 +13,16 @@ monomial layer error raises at the first row that reaches it.
 
 Every evaluation here, pointwise or on a grid, is one integer fold
 (``_Affine``): on a lattice the value of each monomial is an affine form
-in the integer lattice indices.  The set-up builds the forms of one
-polynomial as ints, from numerators and denominators, times one common
-multiple D of their denominators (not always the least one), and takes
-each coordinate power once per (axis, exponent); ``_grid`` builds each
-axis's coordinates over one denominator of its own.  The fold then adds,
-compares and ties Python ints, and only its maximum is divided by D.
+in the integer lattice indices.  The set-up reads each exponent,
+coefficient value, origin coordinate and step once, as the int pair of
+``as_integer_ratio()``, and builds the forms of one polynomial as ints
+times one common multiple D of their denominators (not always the least
+one).  It takes each coordinate power once per (axis, exponent), merges
+terms on their exponent ratios, and computes each distinct exponent
+vector's layer in one ``Sort.fold``, leaving out powers of layer 1;
+``_grid`` builds each axis's coordinates over one denominator of its
+own.  The fold then adds, compares and ties Python ints, and only its
+maximum is divided by D.
 This is exact, not an approximation: a positive D keeps every order and
 equality, so the ties, and with them layers, corner supports and
 components, are those of the exact rational values.  A point is the
@@ -93,24 +97,6 @@ def mp_mul(F: MultiPoly, G: MultiPoly, sort: Sort) -> MultiPoly:
     return multipoly(F.arity, terms)
 
 
-def _monomial_layer(exps, coeff, power, sort: Sort):
-    """The layer of coeff * prod x_j ** e_j, power(j, e) being x_j ** e.
-
-    Each coordinate's layer is checked where its power is taken, the
-    coefficient's at the first product and a constant's on its own; a
-    coordinate with exponent 0 is never read.  ``_Affine`` takes each
-    power once per (axis, exponent): one it kept was checked when taken.
-    """
-    layer = None
-    for j, e in enumerate(exps):
-        if e:
-            p = power(j, e)
-            if layer is None:
-                layer = sorts.require_layer(coeff.layer, sort)
-            layer = sort.mul(layer, p)
-    return sorts.require_layer(coeff.layer, sort) if layer is None else layer
-
-
 def mp_eval(F: MultiPoly, point, sort: Sort):
     """The layered sum of the monomial values; BOTTOM without monomials."""
     at = _at_point(F, point, sort)
@@ -140,12 +126,17 @@ class _Affine:
     Every monomial then has a constant layer, and its value
     c + sum_j e_j * x_j is an affine form a + sum_j k_j * b_j in the
     indices, with a its value at the origin and b_j = e_j * step_j.
-    ``__init__`` builds these forms as ints, from numerators and
-    denominators, times one common multiple D of the denominators of c,
-    of each e_j * x_j and of each e_j * step_j: the least common multiple
-    of the coefficient, coordinate and step denominators times that of
-    the exponent denominators, not always the least such multiple.
-    ``fold`` then compares and ties Python ints, and a caller
+    ``__init__`` reads c, each e_j, x_j and step_j once as the int pair
+    of ``as_integer_ratio()`` and builds these forms as ints, times one
+    common multiple D of the denominators of c, of each e_j * x_j and of
+    each e_j * step_j: the least common multiple of the coefficient,
+    coordinate and step denominators times that of the exponent
+    denominators, not always the least such multiple.  The layer of each
+    distinct exponent vector is one ``Sort.fold`` over its tied terms'
+    coefficient layers and its coordinate powers, which are taken once
+    per (axis, exponent) and left out where they are 1: no product by a
+    power of layer 1 is taken.  ``fold`` then compares and ties Python
+    ints, and a caller
     divides by D once per point.  This is exact: D is positive, so every
     order and equality of the values holds for the ints, and the tie set
     and what ``facts`` reads from it, the layer sum, the corner support
@@ -168,38 +159,62 @@ class _Affine:
     def __init__(self, F: MultiPoly, origin, steps, sort: Sort):
         """Fix the monomial layers of F on the lattice origin + k * steps.
 
-        ``_monomial_layer`` checks every term at the origin, in term
-        order, with the same checks and stepwise truncation caps at a grid
-        as at a point, so an invalid input raises here wherever it is
-        evaluated.  Terms with one exponent vector then merge as their
-        layered sum: the larger value wins and equal values add their
-        layers.  By distributivity of the sort that is the monomial of the
-        layered sum of their coefficients, so F answers as the polynomial
-        with merged terms does.
+        Each term is checked at the origin, in term order: its first
+        coordinate power is taken before its coefficient layer is checked,
+        and a constant's layer is checked on its own, with the same checks
+        and stepwise truncation caps at a grid as at a point, so an invalid
+        input raises here wherever it is evaluated.  A coordinate power is
+        taken once per (axis, exponent), the pair read as ints.  Terms with
+        one exponent vector then merge as their layered sum: the larger
+        value wins and equal values add their layers.  By distributivity
+        of the sort that is the monomial of the layered sum of their
+        coefficients, so F answers as the polynomial with merged terms
+        does.  That layer is one ``Sort.fold`` over the tied terms'
+        coefficient layers and the vector's coordinate powers, a power of
+        layer 1 left out; a lone term without another power gives its
+        checked coefficient layer.
         """
-        terms = F.terms()
-        power = functools.cache(lambda j, e: sorts.layer_pow_int(origin[j].layer, e, sort))
-        layers = [_monomial_layer(e, c, power, sort) for e, c in terms]
-        xs = [(x.value.numerator, x.value.denominator) for x in origin]
-        hs = [(h.numerator, h.denominator) for h in steps]
-        dens = {c.value.denominator for _, c in terms} | {d for _, d in xs + hs}
-        D = self.scale = math.lcm(*dens) * math.lcm(*{ej.denominator for e, _ in terms for ej in e})
-
-        def times_d(e, pairs):  # e_j * n_j / d_j times D, per axis j
-            return [ej.numerator * n * (D // (ej.denominator * d)) for ej, (n, d) in zip(e, pairs)]
-
-        merged = {}  # exponent vector -> (a, layer), in term order
-        for (e, c), layer in zip(terms, layers):
-            a = c.value.numerator * (D // c.value.denominator) + sum(times_d(e, xs))
-            old = merged.get(e)
-            if old is None or a > old[0]:
-                merged[e] = (a, layer)
-            elif a == old[0]:
-                merged[e] = (a, sort.add(old[1], layer))
-        self.forms = [(a, tuple(times_d(e, hs))) for e, (a, _) in merged.items()]  # (a, (b_j, ...)) times D
+        powers = [{} for _ in origin]  # per axis, exponent ratio -> [(power, 1)], or [] for a power of 1
+        merged = {}  # exponent ratios -> (exponent vector, [(power, 1), ...], [(coefficient, layer), ...])
+        for e, c in F.terms():
+            key = tuple([ej.as_integer_ratio() for ej in e])
+            layer = None
+            others = []
+            for taken, r, x, ej in zip(powers, key, origin, e):
+                if r[0]:
+                    pair = taken.get(r)
+                    if pair is None:
+                        # an int exponent, where e_j is one, spares ``Sort.pow`` its ``Fraction(n)``
+                        p = sorts.layer_pow_int(x.layer, r[0] if r[1] == 1 else ej, sort)
+                        pair = taken[r] = [] if p == 1 else [(p, 1)]  # a checked layer times 1 is itself
+                    if layer is None:
+                        layer = sorts.require_layer(c.layer, sort)
+                    others += pair
+            if layer is None:
+                layer = sorts.require_layer(c.layer, sort)
+            group = merged.get(key)
+            if group is None:
+                group = merged[key] = (e, others, [])
+            group[2].append((c, layer))
+        xs = [x.value.as_integer_ratio() for x in origin]
+        hs = [h.as_integer_ratio() for h in steps]
+        cs = [[c.value.as_integer_ratio() for c, _ in terms] for _, _, terms in merged.values()]
+        dens = {d for _, d in xs + hs}.union(*[[d for _, d in ratios] for ratios in cs])
+        D = self.scale = math.lcm(*dens) * math.lcm(*{d for key in merged for _, d in key})
+        self.forms = []  # (a, (b_j, ...)) times D
+        self.layers = []  # the layer of each merged monomial
+        for (key, (_, others, terms)), ratios in zip(merged.items(), cs):
+            at = sum([n * x * (D // (d * y)) for (n, d), (x, y) in zip(key, xs)])  # sum_j e_j * x_j times D
+            values = [n * (D // d) + at for n, d in ratios]  # each term's c + sum_j e_j * x_j times D
+            a = max(values)
+            tied = [layer for v, (_, layer) in zip(values, terms) if v == a]
+            if len(tied) == 1 and not others:
+                self.layers.append(tied[0])
+            else:
+                self.layers.append(sort.fold([[(layer, 1), *others] for layer in tied]))
+            self.forms.append((a, tuple([n * h * (D // (d * k)) for (n, d), (h, k) in zip(key, hs)])))
         self.last = [b[-1] if b else 0 for _, b in self.forms]  # b_last per monomial; 0 without steps
-        self.exps = list(merged)  # distinct exponent vectors, in term order
-        self.layers = [layer for _, layer in merged.values()]  # each checked by ``_monomial_layer``
+        self.exps = [e for e, _, _ in merged.values()]  # distinct exponent vectors, in term order
         self.add = sort.add  # the sort's unchecked layer sum
         self.known = {}  # tie set -> ``facts``
 
@@ -226,7 +241,7 @@ class _Affine:
         set and of the layers ``__init__`` checked.
 
         The layer is the sum of the tied monomials' layers, added in term
-        order with ``sort.add``: ``_monomial_layer`` checked them and the
+        order with ``sort.add``: ``__init__`` checked them and the
         sort is closed under its sum, so nothing ``ls_sum`` would refuse is
         accepted.  The corner support lists the exponent vectors of the
         tied positive-layer monomials (``INF > 0`` holds), without repeats
@@ -299,10 +314,10 @@ def _grid(region):
     ``MAX_GRID_POINTS``, before any point is built: an over-wide axis is
     refused even next to an empty one.
     """
-    region = [tuple(map(Fraction, axis)) for axis in region]
+    region = [[v if type(v) is Fraction else Fraction(v) for v in axis] for axis in region]
     if any(step <= 0 for _, _, step in region):
         raise PreconditionViolated("grid steps must be positive")
-    sizes = [max(0, math.floor((hi - lo) / step) + 1) for lo, hi, step in region]
+    sizes = [max(0, (hi - lo) // step + 1) for lo, hi, step in region]
     if max(sizes, default=0) > MAX_GRID_POINTS or math.prod(sizes) > MAX_GRID_POINTS:
         raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
     axes = []
@@ -362,12 +377,18 @@ def _scan(rows, tails, affine):
         base = f.base(index)
         if not base:
             raise PreconditionViolated("cannot rasterize the empty polynomial")
-        # lists, not iterators, become tuples here and in ``fold``: a tuple built from an iterator is
-        # resized, and each call then leaves one more tuple on the interpreter's free list of that size
+        known, scale = f.known, f.scale
+        # ``fold`` and ``facts`` inlined, as this is the loop over every point.  Lists, not iterators,
+        # become tuples here and in ``fold``: a tuple built from an iterator is resized, and each call
+        # then leaves one more tuple on the interpreter's free list of that size
         for tail, values in zip(tails, zip(*[itertools.count(a, b) for a, b in zip(base, f.last)])):
-            best, ties = f.fold(values)
-            layer, corners, component = f.facts(ties)
-            yield GridRow(head + tail, Fraction(best, f.scale), layer, len(corners), component)
+            best = max(values)
+            if values.count(best) == 1:
+                ties = (values.index(best),)
+            else:
+                ties = tuple([i for i, v in enumerate(values) if v == best])
+            layer, corners, component = known.get(ties) or f.facts(ties)
+            yield GridRow(head + tail, Fraction(best, scale), layer, len(corners), component)
 
 
 def corner_locus_on_grid(Fs, region, coord_layers, sort: Sort):

@@ -47,7 +47,9 @@ check a monomial's layer at the first row that reaches it) do so once
 per layer and call, and then work on the unchecked ``Sort`` operations,
 under which the valid layers (with 0) are closed: ``p_eval``, ``p_mul``
 and ``mp_mul`` hand each tied sum to one ``sort.fold``, and
-``mp_eval`` and the rasters use ``sort.add`` and ``sort.mul``.  ``p_eval``
+``mp_eval`` and the rasters take each monomial layer, the tied terms of
+one exponent vector included, in one ``sort.fold`` and add the layers of
+a tie set with ``sort.add``.  ``p_eval``
 checks a polynomial's coefficient layers once per sort object, and
 keeps the checked layers on the polynomial.  ``eval_sort`` checks its
 parts in the order of the stepwise product (``require_layer``, and

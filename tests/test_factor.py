@@ -366,11 +366,32 @@ def test_a_bad_layer_below_the_hull_is_refused_first(top):
             lt.primary_decomposition(good, sort)
 
 
-@pytest.mark.parametrize("sort", [lt.POSQ, lt.NAT, lt.RAT], ids=str)
+@pytest.mark.parametrize("sort", [lt.POSQ, lt.NAT, lt.RAT, lt.SUPER], ids=str)
 def test_a_layer_zero_hull_corner_is_not_invertible(sort):
+    """A slice is divided by its top layer, a hull corner's: layer 0, and
+    inf under super, have no inverse, and the refusal is layer_div's own."""
     lead_zero = lt.poly({2: sc(0, 0), 1: sc(2, 1), 0: sc(3, 1)})
     corner_zero = lt.poly({2: sc(0, 1), 1: sc(2, 0), 0: sc(3, 1)})  # the corner of x^2 + 2*x + 3
-    assert lt.hull_vertices(corner_zero) == {0, 1, 2}
-    for f in (lead_zero, corner_zero):
-        with pytest.raises(lt.NonInvertibleLayer):
+    corner_inf = lt.poly({2: sc(0, 1), 1: sc(2, lt.INF), 0: sc(3, 1)})
+    assert lt.hull_vertices(corner_zero) == lt.hull_vertices(corner_inf) == {0, 1, 2}
+    cases = [(lead_zero, "layer 0 is not invertible"), (corner_zero, "layer 0 is not invertible")]
+    if sort == lt.SUPER:
+        cases.append((corner_inf, "layer inf is not invertible under super"))
+    for f, message in cases:
+        with pytest.raises(lt.NonInvertibleLayer) as raised:
             lt.primary_decomposition(f, sort)
+        assert str(raised.value) == message
+
+
+def test_int_layers_are_divided_as_fractions():
+    """Layers given as ints are checked into Fractions before each slice is
+    divided by its top layer, so no quotient of two ints becomes a float,
+    and the layer 0 of a gap stays a Fraction."""
+    layers = {3: 2, 2: 4, 0: 6}  # the full form fills exponent 1 with layer 0
+    f = lt.poly({e: lt.LayeredScalar(F(v), layers[e]) for e, v in ((3, 0), (2, 3), (0, 5))})
+    g = lt.poly({e: lt.LayeredScalar(c.value, F(c.layer)) for e, c in f.coeffs.items()})
+    for sort in (lt.POSQ, lt.RAT):
+        got = lt.primary_decomposition(f, sort)
+        assert got == lt.primary_decomposition(g, sort)
+        assert [c.layer for pf in got.factors for c in pf.poly.coeffs.values()] == [2, 1, F(3, 2), 0, 1]
+        assert [type(c.layer) for pf in got.factors for c in pf.poly.coeffs.values()] == [F] * 5

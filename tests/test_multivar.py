@@ -46,6 +46,12 @@ def test_coordinate_layer_is_checked_before_the_coefficient_layer():
         lt.mp_eval(f, pt((0, F(5, 3))), lt.NAT)
     with pytest.raises(lt.InvalidLayer, match="layer 5/3 is not valid"):
         list(lt.grid_scan(f, [(0, 1, 1)], [F(5, 3)], lt.NAT))
+    # the coefficient is checked at its term's first power, before the second power is refused
+    g = lt.multipoly(2, {(1, F(1, 2)): sc(0, F(1, 2))})
+    with pytest.raises(lt.InvalidLayer, match="layer 1/2 is not valid"):
+        lt.mp_eval(g, pt((0, 1), (0, 2)), lt.NAT)
+    with pytest.raises(lt.InvalidLayer, match="layer 1/2 is not valid"):
+        list(lt.grid_scan(g, [(0, 1, 1), (0, 1, 1)], [1, 2], lt.NAT))
 
 
 def test_unread_coordinate_layer_is_not_checked():
@@ -314,11 +320,16 @@ def _outcome(call, *args):
 def _pointwise_rows(F_, region, layers, sort):
     """grid_scan by its definition: at every lattice point, the ls_sum of
     the monomial values (a composition sharing no fold with the raster),
-    checked against mp_eval, corner_support and component_index."""
+    checked against mp_eval, corner_support and component_index.  The
+    monomials of a repeated exponent vector are first merged by ls_add."""
     rows = []
     for values in _lattice(region):
         point = tuple(lt.LayeredScalar(v, lt.as_layer(l)) for v, l in zip(values, layers))
-        monos = [(e, oracle_monomial(e, c, point, sort)) for e, c in F_.terms()]
+        merged = {}  # terms with one exponent vector merge as the ls_add of their monomials
+        for e, c in F_.terms():
+            m = oracle_monomial(e, c, point, sort)
+            merged[e] = lt.ls_add(merged[e], m, sort) if e in merged else m
+        monos = list(merged.items())
         total = lt.ls_sum((m for _, m in monos), sort)
         if total is lt.BOTTOM:
             raise lt.PreconditionViolated("empty polynomial")
@@ -403,6 +414,27 @@ def test_raster_matches_pointwise_definition_over_a_common_denominator(sort):
     assert 0 < raised < compared
 
 
+# (sort, coordinate layers, list-built polynomial) with repeated exponent vectors of equal and
+# unequal values: inf under super, 2 + 2 capped at 3 under trunc:3, layer 0 and opposite layers
+# under q, and half powers of layer 4
+REPEATED = [
+    (sort, layers, lt.multipoly(2, [(tuple(map(F, e)), sc(v, l)) for e, v, l in terms]))
+    for sort, layers, terms in [
+        (lt.UNIT, [1, 1], [((1, 0), 0, 1), ((1, 0), 0, 1), ((0, 1), 1, 1), ((0, 1), 0, 1), ((0, 0), 0, 1)]),
+        (lt.SUPER, [1, lt.INF], [((1, 0), 0, 1), ((1, 0), 0, lt.INF), ((0, 1), 0, 1), ((0, 1), 0, 1),
+                                 ((0, 0), 1, 1), ((0, 0), -1, lt.INF)]),
+        (lt.truncated(3), [2, 1], [((1, 0), 0, 2), ((1, 0), 0, 2), ((0, 1), 0, 1), ((0, 1), 0, 2),
+                                   ((0, 0), 0, 1), ((0, 0), -2, 3)]),
+        (lt.NAT, [4, 2], [(("1/2", 0), 0, 1), (("1/2", 0), 0, 2), ((0, 1), 1, 1), ((0, 1), -1, 3),
+                          ((0, 0), 1, 2), ((0, 0), 1, 1)]),
+        (lt.POSQ, [4, F(1, 4)], [(("1/2", 1), 0, F(1, 2)), (("1/2", 1), 0, F(3, 2)), (("-1/2", 0), 0, 1),
+                                  (("-1/2", 0), F(1, 2), F(1, 3)), ((0, 0), 0, 2)]),
+        (lt.RAT, [4, -1], [((1, 0), 0, 1), ((1, 0), 0, -1), ((0, 1), 0, 0), ((0, 1), 0, 2),
+                           (("1/2", 0), 1, 1), (("1/2", 0), 1, -3), ((0, 0), 0, 1)]),
+    ]
+]
+
+
 def test_repeated_exponent_vectors_merge():
     """Terms with one exponent vector answer as the one term whose
     coefficient is their layered sum, in every query and both rasters."""
@@ -431,6 +463,11 @@ def test_repeated_exponent_vectors_merge():
         assert lt.component_index(f, x, lt.RAT) == (0,)
         assert list(lt.corner_locus_on_grid([f], [(-1, 1, 1)], [1], lt.RAT)) == []
     assert list(lt.grid_scan(opposite, region, [1], lt.RAT)) == list(lt.grid_scan(zeroed, region, [1], lt.RAT))
+    # list-built under every sort, against the pointwise ls_add and ls_sum oracle
+    region = [(-1, 1, F(1, 2)), (-1, 1, 1)]
+    for sort, layers, listed in REPEATED:
+        assert len({e for e, _ in listed.terms()}) < len(listed.terms())
+        assert not _raster_matches_pointwise([listed], region, layers, sort)
 
 
 def test_raster_truncation_caps_stepwise():
