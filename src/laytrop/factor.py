@@ -239,9 +239,8 @@ def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     The parts are read in the order of the stepwise product, so a bad
     input raises what ``layer_mul`` and ``layer_pow_int`` would: k is
     checked at the first power with a positive exponent, and a power
-    beyond ``Sort.pow_limit`` is taken where it comes, since it may
-    refuse (the limit is computed only when it can be below the
-    exponent, ``Sort.capped_pow_limit``); each constant term is checked
+    beyond ``Sort.pow_limit(k, n)`` is taken where it comes, since it
+    may refuse; each constant term is checked
     as its part comes, and the unit after the first part.  The crossed
     factor's layers and k are checked as ``p_eval`` checks them
     (``checked_layers``), so its coefficient layers once per sort
@@ -268,7 +267,7 @@ def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
             if n:  # k**0 is 1, and reads no k
                 if k is None:
                     k = sorts.require_layer(b.layer, sort)
-                if n > sort.capped_pow_limit(k, n):
+                if n > sort.pow_limit(k, n):
                     sort.pow(k, n)
             part = (k, n)
         elif side < 0:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 from . import sorts
 from .errors import ArityMismatch, OutOfRange, PreconditionViolated
 from .polys import term_product
-from .scalars import BOTTOM, LayeredScalar
+from .scalars import BOTTOM, LayeredScalar, integer_scale
 from .sorts import Sort, as_layer
 
 # The largest lattice a raster may scan; larger regions raise OutOfRange
@@ -164,7 +164,8 @@ class _Affine:
         and a constant's layer is checked on its own, with the same checks
         and stepwise truncation caps at a grid as at a point, so an invalid
         input raises here wherever it is evaluated.  A coordinate power is
-        taken once per (axis, exponent), the pair read as ints.  Terms with
+        taken once per (axis, exponent), keyed by the exponent's int pair
+        and raised to the exponent as the term holds it.  Terms with
         one exponent vector then merge as their layered sum: the larger
         value wins and equal values add their layers.  By distributivity
         of the sort that is the monomial of the layered sum of their
@@ -184,8 +185,7 @@ class _Affine:
                 if r[0]:
                     pair = taken.get(r)
                     if pair is None:
-                        # an int exponent, where e_j is one, spares ``Sort.pow`` its ``Fraction(n)``
-                        p = sorts.layer_pow_int(x.layer, r[0] if r[1] == 1 else ej, sort)
+                        p = sorts.layer_pow_int(x.layer, ej, sort)
                         pair = taken[r] = [] if p == 1 else [(p, 1)]  # a checked layer times 1 is itself
                     if layer is None:
                         layer = sorts.require_layer(c.layer, sort)
@@ -309,10 +309,10 @@ def _grid(region):
 
     Each axis is one (lo, hi, step) triple; ``axes`` lists each axis's
     coordinates lo + k * step, each built as Fraction(a + k * b, L) over
-    the one denominator L of its axis.  Step signs are checked first, then
-    the size of each axis and of the whole lattice against
-    ``MAX_GRID_POINTS``, before any point is built: an over-wide axis is
-    refused even next to an empty one.
+    the one denominator L of its axis, ``integer_scale`` of lo and step.
+    Step signs are checked first, then the size of each axis and of the
+    whole lattice against ``MAX_GRID_POINTS``, before any point is built:
+    an over-wide axis is refused even next to an empty one.
     """
     region = [[v if type(v) is Fraction else Fraction(v) for v in axis] for axis in region]
     if any(step <= 0 for _, _, step in region):
@@ -322,8 +322,7 @@ def _grid(region):
         raise OutOfRange(f"the grid exceeds the limit of {MAX_GRID_POINTS} points")
     axes = []
     for (lo, _, step), n in zip(region, sizes):
-        L = math.lcm(lo.denominator, step.denominator)  # lo = a / L and step = b / L
-        a, b = lo.numerator * (L // lo.denominator), step.numerator * (L // step.denominator)
+        L, (a, b) = integer_scale((lo, step))  # lo = a / L and step = b / L
         axes.append([Fraction(a + k * b, L) for k in range(n)])
     return [lo for lo, _, _ in region], [step for _, _, step in region], axes
 

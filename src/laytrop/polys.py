@@ -180,10 +180,9 @@ def checked_layers(f: LayeredPoly, layer, sort: Sort):
     view gives their layers.  A pass that checks them all records the
     view.  k is checked once, at the first positive exponent.  A power
     that ``Sort.pow`` could refuse, an exponent beyond
-    ``Sort.pow_limit(k)``, is taken where its term comes, before its
-    coefficient's check, so a bad input raises what ``ls_pow`` and
-    ``ls_mul`` would.  That limit is computed only when it can be below
-    f's highest exponent (``Sort.capped_pow_limit``).
+    ``Sort.pow_limit(k, top)`` for f's highest exponent top, is taken
+    where its term comes, before its coefficient's check, so a bad input
+    raises what ``ls_pow`` and ``ls_mul`` would.
     """
     coeffs = f.coeffs
     top = next(reversed(coeffs))
@@ -192,7 +191,7 @@ def checked_layers(f: LayeredPoly, layer, sort: Sort):
         if not top:
             return checked[1], None
         k = sorts.require_layer(layer, sort)
-        limit = sort.capped_pow_limit(k, top)
+        limit = sort.pow_limit(k, top)
         if top > limit:
             for e in coeffs:
                 if e > limit:
@@ -204,7 +203,7 @@ def checked_layers(f: LayeredPoly, layer, sort: Sort):
     for e, c in coeffs.items():
         if e and k is None:
             k = sorts.require_layer(layer, sort)
-            limit = sort.capped_pow_limit(k, top)
+            limit = sort.pow_limit(k, top)
         if e > limit:
             sort.pow(k, e)
         layers.append(sorts.require_layer(c.layer, sort))
@@ -227,12 +226,12 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
 
     Checks come first (``checked_layers``: x's layer at the first
     positive exponent, each coefficient layer unless f's ``_checked`` view
-    holds this sort, and each power that ``Sort.pow`` could refuse, tied
-    or not), then values, then layers: one pass over the terms, in
-    ascending exponent order, finds the best value and the tied
-    (coefficient layer, exponent) pairs, and one ``Sort.fold`` then sums
-    c * k**e, for x's layer k, over the tied pairs only, exactly and
-    collapsed once.  A single tied term of exponent 0, or at a point of
+    holds this sort, and each power that ``Sort.pow`` could refuse,
+    beyond ``Sort.pow_limit``, tied or not), then values, then layers:
+    one pass over the terms, in ascending exponent order, finds the best
+    value and the tied (coefficient layer, exponent) pairs, and one
+    ``Sort.fold`` then sums c * k**e, for x's layer k, over the tied
+    pairs only, exactly and collapsed once.  A single tied term of exponent 0, or at a point of
     layer 1, answers with its checked coefficient layer: k**0 and 1**e
     are 1, and a checked layer times 1 is itself under every sort (layer
     0 included).  Only the checks raise, so they raise in the order of

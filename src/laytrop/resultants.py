@@ -161,7 +161,11 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
     sort; no subtraction is used, so layer 0 and ``INF`` need no care.
     The work is the number of reachable column masks, at most C(n, i)
     after row i, whatever the values.  A row whose table would hold more
-    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.
+    than ``MAX_PERMANENT_STATES`` masks raises OutOfRange.  The bound is
+    tested once per state extended, after its cells, outside the
+    innermost loop: the table grows only, so the row is refused exactly
+    when its full table would pass the bound, and it holds at most one
+    row's cells beyond it.
 
     The values are Python ints over one denominator D per matrix:
     ``integer_scale`` runs once, over the scalars of each run of rows
@@ -199,17 +203,14 @@ def layered_permanent(matrix: LayeredMatrix, sort: Sort):
                 mask = used | bit
                 w = value + v
                 prior = extended.get(mask)
-                if prior is None:
-                    if len(extended) == limit:
-                        raise OutOfRange(
-                            f"a permanent of size {matrix.rows} needs more than "
-                            f"{limit} states in one row"
-                        )
-                    extended[mask] = (w, mul(layer, l))
-                elif w > prior[0]:
+                if prior is None or w > prior[0]:
                     extended[mask] = (w, mul(layer, l))
                 elif w == prior[0]:
                     extended[mask] = (w, add(prior[1], mul(layer, l)))
+            if len(extended) > limit:
+                raise OutOfRange(
+                    f"a permanent of size {matrix.rows} needs more than {limit} states in one row"
+                )
         if not extended:
             return BOTTOM
         states = extended

@@ -146,6 +146,4 @@ def ls_pow(x: LayeredScalar, n, sort: Sort) -> LayeredScalar:
     n = Fraction(n)
     if n == 0:
         return ONE
-    # an integral exponent goes on as an int, to Sort.pow's n-fold product
-    e = n.numerator if n.denominator == 1 else n
-    return LayeredScalar(x.value * n, sorts.layer_pow_int(x.layer, e, sort))
+    return LayeredScalar(x.value * n, sorts.layer_pow_int(x.layer, n, sort))

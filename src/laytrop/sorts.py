@@ -20,8 +20,12 @@ Every other layer rule is derived from these two parts:
   exact power stays short.  Any other rational exponent gives the exact
   power (a root, then a power), not collapsed, since it is no n-fold
   product; it must be 0 or a member of the sort.  Every rational power
-  of layer 1 is 1 (a member of every sort), so it costs no arithmetic;
-  an exponent that is no rational still raises;
+  of layer 1 is 1 (a member of every sort), so it costs no arithmetic.
+  An int or ``Fraction`` exponent is read as given, any other goes
+  through ``Fraction(n)``, and one that is no rational still raises;
+* ``Sort.pow_limit(l, top)``: the one exponent bound, at most top, up
+  to which ``pow`` of l cannot refuse: top, unless the collapse is the
+  identity and top times l's bit length passes ``MAX_LAYER_BITS``;
 * ``Sort.fold``: a whole sum of products of integer powers, exact as
   one int numerator over one int denominator, then collapsed once, with
   each exponent clamped as in ``Sort.pow``.  That is the stepwise
@@ -96,7 +100,7 @@ class Sort:
     Immutable by convention; equality and hashing read ``kind`` and ``q``.
     """
 
-    __slots__ = ("kind", "q", "member", "collapse", "add", "mul")
+    __slots__ = ("kind", "q", "member", "collapse", "exact", "add", "mul")
 
     def __init__(
         self, kind: str, q: int | None = None, *, member: Callable, collapse: Callable = _same
@@ -105,6 +109,7 @@ class Sort:
         self.q = q
         self.member = member
         self.collapse = collapse
+        self.exact = collapse is _same  # the collapse is the identity (nat, posq, q)
         if self.exact:
             add, mul = operator.add, operator.mul
         else:
@@ -125,11 +130,6 @@ class Sort:
 
     def __hash__(self):
         return hash((self.kind, self.q))
-
-    @property
-    def exact(self) -> bool:
-        """True when the collapse is the identity (nat, posq, q)."""
-        return self.collapse is _same
 
     def __str__(self):
         return self.kind if self.q is None else f"{self.kind}:{self.q}"
@@ -153,17 +153,19 @@ class Sort:
         ``bounded_pow``).  A root is not an n-fold product, so it is not
         collapsed: InvalidLayer unless it is 0 or a member of the sort.
 
-        Layer 1 is a member of every sort and every rational power of it
-        is 1, so l = 1 returns 1 at once, but only after n is normalized:
-        an n that is no rational (None, text) still raises.
+        An int or a ``Fraction`` n is read as given; any other n goes
+        through ``Fraction(n)``.  Layer 1 is a member of every sort and
+        every rational power of it is 1, so l = 1 returns 1 at once, but
+        only after n is normalized: an n that is no rational (None, text)
+        still raises.
         """
         if n == 0:
             return _ONE
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, (int, Fraction)):
             n = Fraction(n)
         if l == 1:
             return _ONE
-        if n.denominator != 1 or n < 0:
+        if n.denominator != 1 or n.numerator < 0:
             out = _exact_pow(l, n)
             if out != 0 and not self.member(out):
                 raise InvalidLayer(f"layer {format_layer(l)} ** {n} leaves sort {self}")
@@ -196,8 +198,9 @@ class Sort:
         2) lies in, and each exponent is clamped where ``pow`` clamps it,
         so every power collapses as before and the ints stay short.
         Nothing here raises: a power that ``pow`` could refuse (beyond
-        ``pow_limit``) must have been taken by the caller first.  A pair
-        with e = 0 is 1 and its l is not read; an empty sum is layer 0.
+        ``pow_limit(l, e)``) must have been taken by the caller first.  A
+        pair with e = 0 is 1 and its l is not read; an empty sum is
+        layer 0.
         """
         clamp = None if self.exact else self._clamp
         num, den = 0, 1
@@ -221,26 +224,19 @@ class Sort:
         out = Fraction(num) if den == 1 else Fraction(num, den)
         return out if clamp is None else self.collapse(out)
 
-    def pow_limit(self, l):
-        """An exponent bound for a checked layer l (0 included): ``pow``
-        cannot raise for an integer 0 <= n <= the bound.
+    def pow_limit(self, l, top):
+        """An exponent bound for a checked layer l (0 included), at most
+        top >= 0: ``pow`` cannot raise for an integer 0 <= n <= the bound.
 
-        Only ``bounded_pow`` refuses an integer power, and it computes
-        every power of at most MAX_LAYER_BITS bits at once; where the
-        collapse keeps powers short the bound is INF.
+        Only ``bounded_pow`` refuses an integer power, and only where the
+        collapse is the identity; it computes every power of at most
+        MAX_LAYER_BITS bits at once, so while top times l's bit length
+        stays within that bound the bound is top.
         """
-        return MAX_LAYER_BITS // _bits(l) if self.exact else INF
-
-    def capped_pow_limit(self, l, top):
-        """min(top, pow_limit(l)) for a checked layer l and an exponent
-        top >= 0, computing ``pow_limit`` only when it can be below top:
-        l's numerator and denominator together have at least as many bits
-        as l, so while top times their bit lengths stays within
-        MAX_LAYER_BITS no power up to top can be refused (nor can any
-        power of ``INF``, which occurs only where the bound is INF)."""
-        if type(l) is float or top * (l.numerator.bit_length() + l.denominator.bit_length()) <= MAX_LAYER_BITS:
+        if not self.exact:
             return top
-        return min(top, self.pow_limit(l))
+        bits = _bits(l)
+        return top if top * bits <= MAX_LAYER_BITS else MAX_LAYER_BITS // bits
 
 
 UNIT = Sort("unit", member=lambda l: l == 1, collapse=lambda x: _ONE if x else x)
@@ -426,7 +422,7 @@ def _int_nth_root(n: int, k: int):
         root = step
 
 
-def _exact_pow(l, n: Fraction) -> Layer:
+def _exact_pow(l, n) -> Layer:
     """The exact l ** n, or InvalidLayer where it is not a rational or INF."""
     if is_inf(l):
         if n > 0:

@@ -37,6 +37,15 @@ def test_corpus_is_deterministic_and_covers_every_kernel_and_sort():
     assert lines != list(equiv.corpus_lines(lt, 4, 600))
 
 
+def test_the_corpus_meets_the_permanent_state_bound():
+    """Some permanents run under a lowered state bound and are refused by
+    it; the library's bound is restored after each call."""
+    equiv = load_tool("equiv")
+    fields = [line.split("\t") for line in equiv.corpus_lines(lt, 2, 600)]
+    assert any(f[1] == "layered_permanent" and f[3] == "!OutOfRange" for f in fields)
+    assert lt.resultants.MAX_PERMANENT_STATES == 2 ** 17
+
+
 def test_the_command_line_prints_the_corpus():
     src = os.path.dirname(os.path.dirname(lt.__file__))
     out = subprocess.run(

@@ -101,6 +101,14 @@ def test_psi_a():
         lt.psi_a(P("x^2 + 2:1*x + 3:1"))
 
 
+def test_psi_a_refuses_an_infinite_layer():
+    """A primary polynomial with an ``inf`` layer has no classical image."""
+    f = lt.poly({2: lt.ONE, 1: sc(2, 3), 0: lt.LayeredScalar(F(4), lt.INF)})
+    assert lt.is_primary(f) is not None
+    with pytest.raises(lt.NotPrimary, match="psi_a needs finite layers"):
+        lt.psi_a(f)
+
+
 def test_psi_a_multiplicative():
     rng = random.Random(9)
     for _ in range(120):

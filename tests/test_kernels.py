@@ -213,7 +213,7 @@ def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
     # a 127-bit layer: 127 * 130 bits pass MAX_LAYER_BITS, so the losing x**130
     # is taken (2**16380 fits, so it is not refused); the tied constant is raised to nothing
     big = F(2**126)
-    assert sorts.NAT.pow_limit(big) == sorts.MAX_LAYER_BITS // 127 < 130
+    assert sorts.NAT.pow_limit(big, 130) == sorts.MAX_LAYER_BITS // 127 < 130
     g = lt.poly({0: lt.scalar(1000, 1), 130: lt.ONE})
     for sort, y in ((lt.NAT, lt.LayeredScalar(0, big)), (lt.SUPER, lt.LayeredScalar(0, lt.INF))):
         assert oracle_p_eval(g, y, sort) == lt.scalar(1000, 1)
@@ -223,13 +223,20 @@ def test_p_eval_raises_only_tied_terms_to_their_powers(monkeypatch):
 
 
 def test_the_power_limit_is_computed_only_where_it_can_matter(monkeypatch):
-    """p_eval and eval_sort compute ``Sort.pow_limit`` only when an exponent
-    times the bit lengths of k's numerator and denominator passes
+    """In p_eval and eval_sort ``Sort.pow_limit`` comes out below the
+    exponent only when that exponent times k's bit length passes
     MAX_LAYER_BITS; a power beyond the limit is still taken, and refused
     where it is too long."""
-    limits = []
+    limits = []  # the layers whose limit comes out below the exponent
     pow_limit = sorts.Sort.pow_limit
-    monkeypatch.setattr(sorts.Sort, "pow_limit", lambda self, l: limits.append(l) or pow_limit(self, l))
+
+    def recording(self, l, top):
+        limit = pow_limit(self, l, top)
+        if limit < top:
+            limits.append(l)
+        return limit
+
+    monkeypatch.setattr(sorts.Sort, "pow_limit", recording)
     f = lt.full_form(lt.parse_poly("x^6 + 3:2*x^4 + 2:1*x + 9:3"))
     dec = lt.primary_decomposition(f, lt.NAT)
     tiny = 1 / HUGE  # a long denominator: no nat layer
@@ -241,9 +248,9 @@ def test_the_power_limit_is_computed_only_where_it_can_matter(monkeypatch):
             assert outcome(lt.eval_sort, dec, x, sort) == (want if isinstance(want, type) else want.layer)
     # only HUGE and tiny, of 6002 bits: x**3 passes MAX_LAYER_BITS, and is refused, once per
     # p_eval and once per eval_sort under each sort that admits the layer
-    assert limits == [HUGE] * 6 + [tiny] * 4 and sorts.NAT.pow_limit(HUGE) == sorts.RAT.pow_limit(tiny) == 2
-    # 2**2730: 6 * (2731 + 1) bits pass the bound, the limit is 16384 // 2731 = 5, and x**6
-    # (2**16380) is taken but not refused; 5 * 2732 bits stay within it
+    assert limits == [HUGE] * 6 + [tiny] * 4 and sorts.NAT.pow_limit(HUGE, 6) == sorts.RAT.pow_limit(tiny, 6) == 2
+    # 2**2730: 6 * 2731 bits pass the bound, the limit is 16384 // 2731 = 5, and x**6
+    # (2**16380) is taken but not refused; 5 * 2731 bits stay within it
     big = F(2**2730)
     for g, computed in ((f, [big]), (lt.poly({0: lt.scalar(100, 1), 5: lt.ONE}), [])):
         limits.clear()

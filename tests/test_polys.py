@@ -30,6 +30,14 @@ def test_p_mul():
     assert lt.p_mul(lt.monomial(0, lt.ONE), f, lt.NAT) == f
 
 
+def test_a_polynomial_is_unequal_to_other_types():
+    f = lt.poly({0: lt.ONE})
+    for other in (lt.ONE, 0, {0: lt.ONE}, None):
+        assert f.__eq__(other) is NotImplemented
+        assert not f == other and f != other
+    assert f == lt.poly({0: lt.ONE}) and not f != lt.poly({0: lt.ONE})
+
+
 def test_poly_drops_bottom_and_refuses_other_exponents():
     f = lt.poly({0: lt.BOTTOM, 1: lt.ONE})
     assert f.coeffs == {1: lt.ONE} and f == lt.monomial(1, lt.ONE)

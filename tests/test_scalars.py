@@ -24,6 +24,11 @@ def test_ls_add_examples():
     assert got == lt.LayeredScalar(F(5), lt.INF)
 
 
+def test_the_sorting_map_is_the_layer():
+    for x in (sc(5, 1), sc(-3, 7), lt.LayeredScalar(F(1, 2), lt.INF), lt.LayeredScalar(F(0), F(0))):
+        assert lt.s(x) is x.layer
+
+
 def test_nu_cmp():
     assert lt.nu_cmp(sc(5, 1), sc(5, 9)) == 0
     assert lt.nu_cmp(sc(3, 2), sc(5, 1)) == -1

@@ -264,6 +264,30 @@ def test_sort_pow_with_negative_and_fractional_exponents(sort):
                 assert outcome(sort.pow, l, int(n)) == outcome(sort.pow, l, n)
 
 
+@pytest.mark.parametrize("sort", POW_SORTS, ids=str)
+def test_the_power_limit_is_top_unless_a_power_up_to_top_could_be_refused(sort):
+    """``pow_limit(l, top)`` is at most top, top itself unless the collapse
+    is the identity, and ``pow`` refuses no integer power up to it."""
+    bits = lt.sorts.MAX_LAYER_BITS
+    layers = [F(0), F(1), F(2), F(3), F(1, 3), F(-5, 7), F(2**126), F(1, 2**2730), F(3**80 + 1, 2)]
+    for l in layers + ([lt.INF] if sort == lt.SUPER else []):
+        for top in (0, 1, 5, 130, bits, 10**18):
+            limit = sort.pow_limit(l, top)
+            if not sort.exact:
+                assert limit == top
+                continue
+            width = max(l.numerator.bit_length(), l.denominator.bit_length())
+            assert limit == min(top, bits // width), (l, top)
+            sort.pow(l, limit)  # not refused
+
+
+def test_a_sort_is_unequal_to_other_types():
+    for sort in ALL_SORTS:
+        assert sort.__eq__(str(sort)) is NotImplemented
+        assert not sort == str(sort) and sort != str(sort)
+        assert sort == lt.parse_sort(str(sort)) and not sort != lt.parse_sort(str(sort))
+
+
 def test_format_refuses_numbers_too_long_to_print():
     assert lt.format_layer(F(10**100, 3)) == f"{10**100}/3"
     assert (lt.format_value(3), lt.format_value(0.5)) == ("3", "1/2")  # an int and a float are converted

@@ -28,7 +28,10 @@ be empty, carry layer 0, ``inf`` or a layer the sort refuses in a later
 row, draw their values over a denominator of their own (1, 7, 11 or
 2^31 - 1, so one matrix may mix several primes), or be malformed: a
 repeated column, a negative interior column or a scalar short; now and
-then one band is dropped or repeated.  The
+then one band is dropped or repeated.  A quarter of these permanents run
+under ``MAX_PERMANENT_STATES`` lowered to a bound drawn from 1 to 12, so
+refusals by the state bound, and rows whose table just meets it, show
+on both sides.  The
 multivariate calls run on the pool's multipolys of arity 1 to 3, over
 regions whose axes have up to five points, one or none (now and then
 one axis for all, a square grid), with coordinate layers that may be 0,
@@ -436,11 +439,13 @@ class Corpus:
                 elif kernel == "resultant":
                     out = _outcome(lt.resultant, polys[rng.choice(small)], polys[rng.choice(small)], sort)
                 elif kernel == "layered_permanent":
+                    # a quarter of the calls under a state bound of 1 to 12
+                    bound = rng.randint(1, 12) if rng.random() < 0.25 else None
                     if rng.random() < 0.5:
                         f, g = polys[rng.choice(small)], polys[rng.choice(small)]
-                        out = _outcome(lambda: lt.layered_permanent(lt.sylvester(f, g, sort), sort))
+                        out = _bounded(lt, bound, lambda: lt.layered_permanent(lt.sylvester(f, g, sort), sort))
                     else:
-                        out = _outcome(lt.layered_permanent, self.matrix(), sort)
+                        out = _bounded(lt, bound, lt.layered_permanent, self.matrix(), sort)
                 elif kernel == "layer_permanent":
                     u = rng.random()
                     if u < 0.3:
@@ -508,6 +513,18 @@ def _outcome(fn, *args):
         return fn(*args)
     except Exception as err:  # noqa: BLE001 -- the class is the outcome
         return f"!{type(err).__name__}"
+
+
+def _bounded(lt, bound, fn, *args):
+    """``_outcome`` of fn(*args) with ``MAX_PERMANENT_STATES`` lowered to
+    bound for the call; None keeps the library's bound."""
+    saved = lt.resultants.MAX_PERMANENT_STATES
+    if bound is not None:
+        lt.resultants.MAX_PERMANENT_STATES = bound
+    try:
+        return _outcome(fn, *args)
+    finally:
+        lt.resultants.MAX_PERMANENT_STATES = saved
 
 
 def _streamed(raster, *args):
