@@ -61,9 +61,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
 
     Needs divisible layers; under the Naturals sort the computation is
     promoted to positive rationals and the result flagged accordingly.
-    The factor list is ordered by strictly decreasing root value, and the
-    reconstruction product is checked against the full form before
-    returning.
+    The factor list is ordered by strictly decreasing root value.
 
     The lead's layer is inverted first, only so that a lead layer that
     is invalid or has no inverse is refused before anything else; then
@@ -80,7 +78,6 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     messages; then the checked layers, the entry pass's and the gaps' 0,
     are divided by it directly, 0 staying 0, and a pivot of 1 leaves
     them as they are.
-    The reconstruction check compares with the full form.
     """
     if f.is_zero:
         raise PreconditionViolated("cannot decompose the zero polynomial")
@@ -115,10 +112,7 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
             c.layer for factor in factors for c in factor.poly.coeffs.values()
         ]
         promoted = not all(l == 0 or layer_valid(l, NAT) for l in layers)
-    decomp = PrimaryDecomposition(lead, tuple(factors), f.min_exp, promoted)
-    if decomp.product(work_sort) != full:
-        raise AssertionError("primary decomposition failed its reconstruction check")
-    return decomp
+    return PrimaryDecomposition(lead, tuple(factors), f.min_exp, promoted)
 
 
 def separable_factor(f: LayeredPoly, sort: Sort):

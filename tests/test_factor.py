@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laytrop as lt
 from conftest import ALL_SORTS, linear_product, outcome, probe_points, rand_poly, rand_primary
@@ -299,7 +301,8 @@ def test_separable_iff_all_factors_linear_distinct():
 
 @pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
 def test_decomposition_with_zero_layers_passes_its_check(sort):
-    """Layer-0 coefficients divide to layer 0; the reconstruction never fails."""
+    """Layer-0 coefficients divide to layer 0, and the product of the parts
+    is the full form."""
     rng = random.Random(1300 + ALL_SORTS.index(sort))
     valid = [l for l in (F(1), F(2), F(3), F(1, 2), F(-1), lt.INF) if lt.layer_valid(l, sort)]
     decomposed = 0
@@ -311,11 +314,49 @@ def test_decomposition_with_zero_layers_passes_its_check(sort):
              for e in range(deg + 1) if e in (0, deg) or rng.random() < 0.7}
         )
         try:
-            lt.primary_decomposition(f, sort)  # an AssertionError fails the test
+            d = lt.primary_decomposition(f, sort)
         except lt.LaytropError:
             continue
+        assert d.product(lt.POSQ if sort == lt.NAT else sort) == lt.full_form(f), (sort, f)
         decomposed += 1
     assert decomposed >= (0 if sort.kind == "trunc" else 50)
+
+
+@st.composite
+def _decomposable(draw, sort):
+    """A polynomial of degree at most 6 under sort, with gaps, layer 0 (and
+    inf under super) now and then, values over denominators 1 to 3, at
+    times a term pushed below the hull and a power of x dividing it."""
+    layer = st.sampled_from([F(0)] + [l for l in (F(1), F(2), F(3), F(1, 2), F(-1), lt.INF)
+                                      if lt.layer_valid(l, sort)])
+    value = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    deg = draw(st.integers(0, 6))
+    present = [e for e in range(deg) if draw(st.booleans())] + [deg]
+    coeffs = {e: lt.LayeredScalar(draw(value), draw(layer)) for e in present}
+    if deg > 1 and draw(st.booleans()):
+        e = draw(st.integers(1, deg - 1))
+        coeffs[e] = lt.LayeredScalar(F(-20), draw(layer))
+    shift = draw(st.sampled_from([0, 0, 1, 2]))
+    return lt.poly({e + shift: c for e, c in coeffs.items()})
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decomposition_reconstructs_the_full_form(sort, data):
+    """A decomposition is refused with a LaytropError (under trunc:3, which
+    has no layer division, always), or its product under the work sort is
+    the full form, its roots strictly decrease and its factor degrees and
+    lambda_power add up to the degree."""
+    f = data.draw(_decomposable(sort))
+    try:
+        d = lt.primary_decomposition(f, sort)
+    except lt.LaytropError:
+        return
+    assert d.product(lt.POSQ if sort == lt.NAT else sort) == lt.full_form(f)
+    roots = [pf.root_value for pf in d.factors]
+    assert all(a > b for a, b in zip(roots, roots[1:]))
+    assert sum(pf.degree for pf in d.factors) + d.lambda_power == f.degree
 
 
 def test_decomposition_needs_divisible_layers():
@@ -325,22 +366,24 @@ def test_decomposition_needs_divisible_layers():
 
 
 def test_decomposition_builds_one_full_form(monkeypatch):
-    """The slopes, the factors' slices and the reconstruction check share
-    one full form, and no polynomial is built besides it and the factors."""
-    built, made = [], []
-    full_form = factor.full_form
-    layered_poly = factor.LayeredPoly
+    """The slopes and the factors' slices share one full form, no polynomial
+    is built besides it and the factors, and no product is taken."""
+    built, made, multiplied = [], [], []
+    full_form, layered_poly, p_mul = factor.full_form, factor.LayeredPoly, factor.p_mul
     monkeypatch.setattr(factor, "full_form", lambda f: built.append(f) or full_form(f))
     monkeypatch.setattr(factor, "LayeredPoly", lambda *a, **k: made.append(a) or layered_poly(*a, **k))
+    monkeypatch.setattr(factor, "p_mul", lambda *a: multiplied.append(a) or p_mul(*a))
     # divisible by x, with a gap at x^2 and x^4 and a term below the hull at x^3
     f = lt.poly({6: sc(1, 2), 5: sc(3, 2), 3: sc(-20, 1), 1: sc(4, 2)})
     assert lt.hull_vertices(f) == {1, 5, 6}
     for sort in (lt.POSQ, lt.NAT, lt.RAT):
         built.clear()
         made.clear()
+        multiplied.clear()
         d = lt.primary_decomposition(f, sort)
         assert built == [f]
         assert len(made) == len(d.factors) == 2
+        assert multiplied == []
         assert d.product(lt.POSQ if sort == lt.NAT else sort) == full_form(f)
 
 

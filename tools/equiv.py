@@ -51,7 +51,8 @@ tropical hyperplane, whose corner roots fill the diagonal of a square
 grid: the second generator is then folded
 at some points only, and its invalid layer raises at a later row, the
 first that reaches it.  Each
-round builds a small pool of polynomials and points and calls the
+round builds a small pool of polynomials and points, decomposes each
+polynomial under all six sorts, and calls the
 kernels on it many times, so the same polynomial object
 meets one sort several times in a row and then another sort; the full
 forms and products it computes join the pool.  What a call draws never depends on what an
@@ -328,11 +329,12 @@ class Corpus:
         rng, lt = self.rng, self.lt
         if kernel in ("slopes", "homogeneous_parts") and rng.random() < 0.3:
             return rng.choice(derived)
+        pick = rng.randrange(1 << 16)  # drawn whatever the decompositions returned
         if rng.random() < 0.5 or not factors:
-            f = rng.choice(derived)
+            f = derived[pick % len(derived)]
             top = f.coeffs[f.degree].value if f.coeffs else 0
             return lt.poly({e: lt.LayeredScalar(c.value - top, c.layer) for e, c in f.coeffs.items()})
-        return rng.choice(factors)
+        return factors[pick % len(factors)]
 
     def primary_pair(self):
         """Powers of two monic linear polynomials with one root: an
@@ -402,7 +404,7 @@ class Corpus:
             derived = list(polys)  # the pool, and the full forms and products computed from it
             decomps = []
             for f in polys:
-                for name in ("posq", "q", "nat"):
+                for name in SORT_NAMES:
                     out = _outcome(lt.primary_decomposition, f, self.sorts[name])
                     if not isinstance(out, str):
                         decomps.append(out)
