@@ -4,13 +4,17 @@ A monic polynomial is a-primary when every coefficient value fits the
 line value(alpha_j) = (deg - j) * a; equivalently all its corner roots
 are nu-equivalent to a, and its coefficient hull is one edge.  That
 test, ``polys.is_primary``, lives beside the hull; ``separable_factor``
-reads the hull's corners (``polys.hull_vertices``), as the decomposition
-reads its slopes.  Any polynomial factors uniquely (up to nu-value) as
-unit * f_{a_1} ... f_{a_d} with strictly decreasing roots; the factors
-are split off bottom-part-first, each a slice of the full form whose
-values come from its ``_scaled`` ints, one ``Fraction`` each, and whose
-layers are the checked layers divided by the slice's top layer, whose
-invertibility is checked once per slice.
+reads the hull's corners (``polys.hull_vertices``), and the decomposition
+the whole hull (``polys.hull_classify``).  Any polynomial factors
+uniquely (up to nu-value) as unit * f_{a_1} ... f_{a_d} with strictly
+decreasing roots, one factor per edge of the coefficient hull; the
+factors are split off bottom-part-first, each the slice of f's hull
+between two corners, with no full form built: its values come from f's
+``_scaled`` ints, one ``Fraction`` each, and its layers are the checked
+layers of f's points on the hull, 0 elsewhere, divided by the slice's
+top layer, whose invertibility is checked once per slice.  Each factor
+keeps the ints and layers it was built from as its views, so its first
+evaluation or product neither rescales nor rechecks them.
 ``eval_sort`` reads the layer of f(b) off that decomposition as one
 ``Sort.fold`` of its parts: b is placed against the roots by int
 cross-multiplication, and the factor whose root b's value is, where
@@ -28,11 +32,14 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import sorts
-from .errors import NonInvertibleLayer, NotMonic, NotPrimary, NotSeparable, PreconditionViolated
-from .polys import (LayeredPoly, checked_layers, full_form, hull_vertices, is_primary, monomial, p_eval, p_mul,
-                    p_shift, poly, slopes)
+from .errors import (LayerNotDivisible, NonInvertibleLayer, NotMonic, NotPrimary, NotSeparable,
+                     PreconditionViolated)
+from .polys import (LayeredPoly, checked_layers, hull_classify, hull_vertices, is_primary, monomial, p_eval, p_mul,
+                    p_shift, poly, require_full_span)
 from .scalars import ONE, LayeredScalar
 from .sorts import NAT, POSQ, RAT, Sort, is_inf, layer_valid
+
+_ZERO = Fraction(0)
 
 
 class PrimaryFactor(NamedTuple):
@@ -63,47 +70,52 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
     promoted to positive rationals and the result flagged accordingly.
     The factor list is ordered by strictly decreasing root value.
 
-    The lead's layer is inverted first, only so that a lead layer that
-    is invalid or has no inverse is refused before anything else; then
-    every coefficient layer is checked in term order, so a bad layer
-    below the hull raises InvalidLayer before ``full_form(f)`` can raise
-    OutOfRange.  That full form is built once, and ``slopes`` builds its
-    ``_scaled`` view, the values as ints over one denominator D.  Each
-    factor is its slice of the full form, values minus the slice's top
-    value and layers divided by the top layer: dividing by the lead first
-    would change neither, since a shift of every value moves no slope.
-    So a factor value is one ``Fraction`` of the int difference over D.
-    The top layer, the slice's pivot, is checked once for what
-    ``layer_div`` would refuse, layer 0 and ``inf``, with its errors and
-    messages; then the checked layers, the entry pass's and the gaps' 0,
-    are divided by it directly, 0 staying 0, and a pivot of 1 leaves
-    them as they are.
+    The lead's layer is checked first (``_require_invertible``), so that
+    a lead layer that is invalid or has no inverse is refused before
+    anything else; then every coefficient layer is checked in term order,
+    so a bad layer below the hull raises InvalidLayer before a span past
+    ``MAX_FULL_FORM_TERMS`` raises OutOfRange.  No full form is built.
+    Each factor is the slice of f's hull (``hull_classify``) between two
+    consecutive corners lo < hi, of degree t = hi - lo, read off f's
+    ``_scaled`` ints: with v_lo and v_hi the corners' ints over D, its
+    x^k coefficient has the value (t - k) * (v_lo - v_hi) / (D * t), the
+    hull's value at lo + k less its value at hi, and the layer of f's
+    point at lo + k where that point lies on the hull (layer 0 at a gap or
+    a point below it, as in the full form), divided by the slice's pivot,
+    the layer at hi.  Dividing by the lead first would change neither,
+    since a shift of every value moves no slope.  Each pivot goes through
+    the lead's check; the checked layers are then divided by it directly,
+    0 staying 0, and a pivot of 1 leaves them as they are.  A factor
+    carries the views it was built with: ``_scaled`` as (D * t, those
+    ints) and ``_checked`` as the work sort and the quotients.
     """
     if f.is_zero:
         raise PreconditionViolated("cannot decompose the zero polynomial")
     work_sort = POSQ if sort == NAT else sort
-    lead = f.coeffs[f.degree]
-    sorts.layer_div(Fraction(1), lead.layer, work_sort)
-    checked = {e: sorts.require_layer(c.layer, work_sort) for e, c in f.coeffs.items()}
-    full = full_form(f)
-    runs = slopes(full)
-    scale, ints = full._scaled()
-    # an essential coefficient of the full form is f's own, checked above; an inserted one has layer 0
-    full_layers = [checked[e] if c is f.coeffs.get(e) else c.layer for e, c in full.coeffs.items()]
-    d, low = full.degree, full.min_exp  # ints[i] and full_layers[i] belong to exponent low + i
+    coeffs = f.coeffs
+    lead = coeffs[f.degree]
+    _require_invertible(lead.layer, work_sort)
+    layers = [sorts.require_layer(c.layer, work_sort) for c in coeffs.values()]
+    status = hull_classify(f)
+    require_full_span(f)
+    scale, ints = f._scaled()
+    corners, on_hull = [], {}  # (exponent, int) of each corner; exponent -> checked layer on the hull
+    for e, v, l, st in zip(coeffs, ints, layers, status):
+        if st != "below":
+            on_hull[e] = l
+            if st == "vertex":
+                corners.append((e, v))
     factors = []
-    for root, (start, end) in reversed(runs):  # bottom part first
-        lo, hi = d - end - low, d - start - low
-        top, pivot = ints[hi], full_layers[hi]
-        if pivot == 0:  # layer_div's refusals, checked once per slice: trunc was refused at the lead
-            raise NonInvertibleLayer("layer 0 is not invertible")
-        if is_inf(pivot):
-            raise NonInvertibleLayer(f"layer inf is not invertible under {work_sort}")
-        quotients = full_layers[lo:hi + 1]
+    for (lo, v_lo), (hi, v_hi) in zip(corners, corners[1:]):  # bottom part first
+        pivot = _require_invertible(on_hull[hi], work_sort)
+        t, drop = hi - lo, v_lo - v_hi
+        quotients = [on_hull.get(e, _ZERO) for e in range(lo, hi + 1)]
         if pivot != 1:
             quotients = [l / pivot if l else l for l in quotients]  # 0 stays 0
-        part = {k: LayeredScalar(Fraction(ints[lo + k] - top, scale), l) for k, l in enumerate(quotients)}
-        factors.append(PrimaryFactor(root, LayeredPoly(part, form="full"), hi - lo))
+        den, values = scale * t, [(t - k) * drop for k in range(t + 1)]
+        part = {k: LayeredScalar(Fraction(v, den), l) for k, (v, l) in enumerate(zip(values, quotients))}
+        g = LayeredPoly(part, form="full", scaled=(den, values), checked=(work_sort, tuple(quotients)))
+        factors.append(PrimaryFactor(Fraction(drop, den), g, t))
 
     factors.reverse()
     promoted = False
@@ -113,6 +125,21 @@ def primary_decomposition(f: LayeredPoly, sort: Sort) -> PrimaryDecomposition:
         ]
         promoted = not all(l == 0 or layer_valid(l, NAT) for l in layers)
     return PrimaryDecomposition(lead, tuple(factors), f.min_exp, promoted)
+
+
+def _require_invertible(layer, sort: Sort):
+    """The checked layer, refused where ``sorts.layer_div`` refuses it as a
+    divisor, with its errors in its order: InvalidLayer, layer 0, ``inf``,
+    then any layer under trunc.  The work sorts of a decomposition (never
+    nat) hold the inverse of every layer that passes, so none is built."""
+    layer = sorts.require_layer(layer, sort)
+    if layer == 0:
+        raise NonInvertibleLayer("layer 0 is not invertible")
+    if is_inf(layer):
+        raise NonInvertibleLayer(f"layer inf is not invertible under {sort}")
+    if sort.kind == "trunc":
+        raise LayerNotDivisible(f"layer division is not defined under {sort}")
+    return layer
 
 
 def separable_factor(f: LayeredPoly, sort: Sort):
@@ -237,9 +264,9 @@ def eval_sort(decomp: PrimaryDecomposition, b: LayeredScalar, sort: Sort):
     may refuse; each constant term is checked
     as its part comes, and the unit after the first part.  The crossed
     factor's layers and k are checked as ``p_eval`` checks them
-    (``checked_layers``), so its coefficient layers once per sort
-    object: a decomposition probed at its roots again under one sort
-    checks them once.
+    (``checked_layers``), so its coefficient layers at most once per
+    sort object, and not at all under the work sort object of the
+    decomposition, whose checked layers each factor carries.
     """
     factors = decomp.factors
     if factors:

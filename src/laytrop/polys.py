@@ -7,13 +7,15 @@ value), is behind the essential and full canonical forms, the slopes,
 corner roots and homogeneous parts, ``hull_vertices`` and
 ``is_primary``: its corners are the essential monomials and its edges
 the corner roots, each of multiplicity its length, and a primary
-polynomial's hull is one edge.  ``_hull_classify`` finds it exactly, in
+polynomial's hull is one edge.  ``hull_classify`` finds it exactly, in
 one scan of the points that keeps those on the hull and one walk over
 the kept points, by cross-multiplication of ints: the values are scaled
-once per polynomial over their common denominator (its ``_scaled``
-view, which ``p_eval``, the gap fill of ``full_form``, ``slopes`` and
-the factor values of the primary decomposition read too).  Only this
-module reads the hull's statuses; ``factor.separable_factor`` reads
+once per polynomial over a common denominator (its ``_scaled`` view,
+which ``p_eval``, ``p_mul``, the gap fill of ``full_form`` and
+``slopes`` read too).  Besides this module, only the primary
+decomposition reads the hull's statuses: it slices f's own hull at its
+corners, with the values and checked layers of f's points on it, and
+builds no full form; ``factor.separable_factor`` reads
 ``hull_vertices``.  A polynomial carries a ``form`` tag ("essential",
 "full" or None); consumers that require a form check the tag instead of
 assuming it, and a full form also for a gap between its exponents.
@@ -21,6 +23,7 @@ assuming it, and a full form also for a gap between its exponents.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -39,18 +42,28 @@ class LayeredPoly:
     """Immutable by convention; equality compares coefficients only.
 
     Nothing may mutate ``coeffs``: a polynomial keeps two private views
-    of it, each built whole the first time a kernel needs it and then
-    only replaced, never changed in place.  ``_scaled()`` is
-    ``(D, ints)``, the coefficient values as ints over their common
-    denominator D (``integer_scale``), which no sort affects.
-    ``_checked`` is ``(sort, layers)``, the coefficient layers as the
-    last ``checked_layers`` pass that checked them all returned them from
-    ``sorts.require_layer`` under that sort (compared by ``is``), or None.
+    of it, each built whole the first time a kernel needs it, or handed
+    over whole by the builder of the polynomial, and then only replaced,
+    never changed in place.  ``_scaled()`` is ``(D, ints)``, the
+    coefficient values as ints over a positive common denominator D,
+    which no sort affects.  D is the least one where the view is built
+    here (``integer_scale``), not always where it is handed over (a
+    primary factor of degree t keeps its decomposition's D times t), so
+    a reader divides by D and never assumes the ints are coprime with it.
+    ``_checked`` is ``(sort, layers)``, the coefficient layers as they
+    pass ``sorts.require_layer`` under that sort (compared by ``is``), or
+    None: as the last pass that checked them all returned them, or as
+    the builder computed them from checked layers, each a layer of the
+    sort or 0.
+
+    ``scaled`` and ``checked`` hand the two views over; their lists are
+    in term order, so ``coeffs`` must then come in ascending exponent
+    order with no BOTTOM entry.  Only this module writes a view.
     """
 
     __slots__ = ("coeffs", "form", "_scale", "_checked")
 
-    def __init__(self, coeffs, form=None):
+    def __init__(self, coeffs, form=None, *, scaled=None, checked=None):
         clean = {}
         for exp, c in coeffs.items():
             if c is BOTTOM:
@@ -60,7 +73,8 @@ class LayeredPoly:
             clean[exp] = c
         self.coeffs = dict(sorted(clean.items()))
         self.form = form
-        self._scale = self._checked = None
+        self._scale = scaled
+        self._checked = checked
 
     def _scaled(self):
         """(D, ints): the coefficient values in term order, times D."""
@@ -126,30 +140,52 @@ def p_add(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredPoly:
 
 
 def p_mul(f: LayeredPoly, g: LayeredPoly, sort: Sort) -> LayeredPoly:
-    """The product; every coefficient layer is checked once, unless f or g is 0."""
-    return LayeredPoly(term_product(f.coeffs.items(), g.coeffs.items(), sort, operator.add))
+    """The product; every coefficient layer is checked once, g's first,
+    unless f or g is 0.
 
-
-def term_product(left, right, sort: Sort, add_exps) -> dict:
-    """The layered product of two term lists, as exponent -> LayeredScalar.
-
-    ``add_exps`` adds two exponents (ints, or vectors in ``mp_mul``).
-    Each coefficient layer is checked once, the right operand's first,
-    and an empty operand gives {} unchecked.  The values of both
-    operands are scaled once to ints over their common denominator D
-    (``integer_scale``), so a pair's value is an int sum; each exponent
-    keeps its best value and the layer pairs that tie on it.  Only those
-    pairs are multiplied and added, by one ``Sort.fold`` per exponent,
-    and one ``Fraction`` is built per term.
+    An operand whose ``_checked`` view holds this sort is not checked
+    again, and one that is checked records the view.  The values come
+    from the operands' ``_scaled`` views, brought to one common
+    denominator D, and the product carries the views it built: its
+    values as ints over D and its layers under sort, each a
+    ``Sort.fold`` of checked layers.
     """
-    if not left or not right:
-        return {}
-    right = [(e, c.value, (sorts.require_layer(c.layer, sort), 1)) for e, c in right]
-    left = [(e, c.value, (sorts.require_layer(c.layer, sort), 1)) for e, c in left]
-    scale, ints = integer_scale([v for _, v, _ in left + right])
-    right = [(e, v, l) for (e, _, l), v in zip(right, ints[len(left):])]
-    out = {}  # exponent -> (best int value, [tied ((layer, 1), (layer, 1)) terms])
-    for (e1, _, l1), v1 in zip(left, ints):
+    if f.is_zero or g.is_zero:
+        return LayeredPoly({})
+    right, left = _layers_under(g, sort), _layers_under(f, sort)
+    (df, fi), (dg, gi) = f._scaled(), g._scaled()
+    scale = math.lcm(df, dg)
+    fi, gi = [v * (scale // df) for v in fi], [v * (scale // dg) for v in gi]
+    out = _tied_pairs(zip(f.coeffs, fi, left), zip(g.coeffs, gi, right), operator.add)
+    exps = sorted(out)
+    ints = [out[e][0] for e in exps]
+    # tuples of lists, not of generators: tuple() resizes as a generator runs,
+    # and each resize leaves a tuple on the interpreter's free list of that
+    # size, which shows as resident memory
+    layers = tuple([sort.fold(out[e][1]) for e in exps])
+    coeffs = {e: LayeredScalar(Fraction(v, scale), l) for e, v, l in zip(exps, ints, layers)}
+    return LayeredPoly(coeffs, scaled=(scale, ints), checked=(sort, layers))
+
+
+def _layers_under(f: LayeredPoly, sort: Sort):
+    """The coefficient layers of f checked under sort, in term order: its
+    ``_checked`` view when that holds this sort, else each checked, and
+    the view recorded."""
+    checked = f._checked
+    if checked is not None and checked[0] is sort:
+        return checked[1]
+    layers = tuple([sorts.require_layer(c.layer, sort) for c in f.coeffs.values()])
+    f._checked = (sort, layers)
+    return layers
+
+
+def _tied_pairs(left, right, add_exps) -> dict:
+    """exponent -> (best int value, [tied ((layer, 1), (layer, 1)) pairs])
+    over the pairs of two lists of (exponent, int value, checked layer)."""
+    right = [(e, v, (l, 1)) for e, v, l in right]
+    out = {}
+    for e1, v1, l1 in left:
+        l1 = (l1, 1)
         for e2, v2, l2 in right:
             exp, v = add_exps(e1, e2), v1 + v2
             old = out.get(exp)
@@ -157,6 +193,30 @@ def term_product(left, right, sort: Sort, add_exps) -> dict:
                 out[exp] = v, [(l1, l2)]
             elif v == old[0]:
                 old[1].append((l1, l2))
+    return out
+
+
+def term_product(left, right, sort: Sort, add_exps) -> dict:
+    """The layered product of two term lists, as exponent -> LayeredScalar.
+
+    ``add_exps`` adds two exponents (vectors in ``mp_mul``).  Each
+    coefficient layer is checked once, the right operand's first, and an
+    empty operand gives {} unchecked.  The values of both operands are
+    scaled once to ints over their common denominator D
+    (``integer_scale``), so a pair's value is an int sum; each exponent
+    keeps its best value and the layer pairs that tie on it.  Only those
+    pairs are multiplied and added, by one ``Sort.fold`` per exponent,
+    and one ``Fraction`` is built per term.  ``p_mul`` does the same from
+    its operands' views.
+    """
+    if not left or not right:
+        return {}
+    right_layers = [sorts.require_layer(c.layer, sort) for _, c in right]
+    left_layers = [sorts.require_layer(c.layer, sort) for _, c in left]
+    scale, ints = integer_scale([c.value for _, c in left] + [c.value for _, c in right])
+    n = len(left)
+    out = _tied_pairs(zip((e for e, _ in left), ints, left_layers),
+                      zip((e for e, _ in right), ints[n:], right_layers), add_exps)
     return {exp: LayeredScalar(Fraction(v, scale), sort.fold(pairs)) for exp, (v, pairs) in out.items()}
 
 
@@ -260,7 +320,7 @@ def p_eval(f: LayeredPoly, x: LayeredScalar, sort: Sort):
     return LayeredScalar(Fraction(best, scale * xd), layer)
 
 
-def _hull_classify(f: LayeredPoly):
+def hull_classify(f: LayeredPoly):
     """Classify the points (exponent, coefficient value) of f against
     their upper concave envelope.
 
@@ -273,9 +333,8 @@ def _hull_classify(f: LayeredPoly):
     stays.  One walk over the kept points then marks the two ends, and
     every kept point where its neighbours turn, "vertex", and the other
     kept points "edge"; a dropped point is "below".  The values are f's
-    ``_scaled`` view, ints over their common denominator D: D is
-    positive, so every cross product keeps its sign and every equality
-    holds.
+    ``_scaled`` view, ints over a common denominator D: D is positive,
+    so every cross product keeps its sign and every equality holds.
     """
     xs = list(f.coeffs)
     if len(xs) <= 2:
@@ -299,7 +358,7 @@ def _hull_classify(f: LayeredPoly):
 
 def hull_vertices(f: LayeredPoly):
     """Exponents sitting at corners of the coefficient hull."""
-    return {exp for exp, st in zip(f.coeffs, _hull_classify(f)) if st == "vertex"}
+    return {exp for exp, st in zip(f.coeffs, hull_classify(f)) if st == "vertex"}
 
 
 def is_primary(f: LayeredPoly):
@@ -308,7 +367,7 @@ def is_primary(f: LayeredPoly):
     Requires a monic input (leading value 0); polynomials divisible by
     the variable or reduced to a single monomial are never primary.  A
     monic f with a constant term is primary exactly when its coefficient
-    hull (``_hull_classify``) is one edge: no point lies below it
+    hull (``hull_classify``) is one edge: no point lies below it
     and only its two ends are corners.  The root is then the drop per
     exponent step along that edge, the constant term's value over the
     degree.
@@ -321,7 +380,7 @@ def is_primary(f: LayeredPoly):
         raise NotMonic("is_primary needs a monic polynomial (leading value 0)")
     if t == 0 or f.min_exp != 0:
         return None
-    status = _hull_classify(f)
+    status = hull_classify(f)
     if "below" in status or status.count("vertex") != 2:
         return None
     return Fraction(f.coeffs[0].value, t)
@@ -335,7 +394,7 @@ def essential_form(f: LayeredPoly) -> LayeredPoly:
     coefficient on an edge contributes nothing to the function).
     """
     out = {}
-    for (exp, c), st in zip(f.coeffs.items(), _hull_classify(f)):
+    for (exp, c), st in zip(f.coeffs.items(), hull_classify(f)):
         if st == "below":
             continue
         if st == "edge" and c.layer == 0:
@@ -359,12 +418,8 @@ def full_form(f: LayeredPoly) -> LayeredPoly:
     base = essential_form(f)
     if base.is_zero:
         return LayeredPoly({}, form="full")
+    require_full_span(f)
     exps = list(base.coeffs)
-    if exps[-1] - exps[0] > MAX_FULL_FORM_TERMS:
-        raise OutOfRange(
-            f"a full form spanning {exps[-1] - exps[0]} exponents exceeds "
-            f"the limit of {MAX_FULL_FORM_TERMS}"
-        )
     scale, ints = f._scaled()
     scaled = dict(zip(f.coeffs, ints))
     out = dict(base.coeffs)
@@ -373,6 +428,15 @@ def full_form(f: LayeredPoly) -> LayeredPoly:
         for exp in range(lo + 1, hi):
             out[exp] = LayeredScalar(Fraction(a * (hi - exp) + b * (exp - lo), den), Fraction(0))
     return LayeredPoly(out, form="full")
+
+
+def require_full_span(f: LayeredPoly):
+    """OutOfRange when the full form of a nonzero f would span more than
+    ``MAX_FULL_FORM_TERMS`` exponents: it runs from f's lowest to its
+    highest exponent, the two ends of its hull."""
+    span = f.degree - f.min_exp
+    if span > MAX_FULL_FORM_TERMS:
+        raise OutOfRange(f"a full form spanning {span} exponents exceeds the limit of {MAX_FULL_FORM_TERMS}")
 
 
 def _require_full(f: LayeredPoly):
@@ -393,14 +457,14 @@ def slopes(f: LayeredPoly):
     (value(exp degree - end) - value(exp degree - start)) / (end - start),
     the value drop per exponent step.  The runs are the edges between
     consecutive corners of the coefficient hull (the "vertex" points of
-    ``_hull_classify``, read in descending exponent order), so they are
+    ``hull_classify``, read in descending exponent order), so they are
     the homogeneous parts; the list starts at the top part, so the slopes
     strictly decrease along it.  Each slope is one ``Fraction`` of the
     corners' ints in f's ``_scaled`` view, which the hull scan reads too.
     """
     _require_full(f)
     scale, ints = f._scaled()
-    corners = [(e, v) for e, v, st in zip(f.coeffs, ints, _hull_classify(f)) if st == "vertex"][::-1]
+    corners = [(e, v) for e, v, st in zip(f.coeffs, ints, hull_classify(f)) if st == "vertex"][::-1]
     runs = []
     for (hi, v_hi), (lo, v_lo) in zip(corners, corners[1:]):
         slope = Fraction(v_lo - v_hi, scale * (hi - lo))

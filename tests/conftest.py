@@ -11,6 +11,8 @@
 - ``linear_product``: prod (x + <r>^1) over distinct roots, the separable
   polynomial whose discriminant layer is prod (2k - 1).
 - ``outcome``: a call's result, or the class of the refusal it raises.
+- ``assert_handed_views``: a polynomial holds both views, each equal to
+  the view rebuilt from its coefficients.
 - ``load_tool``: a script of ``tools/`` or ``bench/``, loaded by its path.
 """
 
@@ -41,6 +43,19 @@ def outcome(fn, *args):
         return fn(*args)
     except lt.LaytropError as err:
         return type(err)
+
+
+def assert_handed_views(p, sort):
+    """p holds both views, as its builder handed them over: ``_scaled`` is
+    ratio-equal to ``integer_scale`` of its values over a positive D, and
+    ``_checked`` holds sort and equals ``require_layer`` of each layer."""
+    assert p._scale is not None and p._checked is not None
+    scale, ints = p._scale
+    least, want = lt.scalars.integer_scale(c.value for c in p.coeffs.values())
+    assert scale > 0 and len(ints) == len(want)
+    assert [v * least for v in ints] == [w * scale for w in want], p
+    assert p._checked[0] is sort
+    assert list(p._checked[1]) == [lt.sorts.require_layer(c.layer, sort) for c in p.coeffs.values()], p
 
 
 def load_tool(name, folder="tools"):

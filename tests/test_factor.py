@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
-from conftest import ALL_SORTS, linear_product, outcome, probe_points, rand_poly, rand_primary
+from conftest import (ALL_SORTS, assert_handed_views, linear_product, outcome, probe_points, rand_poly,
+                      rand_primary)
 from laytrop import factor
 
 sc = lt.scalar
@@ -359,18 +360,136 @@ def test_decomposition_reconstructs_the_full_form(sort, data):
     assert sum(pf.degree for pf in d.factors) + d.lambda_power == f.degree
 
 
+def oracle_decomposition(f, sort):
+    """The decomposition read off the full form, as (unit, [(root, degree,
+    factor)], lambda_power, promoted): the lead is refused by ``layer_div``
+    unless invertible, every layer is checked, and each factor is the
+    slice of ``full_form(f)`` at a run of its ``slopes``, bottom part
+    first, less the slice's top value and divided by its top layer."""
+    if f.is_zero:
+        raise lt.PreconditionViolated("cannot decompose the zero polynomial")
+    work = lt.POSQ if sort == lt.NAT else sort
+    lead = f.coeffs[f.degree]
+    lt.layer_div(F(1), lead.layer, work)
+    for c in f.coeffs.values():
+        lt.sorts.require_layer(c.layer, work)
+    full = lt.full_form(f)
+    factors = []
+    for root, (start, end) in reversed(lt.slopes(full)):
+        lo, hi = full.degree - end, full.degree - start
+        top = full.coeffs[hi]
+        lt.layer_div(top.layer, top.layer, work)  # the pivot is refused before any layer is divided
+        part = {e - lo: lt.LayeredScalar(full.coeffs[e].value - top.value,
+                                         lt.layer_div(full.coeffs[e].layer, top.layer, work))
+                for e in range(lo, hi + 1)}
+        factors.append((root, hi - lo, lt.poly(part, form="full")))
+    factors.reverse()
+    layers = [lead.layer] + [c.layer for _, _, g in factors for c in g.coeffs.values()]
+    promoted = sort == lt.NAT and not all(l == 0 or lt.layer_valid(l, lt.NAT) for l in layers)
+    return lead, factors, f.min_exp, promoted
+
+
+def _decomposed(f, sort):
+    d = lt.primary_decomposition(f, sort)
+    assert all(pf.poly.form == "full" for pf in d.factors)
+    return d.unit, [(pf.root_value, pf.degree, pf.poly) for pf in d.factors], d.lambda_power, d.promoted_sort
+
+
+@st.composite
+def _on_a_hull(draw, sort):
+    """A polynomial on a drawn concave hull: edges of length 1 to 3 with
+    strictly decreasing roots, top part first.  An exponent inside an edge
+    is a point on it (collinear), a gap or a point below it; layers come
+    from 0 and the sort's layers (inf under super), so a corner may have
+    no inverse.  Now and then a point below the hull carries a layer the
+    sort refuses, a power of x divides the polynomial, or its span passes
+    MAX_FULL_FORM_TERMS."""
+    layer = st.sampled_from([F(0)] + [l for l in (F(1), F(2), F(3), F(1, 2), F(-1), lt.INF)
+                                      if lt.layer_valid(l, sort)])
+    ratio = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    shift = draw(st.sampled_from([0, 0, 1, 2]))
+    if draw(st.integers(0, 15)) == 0:
+        top = lt.polys.MAX_FULL_FORM_TERMS + 1
+        return lt.poly({top + shift: lt.LayeredScalar(draw(ratio), draw(layer)),
+                        shift: lt.LayeredScalar(draw(ratio), draw(layer))})
+    roots = sorted(draw(st.lists(ratio, max_size=3, unique=True)), reverse=True)
+    lengths = [draw(st.integers(1, 3)) for _ in roots]
+    value = draw(ratio)
+    coeffs = {sum(lengths): lt.LayeredScalar(value, draw(layer))}
+    e = sum(lengths)
+    for root, length in zip(roots, lengths):
+        for step in range(1, length + 1):
+            e, value = e - 1, value + root
+            kind = "corner" if step == length else draw(st.sampled_from(["edge", "gap", "below"]))
+            if kind == "below":
+                coeffs[e] = lt.LayeredScalar(value - draw(st.integers(1, 4)), draw(layer))
+            elif kind != "gap":
+                coeffs[e] = lt.LayeredScalar(value, draw(layer))
+    below = [e for e, c in coeffs.items() if 0 < e < max(coeffs) and c.value < _hull_value(coeffs, e)]
+    if below and draw(st.booleans()):
+        bad = next(l for l in (F(-1), F(1, 2), F(2), lt.INF) if not lt.layer_valid(l, sort))
+        e = draw(st.sampled_from(below))
+        coeffs[e] = lt.LayeredScalar(coeffs[e].value, bad)
+    return lt.poly({e + shift: c for e, c in coeffs.items()})
+
+
+def _hull_value(coeffs, e):
+    """The upper hull's value at e of the points (exponent, value) of coeffs."""
+    return max(((hi - e) * coeffs[lo].value + (e - lo) * coeffs[hi].value) / (hi - lo)
+               for lo in coeffs for hi in coeffs if lo < e < hi)
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decomposition_matches_the_full_form_slices(sort, data):
+    """Factor by factor (root, degree, polynomial), and refusal by refusal
+    (a layer-0 or inf pivot, trunc, a bad layer below the hull, the span
+    bound), the decomposition is the slicing of the full form at its
+    slopes; each factor and the product of the factors carry their views."""
+    f = data.draw(st.one_of(_on_a_hull(sort), _decomposable(sort)))
+    got = outcome(_decomposed, f, sort)
+    assert got == outcome(oracle_decomposition, f, sort), f
+    if isinstance(got, tuple):
+        work = lt.POSQ if sort == lt.NAT else sort
+        d = lt.primary_decomposition(f, sort)
+        for pf in d.factors:
+            assert_handed_views(pf.poly, work)
+        if d.factors:  # the last p_mul product, before the shift by x^lambda_power
+            assert_handed_views(d._replace(lambda_power=0).product(work), work)
+
+
+def test_the_hull_inputs_reach_every_refusal():
+    """The drawn hulls meet each refusal that the oracle comparison covers."""
+    seen = set()
+    for sort in ALL_SORTS:
+        @settings(max_examples=100, database=None, derandomize=True)
+        @given(data=st.data())
+        def collect(data):
+            f = data.draw(_on_a_hull(sort))
+            try:
+                lt.primary_decomposition(f, sort)
+            except lt.LaytropError as err:
+                seen.add((type(err).__name__, str(err).split(" under ")[0].split(" spanning ")[0]))
+        collect()
+    assert {("NonInvertibleLayer", "layer 0 is not invertible"), ("NonInvertibleLayer", "layer inf is not invertible"),
+            ("LayerNotDivisible", "layer division is not defined"), ("OutOfRange", "a full form")} <= seen, seen
+    assert any(name == "InvalidLayer" for name, _ in seen), seen
+
+
 def test_decomposition_needs_divisible_layers():
     f = lt.poly({2: lt.ONE, 1: sc(3, lt.INF), 0: sc(4, 1)})
     with pytest.raises(lt.LayerNotDivisible):
         lt.primary_decomposition(f, lt.truncated(3))
 
 
-def test_decomposition_builds_one_full_form(monkeypatch):
-    """The slopes and the factors' slices share one full form, no polynomial
-    is built besides it and the factors, and no product is taken."""
+def test_decomposition_builds_no_full_form(monkeypatch):
+    """The factors are slices of f's own hull: no full form is built, no
+    polynomial besides the factors, and no product is taken."""
     built, made, multiplied = [], [], []
-    full_form, layered_poly, p_mul = factor.full_form, factor.LayeredPoly, factor.p_mul
-    monkeypatch.setattr(factor, "full_form", lambda f: built.append(f) or full_form(f))
+    full_form, layered_poly, p_mul = lt.polys.full_form, factor.LayeredPoly, factor.p_mul
+    monkeypatch.setattr(lt.polys, "full_form", lambda f: built.append(f) or full_form(f))
+    monkeypatch.setattr(factor, "full_form", lambda f: built.append(f) or full_form(f), raising=False)
     monkeypatch.setattr(factor, "LayeredPoly", lambda *a, **k: made.append(a) or layered_poly(*a, **k))
     monkeypatch.setattr(factor, "p_mul", lambda *a: multiplied.append(a) or p_mul(*a))
     # divisible by x, with a gap at x^2 and x^4 and a term below the hull at x^3
@@ -381,7 +500,7 @@ def test_decomposition_builds_one_full_form(monkeypatch):
         made.clear()
         multiplied.clear()
         d = lt.primary_decomposition(f, sort)
-        assert built == [f]
+        assert built == []
         assert len(made) == len(d.factors) == 2
         assert multiplied == []
         assert d.product(lt.POSQ if sort == lt.NAT else sort) == full_form(f)
@@ -402,7 +521,7 @@ def test_factor_values_are_fractions():
 @pytest.mark.parametrize("top", [2, 20000], ids=["narrow", "wider-than-a-full-form"])
 def test_a_bad_layer_below_the_hull_is_refused_first(top):
     """Layer 2 under unit and -1 under posq and nat sit below the hull, which the
-    full form drops; they are refused before the full form is built, so before
+    full form drops; they are refused before the span is checked, so before
     a span past MAX_FULL_FORM_TERMS raises OutOfRange."""
     for sort, bad in ((lt.UNIT, F(2)), (lt.POSQ, F(-1)), (lt.NAT, F(-1))):
         f = lt.poly({top: sc(0, 1), 1: sc(-10**6, bad), 0: sc(4, 1)})

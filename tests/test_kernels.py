@@ -440,9 +440,11 @@ def test_a_view_hit_checks_no_coefficient_layer(monkeypatch):
 
 
 def test_eval_sort_checks_the_crossed_factor_once_per_sort(monkeypatch):
-    """At the root 4 of the middle factor, the second probe under one sort
-    object checks the constant term above b, the unit and b's layer (once
-    per power that reads it), but none of the crossed factor's layers."""
+    """At the root 4 of the middle factor, a probe under the decomposition's
+    own sort object checks the constant term above b, the unit and b's
+    layer (once per power that reads it), but none of the crossed factor's
+    layers: the factor carries them from its decomposition.  Under another
+    sort they are checked once, and then kept for it."""
     f = lt.p_mul(lt.p_mul(lt.parse_poly("3:2*x + 15:2"), lt.parse_poly("x^2 + 4:3*x + 8:5"), lt.POSQ),
                  lt.parse_poly("x + 1:7"), lt.POSQ)
     dec = lt.primary_decomposition(f, lt.POSQ)
@@ -452,9 +454,10 @@ def test_eval_sort_checks_the_crossed_factor_once_per_sort(monkeypatch):
     require = sorts.require_layer
     monkeypatch.setattr(sorts, "require_layer", lambda l, s: checked.append(l) or require(l, s))
     want = lt.p_eval(f, b, lt.POSQ).layer
-    # the top factor's constant 1 and the unit 2; in the crossed factor its constant 5, b's layer 11 at
-    # the first positive exponent, then the layers 3 and 1 of its x and x^2 terms; last b's layer for x + 1:7
-    for sort, crossed in ((lt.POSQ, [5, 11, 3, 1]), (lt.POSQ, [11]), (lt.RAT, [5, 11, 3, 1])):
+    # the top factor's constant 1 and the unit 2; in the crossed factor b's layer 11 at the first positive
+    # exponent, under q after its constant 5 and before the layers 3 and 1 of its x and x^2 terms; last
+    # b's layer for x + 1:7
+    for sort, crossed in ((lt.POSQ, [11]), (lt.POSQ, [11]), (lt.RAT, [5, 11, 3, 1]), (lt.RAT, [11])):
         checked.clear()
         assert lt.eval_sort(dec, b, sort) == want
         assert checked == [1, 2] + crossed + [11], sort

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laytrop as lt
-from conftest import ALL_SORTS, outcome, rand_layer, rand_poly, rand_scalar, rand_value, tied_value
+from conftest import ALL_SORTS, assert_handed_views, outcome, rand_layer, rand_poly, rand_scalar, rand_value, tied_value
 from test_kernels import oracle_p_eval
 
 sc = lt.scalar
@@ -28,6 +28,21 @@ def test_p_mul():
     assert sq == lt.poly({2: lt.ONE, 1: sc(2, 2), 0: sc(4, 1)})
     f = P("x^3 + 5:2*x + 7:1")
     assert lt.p_mul(lt.monomial(0, lt.ONE), f, lt.NAT) == f
+
+
+@pytest.mark.parametrize("sort", ALL_SORTS, ids=str)
+def test_p_mul_hands_over_its_views(sort):
+    """A product carries the views it built, each equal to the view rebuilt
+    from its coefficients, and a product that reads them is the product of
+    fresh copies that hold none."""
+    rng = random.Random(4100 + ALL_SORTS.index(sort))
+    for _ in range(40):
+        f, g = rand_poly(rng, sort), rand_poly(rng, sort)
+        fg = lt.p_mul(f, g, sort)
+        assert_handed_views(fg, sort)
+        fgf = lt.p_mul(fg, f, sort)
+        assert_handed_views(fgf, sort)
+        assert fgf == lt.p_mul(lt.poly(fg.coeffs), lt.poly(f.coeffs), sort)
 
 
 def test_a_polynomial_is_unequal_to_other_types():
